@@ -10,11 +10,11 @@ from .errors import (ArityError, AssignmentError, OpwordsError, ParseError,
                      ReplayError, UnknownGeneratorError)
 from .evaluate import GeneratorAssignment, eval_word
 from .finmap import FinMap, braid, branch, compose, f0, f2, identity, tensor
+from .fixtures import lemma_fixtures
 from .present import (AlgebraReport, GroupTables, Presentation,
                       algebra_from_group, builtin_group, builtin_group_Z,
                       check_algebra, cyclic_group, equivalent_mod,
-                      group_from_algebra, lemma_fixtures, load_presentation,
-                      symmetric_group_3)
+                      group_from_algebra, load_presentation, symmetric_group_3)
 from .rules import (RewriteStep, RuleBounds, RuleContext, apply_step,
                     rule_instances_matching)
 from .search import (Disproved, Proved, SearchBudget, Unknown, Witness,

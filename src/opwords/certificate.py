@@ -94,11 +94,18 @@ def _parse_step(line: str, alphabet: Alphabet) -> RewriteStep:
             raise ParseError(f"{key} must be a map literal")
         return w.boundaries[0]
 
+    def int_field(key):
+        try:
+            return int(fields[key])
+        except ValueError:
+            raise ParseError(f"{key} must be an integer, found "
+                             f"{fields[key]!r}") from None
+
     try:
         return RewriteStep(
             rule=fields["rule"], direction=fields["dir"],
-            split=int(fields["split"]), a=int(fields["a"]),
-            q=int(fields["q"]), p=int(fields["p"]),
+            split=int_field("split"), a=int_field("a"),
+            q=int_field("q"), p=int_field("p"),
             v=word_field("v"), v2=word_field("v2"),
             seam_left=map_field("seamL"), seam_right=map_field("seamR"))
     except KeyError as exc:

@@ -14,22 +14,30 @@ from .alphabet import Alphabet, Generator
 from .certificate import decode, encode
 from .dsl import parse_word
 from .endo import Carrier, FinFunction
-from .errors import OpwordsError, ReplayError
+from .errors import OpwordsError, ParseError, ReplayError
 from .evaluate import GeneratorAssignment, eval_word
-from .present import check_algebra, lemma_fixtures, load_presentation
+from .fixtures import lemma_fixtures
+from .present import check_algebra, equivalent_mod, load_presentation
 from .rules import RuleContext
 from .search import Disproved, Proved, SearchBudget, equivalent
-from .present import equivalent_mod
 
 EXIT_OK, EXIT_FAIL, EXIT_UNKNOWN, EXIT_USAGE = 0, 1, 2, 3
+
+
+def _int(text: str, line: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError(
+            f"expected an integer, found {text!r} in {line!r}") from None
 
 
 def _parse_rows(lines, m, carrier_size):
     rows = {}
     for line in lines:
         left, _, right = line.partition("->")
-        xs = tuple(int(t) for t in left.split())
-        ys = tuple(int(t) for t in right.split())
+        xs = tuple(_int(t, line) for t in left.split())
+        ys = tuple(_int(t, line) for t in right.split())
         if len(xs) != m:
             raise OpwordsError(f"row has {len(xs)} inputs, expected {m}")
         rows[xs] = ys
@@ -52,7 +60,7 @@ def load_assignment(path: str, carrier_size: int | None):
             if not line or line.startswith("#"):
                 continue
             if line.startswith("carrier"):
-                declared = int(line.split()[1])
+                declared = _int(line[len("carrier"):].strip(), line)
                 if carrier_size is not None and carrier_size != declared:
                     raise OpwordsError(
                         f"carrier {declared} in file, {carrier_size} on the command line")

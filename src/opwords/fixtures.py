@@ -1,28 +1,24 @@
 """Built-in certificates for the group presentation's lemmas.
 
 Each fixture replays a named equational fact as an explicit rewrite chain.
-Chains are assembled from waypoint words connected by small bounded
-searches, so every certificate is validated by replay at build time.
-Conditional facts (uniqueness of the unit and of the inverse) extend the
-alphabet with a fresh symbol and add the hypothesis as an extra relation,
-which makes the statement replayable as stated.
+The chains ship as package data in ``lemmas/``, one ``<name>.cert`` file per
+lemma, and are decoded and replayed under their context on first use, so a
+fixture that is returned has been validated. Conditional facts (uniqueness
+of the unit and of the inverse) extend the alphabet with a fresh symbol and
+add the hypothesis as an extra relation, which makes the statement
+replayable as stated; that context ships as a presentation file.
+``scripts/replay_lemmas.py`` regenerates the files.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from importlib.resources import files
 
-from .alphabet import Generator
-from .certificate import Certificate
-from .errors import OpwordsError
-from .finmap import compose, f0, f2, identity, tensor, tensor_many
-from .present import (ETA, MU, OMEGA, builtin_group, builtin_group_Z,
-                      group_relations)
-from .rules import RewriteStep, RuleContext, apply_step, step_sides
-from .search import SearchBudget, _certificate_search, word_width
-from .words import (Word, compose_many, gen_word, identity_word, op_word,
-                    tensor_many_words, whisker)
+from .certificate import Certificate, decode
+from .present import GROUP_ALPHABET, load_presentation, parse_presentation
+from .rules import RuleContext
 
 
 @dataclass(frozen=True)
@@ -33,251 +29,46 @@ class LemmaFixture:
     statement: str
 
 
-def connect(a: Word, b: Word, ctx: RuleContext, name: str = "") -> Certificate:
-    """A certificate for one hop between adjacent waypoints."""
-    if a == b:
-        return Certificate(a, (), b)
-    width = max(word_width(a), word_width(b)) + 2
-    max_len = max(len(a), len(b)) + 3
-    for max_steps in (4_000, 60_000, 400_000):
-        budget = SearchBudget(max_steps=max_steps, max_width=width,
-                              max_word_len=max_len)
-        cert, _ = _certificate_search(a, b, ctx, budget)
-        if cert is not None:
-            return cert
-    raise OpwordsError(f"fixture hop {name!r} not connected: {a!r} ~ {b!r}")
+# (name, context, statement). The context is None for the free calculus with
+# collapse moves, @group or @group-Z for a built-in presentation, or the name
+# of a presentation file in lemmas/.
+LEMMAS = (
+    ("dup-assoc", None, "splitting twice associates either way"),
+    ("dup-assoc-square", None,
+     "a double split factors through nested single splits"),
+    ("dup-counit", None,
+     "splitting then discarding either copy is the identity"),
+    ("omega-split-dup", None,
+     "inverting both copies equals inverting before the split"),
+    ("omega-drop", None, "inverting a discarded strand just discards it"),
+    ("eta-unique", "eta-unique.pres",
+     "a second left unit symbol collapses onto the unit"),
+    ("omega-unique", "omega-unique.pres",
+     "a second left inverse symbol collapses onto the inverse"),
+    ("eta-omega", "@group", "inverting the unit gives the unit"),
+    ("omega-involution", "@group", "inverting twice is the identity"),
+    ("ZG-claim1", "@group-Z",
+     "right-inverse follows from the three left axioms"),
+    ("ZG-claim2", "@group-Z",
+     "right-neutrality follows from the three left axioms"),
+)
 
 
-def chain(waypoints, ctx: RuleContext, name: str) -> Certificate:
-    cert = Certificate(waypoints[0], (), waypoints[0])
-    for i in range(1, len(waypoints)):
-        cert = cert.then(connect(cert.end, waypoints[i], ctx,
-                                 name=f"{name}[{i}]"))
-    cert.replay(ctx)
-    return cert
-
-
-def transport(cert: Certificate, q: int, p: int, left: Word, right: Word,
-              ctx: RuleContext) -> Certificate:
-    """Map a certificate through the context left . (q <| w |> p) . right."""
-
-    def pad_map(g):
-        return tensor_many(identity(q), g, identity(p))
-
-    def embed(x: Word) -> Word:
-        return compose_many(left, whisker(q, x, p), right)
-
-    steps = []
-    w = cert.start
-    for st in cert.steps:
-        pat, _ = step_sides(st, ctx)
-        k = len(pat)
-        g_u = pad_map(st.seam_left)
-        if st.split == 0:
-            g_u = compose(g_u, left.boundaries[-1])
-        g_v = pad_map(st.seam_right)
-        if st.split + k == len(w):
-            g_v = compose(right.boundaries[0], g_v)
-        if st.rule == "M1":
-            new = RewriteStep("M1", st.direction, st.split + len(left),
-                              v=whisker(q, st.v, 0), v2=whisker(0, st.v2, p),
-                              seam_left=g_u, seam_right=g_v)
-        elif st.rule == "CARD":
-            raise OpwordsError("CARD steps do not transport through whiskering")
-        else:
-            new = RewriteStep(st.rule, st.direction, st.split + len(left),
-                              a=st.a, q=st.q + q, p=st.p + p, v=st.v,
-                              v2=st.v2, seam_left=g_u, seam_right=g_v)
-        steps.append(new)
-        w = apply_step(w, st, ctx)
-    out = Certificate(embed(cert.start), tuple(steps), embed(cert.end))
-    out.replay(ctx)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# The chains. Waypoints follow the equational proofs line by line; lines that
-# are equal as words collapse to zero-step hops.
-
-C = compose_many
-T = tensor_many_words
-
-
-def _vocab():
-    return (gen_word(MU), gen_word(ETA), gen_word(OMEGA), identity_word(1),
-            op_word(f2()), op_word(f0()))
-
-
-def _free_ctx() -> RuleContext:
-    return RuleContext(relations=(), allow_card=True)
-
-
-def _map_identity_fixtures(out):
-    mu, eta, om, i1, dup, drop = _vocab()
-    ctx = _free_ctx()
-    pairs = [
-        ("dup-assoc",
-         C(dup, T(dup, i1)), C(dup, T(i1, dup)),
-         "splitting twice associates either way"),
-        ("dup-assoc-square",
-         C(dup, T(dup, dup)), C(dup, T(dup, i1), T(i1, dup, i1)),
-         "a double split factors through nested single splits"),
-        ("dup-counit",
-         C(dup, T(drop, i1)), C(dup, T(i1, drop)),
-         "splitting then discarding either copy is the identity"),
-        ("omega-split-dup",
-         C(dup, T(om, om)), C(om, dup),
-         "inverting both copies equals inverting before the split"),
-        ("omega-drop",
-         C(om, drop), drop,
-         "inverting a discarded strand just discards it"),
-    ]
-    for name, lhs, rhs, statement in pairs:
-        out.append(LemmaFixture(name, chain([lhs, rhs], ctx, name), ctx,
-                                statement))
-
-
-def _eta_unique(out):
-    mu, eta, om, i1, dup, drop = _vocab()
-    eta2 = gen_word(Generator("eta2", 0, 1))
-    hypothesis = (C(T(eta2, i1), mu), i1)
-    ctx = RuleContext(relations=group_relations() + (hypothesis,),
-                      allow_card=True)
-    waypoints = [
-        eta2,
-        C(eta2, T(i1, eta), mu),
-        C(eta, T(eta2, i1), mu),
-        eta,
-    ]
-    out.append(LemmaFixture(
-        "eta-unique", chain(waypoints, ctx, "eta-unique"), ctx,
-        "a second left unit symbol collapses onto the unit"))
-
-
-def _omega_unique(out):
-    mu, eta, om, i1, dup, drop = _vocab()
-    om2 = gen_word(Generator("omega2", 1, 1))
-    hypothesis = (C(dup, T(om2, i1), mu), C(drop, eta))
-    ctx = RuleContext(relations=group_relations() + (hypothesis,),
-                      allow_card=True)
-    b_inner = C(dup, T(i1, om), mu)
-    waypoints = [
-        om2,
-        C(dup, T(om2, drop)),
-        C(dup, T(om2, drop), T(i1, eta), mu),
-        C(dup, T(om2, i1), T(i1, b_inner), mu),
-        C(dup, op_word(tensor(identity(1), f2())), T(om2, i1, om),
-          T(i1, mu), mu),
-        C(dup, op_word(tensor(f2(), identity(1))), T(om2, i1, om),
-          T(mu, i1), mu),
-        C(dup, T(C(dup, T(om2, i1), mu), om), mu),
-        C(dup, T(C(drop, eta), om), mu),
-        C(om, T(eta, i1), mu),
-        om,
-    ]
-    out.append(LemmaFixture(
-        "omega-unique", chain(waypoints, ctx, "omega-unique"), ctx,
-        "a second left inverse symbol collapses onto the inverse"))
-
-
-def _eta_omega(out):
-    mu, eta, om, i1, dup, drop = _vocab()
-    ctx = builtin_group().context()
-    waypoints = [
-        C(eta, om),
-        C(eta, om, T(i1, eta), mu),
-        C(T(eta, eta), T(om, i1), mu),
-        C(eta, dup, T(om, i1), mu),
-        C(eta, drop, eta),
-        eta,
-    ]
-    out.append(LemmaFixture(
-        "eta-omega", chain(waypoints, ctx, "eta-omega"), ctx,
-        "inverting the unit gives the unit"))
-
-
-def _omega_involution(out):
-    mu, eta, om, i1, dup, drop = _vocab()
-    ctx = builtin_group().context()
-    waypoints = [
-        C(om, om),
-        C(om, om, T(i1, eta), mu),
-        C(dup, op_word(tensor(identity(1), f2())), T(C(om, om), om, i1),
-          T(i1, mu), mu),
-        C(dup, op_word(tensor(f2(), identity(1))), T(C(om, om), om, i1),
-          T(mu, i1), mu),
-        C(dup, op_word(tensor(f2(), identity(1))), T(om, om, i1),
-          T(om, i1, i1), T(mu, i1), mu),
-        C(dup, T(C(om, dup), i1), T(om, i1, i1), T(mu, i1), mu),
-        C(dup, T(om, i1), T(C(dup, T(om, i1), mu), i1), mu),
-        C(dup, T(om, i1), T(C(drop, eta), i1), mu),
-        C(T(eta, i1), mu),
-        i1,
-    ]
-    out.append(LemmaFixture(
-        "omega-involution", chain(waypoints, ctx, "omega-involution"), ctx,
-        "inverting twice is the identity"))
-
-
-def _zg_claims(out):
-    mu, eta, om, i1, dup, drop = _vocab()
-    ctx = builtin_group_Z().context()
-    b5 = C(dup, T(i1, om))
-    claim1_waypoints = [
-        C(dup, T(i1, om), mu),
-        C(dup, op_word(tensor(f0(), f2())), T(C(T(eta, i1), mu), om), mu),
-        C(dup, op_word(tensor(f0(), f2())), T(eta, i1, om), T(mu, i1), mu),
-        C(dup, T(C(drop, eta), b5), T(mu, i1), mu),
-        C(dup, T(C(om, drop, eta), b5), T(mu, i1), mu),
-        C(dup, T(C(om, dup, T(om, i1), mu), b5), T(mu, i1), mu),
-        C(dup, T(C(dup, T(om, om), T(om, i1), mu), b5), T(mu, i1), mu),
-        C(dup, T(C(dup, T(C(om, om), om), mu), b5), T(mu, i1), mu),
-        C(dup, op_word(tensor(f2(), f2())), T(C(om, om), om, i1, om),
-          T(C(T(mu, i1), mu), i1), mu),
-        C(dup, op_word(tensor(f2(), f2())), T(C(om, om), om, i1, om),
-          T(C(T(i1, mu), mu), i1), mu),
-        C(dup, op_word(tensor(f2(), identity(1))),
-          T(C(om, om), C(dup, T(om, i1), mu), om), T(mu, i1), mu),
-        C(dup, op_word(tensor(f2(), identity(1))),
-          T(C(om, om), C(drop, eta), om), T(mu, i1), mu),
-        C(dup, op_word(tensor(f2(), identity(1))),
-          T(C(om, om), C(drop, eta), om), T(i1, mu), mu),
-        C(dup, op_word(tensor(f2(), identity(1))), T(C(om, om), drop, om),
-          mu),
-        C(dup, T(C(om, om), om), mu),
-        C(dup, T(om, om), T(om, i1), mu),
-        C(om, dup, T(om, i1), mu),
-        C(om, drop, eta),
-        C(drop, eta),
-    ]
-    claim1 = chain(claim1_waypoints, ctx, "ZG-claim1")
-    out.append(LemmaFixture(
-        "ZG-claim1", claim1, ctx,
-        "right-inverse follows from the three left axioms"))
-
-    t_start = C(dup, whisker(0, claim1.start, 1), mu)
-    t_end = C(dup, whisker(0, claim1.end, 1), mu)
-    head = chain([
-        C(T(i1, eta), mu),
-        C(dup, T(i1, C(dup, T(om, i1), mu)), mu),
-        t_start,
-    ], ctx, "ZG-claim2-head")
-    middle = transport(claim1, 0, 1, dup, mu, ctx)
-    tail = chain([t_end, i1], ctx, "ZG-claim2-tail")
-    claim2 = head.then(middle).then(tail)
-    claim2.replay(ctx)
-    out.append(LemmaFixture(
-        "ZG-claim2", claim2, ctx,
-        "right-neutrality follows from the three left axioms"))
+def _read(name: str) -> str:
+    return (files(__package__) / "lemmas" / name).read_text(encoding="utf-8")
 
 
 @lru_cache(maxsize=1)
 def lemma_fixtures() -> tuple[LemmaFixture, ...]:
-    out: list[LemmaFixture] = []
-    _map_identity_fixtures(out)
-    _eta_unique(out)
-    _omega_unique(out)
-    _eta_omega(out)
-    _omega_involution(out)
-    _zg_claims(out)
+    out = []
+    for name, source, statement in LEMMAS:
+        if source is None:
+            alphabet, ctx = GROUP_ALPHABET, RuleContext(allow_card=True)
+        else:
+            pres = (load_presentation(source) if source.startswith("@")
+                    else parse_presentation(_read(source)))
+            alphabet, ctx = pres.alphabet, pres.context()
+        cert = decode(_read(f"{name}.cert"), alphabet)
+        cert.replay(ctx)
+        out.append(LemmaFixture(name, cert, ctx, statement))
     return tuple(out)

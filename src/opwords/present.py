@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 from .alphabet import Alphabet, Generator
 from .endo import Carrier, tabulate
-from .errors import ArityError, AssignmentError, OpwordsError
+from .errors import ArityError, AssignmentError, OpwordsError, ParseError
 from .evaluate import GeneratorAssignment, eval_word
 from .finmap import f0, f2
 from .rules import RuleContext
@@ -152,12 +152,15 @@ def symmetric_group_3() -> GroupTables:
     return GroupTables(6, mult, index[(0, 1, 2)], inv)
 
 
-def algebra_from_group(tables: GroupTables) -> GeneratorAssignment:
+def algebra_from_group(tables: GroupTables,
+                       roles=(MU, ETA, OMEGA)) -> GeneratorAssignment:
+    """The group as an assignment to the (mult, unit, inverse) generators."""
+    mu_g, eta_g, omega_g = roles
     c = Carrier(tables.size)
     functions = {
-        MU: tabulate(c, 2, 1, lambda xs: (tables.mult[xs[0]][xs[1]],)),
-        ETA: tabulate(c, 0, 1, lambda xs: (tables.unit,)),
-        OMEGA: tabulate(c, 1, 1, lambda xs: (tables.inverse[xs[0]],)),
+        mu_g: tabulate(c, 2, 1, lambda xs: (tables.mult[xs[0]][xs[1]],)),
+        eta_g: tabulate(c, 0, 1, lambda xs: (tables.unit,)),
+        omega_g: tabulate(c, 1, 1, lambda xs: (tables.inverse[xs[0]],)),
     }
     return GeneratorAssignment(c, functions)
 
@@ -196,18 +199,6 @@ def _group_shaped(alphabet: Alphabet):
     return by_arity[(2, 1)][0], by_arity[(0, 1)][0], by_arity[(1, 1)][0]
 
 
-def _group_probe(tables: GroupTables, alphabet: Alphabet,
-                 roles) -> GeneratorAssignment:
-    mu_g, eta_g, omega_g = roles
-    c = Carrier(tables.size)
-    functions = {
-        mu_g: tabulate(c, 2, 1, lambda xs: (tables.mult[xs[0]][xs[1]],)),
-        eta_g: tabulate(c, 0, 1, lambda xs: (tables.unit,)),
-        omega_g: tabulate(c, 1, 1, lambda xs: (tables.inverse[xs[0]],)),
-    }
-    return GeneratorAssignment(c, functions)
-
-
 def satisfying_probes(pres: Presentation,
                       budget: SearchBudget) -> list[GeneratorAssignment]:
     """Probe assignments that pass check_algebra, so refutation is sound."""
@@ -217,8 +208,8 @@ def satisfying_probes(pres: Presentation,
         for size in sorted(set(budget.probe_carriers) | {1}):
             if size >= 1:
                 candidates.append(
-                    _group_probe(cyclic_group(size), pres.alphabet, roles))
-        candidates.append(_group_probe(symmetric_group_3(), pres.alphabet, roles))
+                    algebra_from_group(cyclic_group(size), roles))
+        candidates.append(algebra_from_group(symmetric_group_3(), roles))
     return [a for a in candidates if check_algebra(a, pres).passed]
 
 
@@ -297,6 +288,7 @@ def equivalent_mod(w: Word, w2: Word, pres: Presentation,
     if (consult_builtin and (w.src, w.tgt) == (w2.src, w2.tgt) and w != w2):
         known = known_certificates(pres).get((w, w2))
         if known is not None:
+            known.replay(pres.context())
             return Proved(known)
     probes = satisfying_probes(pres, budget)
     result = equivalent(w, w2, budget, ctx=pres.context(), probes=probes)
@@ -304,12 +296,6 @@ def equivalent_mod(w: Word, w2: Word, pres: Presentation,
         if not check_algebra(result.witness.assignment, pres).passed:
             raise OpwordsError("refutation witness violates the presentation")
     return result
-
-
-def lemma_fixtures():
-    """Named built-in certificates for the group presentation's lemmas."""
-    from .fixtures import lemma_fixtures as _fixtures
-    return _fixtures()
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +315,12 @@ def parse_presentation(text: str) -> Presentation:
         if parts[0] == "generator":
             if len(parts) != 4:
                 raise ArityError(f"bad generator line: {line!r}")
-            gens.append(Generator(parts[1], int(parts[2]), int(parts[3])))
+            try:
+                src, tgt = int(parts[2]), int(parts[3])
+            except ValueError:
+                raise ParseError(
+                    f"generator arities must be integers: {line!r}") from None
+            gens.append(Generator(parts[1], src, tgt))
         elif parts[0] == "relation":
             body = line[len("relation"):].strip()
             if "==" not in body:

@@ -102,7 +102,11 @@ def canonical_word(src: int, tgt: int) -> Word:
 
 def step_sides(step: RewriteStep, ctx: RuleContext) -> tuple[Word, Word]:
     """(pattern, replacement) for a step, rebuilt from its parameters."""
+    if step.v is None and step.rule in ("M1", "M2", "M3", "M4", "CARD"):
+        raise ReplayError(f"{step.rule} step needs v=")
     if step.rule == "M1":
+        if step.v2 is None:
+            raise ReplayError("M1 step needs v2=")
         lhs, rhs = build_m1(step.v, step.v2)
     elif step.rule == "M2":
         lhs, rhs = build_m2(step.v, step.a, step.q, step.p)
@@ -111,9 +115,10 @@ def step_sides(step: RewriteStep, ctx: RuleContext) -> tuple[Word, Word]:
     elif step.rule == "M4":
         lhs, rhs = build_m4(step.v, step.a, step.q, step.p)
     elif step.rule.startswith("REL:"):
-        idx = int(step.rule[4:])
+        text = step.rule[4:]
+        idx = int(text) if text.isdecimal() else -1
         if not 0 <= idx < len(ctx.relations):
-            raise ReplayError(f"relation index {idx} out of range")
+            raise ReplayError(f"relation index {text} out of range")
         rl, rr = ctx.relations[idx]
         lhs, rhs = whisker(step.q, rl, step.p), whisker(step.q, rr, step.p)
     elif step.rule == "CARD":

@@ -76,10 +76,6 @@ def op_word(f: FinMap) -> Word:
     return Word((f,), ())
 
 
-# the canonical embedding of plain maps into the free structure
-structure_word = op_word
-
-
 def identity_word(m: int) -> Word:
     return Word((identity(m),), ())
 

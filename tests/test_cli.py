@@ -126,6 +126,40 @@ class TestVerifyCert:
         assert code == 1
         assert "step" in out3
 
+    @pytest.mark.parametrize("step", [
+        'rule=M1 dir=fwd split=0 a=0 q=0 p=0 seamL="id(1)" seamR="id(1)"',
+        'rule=REL:x dir=fwd split=0 a=0 q=0 p=0 seamL="id(1)" seamR="id(1)"',
+    ], ids=["M1-without-v", "REL-index-not-integer"])
+    def test_malformed_step_is_invalid(self, tmp_path, step):
+        path = tmp_path / "bad.cert"
+        path.write_text(f"start: gen omega\nend: gen omega\nstep 1: {step}\n")
+        code, out = run(["verify-cert", "--pres", "@group", str(path)])
+        assert code == 1
+        assert out.startswith("certificate invalid: step 1: ")
+
+
+NON_INTEGER_FIELDS = [
+    ("pres", "generator mu two 1\n",
+     ["equiv", "--pres", "{path}", "id(1)", "id(1)"]),
+    ("assign", "carrier 2\ngen mu\n0 0 -> x\n",
+     ["eval", "--assign", "{path}", "gen mu"]),
+    ("cert", "start: gen omega\nend: gen omega\n"
+             'step 1: rule=M2 dir=fwd split=x a=0 q=0 p=0 v="gen omega" '
+             'seamL="id(1)" seamR="id(1)"\n',
+     ["verify-cert", "--pres", "@group", "{path}"]),
+]
+
+
+@pytest.mark.parametrize("suffix,text,argv", NON_INTEGER_FIELDS,
+                         ids=[case[0] for case in NON_INTEGER_FIELDS])
+def test_non_integer_field_is_a_parse_error(tmp_path, capsys, suffix, text,
+                                            argv):
+    path = tmp_path / f"bad.{suffix}"
+    path.write_text(text)
+    code, _ = run([a.format(path=path) for a in argv])
+    assert code == 3
+    assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestLemmas:
     def test_all_replay(self):

@@ -1,12 +1,22 @@
+import importlib.util
+from pathlib import Path
+
 import pytest
 
+import opwords.fixtures
+import opwords.rules
+import opwords.search
 from opwords.certificate import decode, encode
+from opwords.errors import ReplayError
 from opwords.evaluate import eval_word
-from opwords.fixtures import connect, lemma_fixtures, transport
+from opwords.fixtures import lemma_fixtures
 from opwords.present import (algebra_from_group, builtin_group,
                              builtin_group_Z, cyclic_group,
                              symmetric_group_3)
 from opwords.words import compose_many, gen_word
+
+REGENERATOR = (Path(__file__).resolve().parent.parent / "scripts"
+               / "replay_lemmas.py")
 
 GROUP_ASSIGNMENTS = [algebra_from_group(cyclic_group(n)) for n in range(1, 7)]
 GROUP_ASSIGNMENTS.append(algebra_from_group(symmetric_group_3()))
@@ -95,13 +105,50 @@ def test_conditional_lemmas_use_hypothesis(fixtures):
         assert "REL:5" in used
 
 
+def test_loading_runs_no_search(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("lemma fixtures must load without search")
+
+    monkeypatch.setattr(opwords.search, "_certificate_search", refuse)
+    monkeypatch.setattr(opwords.search, "moves", refuse)
+    monkeypatch.setattr(opwords.rules, "moves", refuse)
+    lemma_fixtures.cache_clear()
+    try:
+        assert {f.name for f in lemma_fixtures()} == EXPECTED
+    finally:
+        lemma_fixtures.cache_clear()
+
+
+def test_tampered_certificate_is_rejected(monkeypatch):
+    read = opwords.fixtures._read
+
+    def tampered(name):
+        text = read(name)
+        if name == "omega-involution.cert":
+            text = text.replace("step 3: rule=M1 dir=fwd",
+                                "step 3: rule=M1 dir=bwd")
+            assert text != read(name)
+        return text
+
+    monkeypatch.setattr(opwords.fixtures, "_read", tampered)
+    lemma_fixtures.cache_clear()
+    try:
+        with pytest.raises(ReplayError):
+            lemma_fixtures()
+    finally:
+        lemma_fixtures.cache_clear()
+
+
 def test_transport_whiskers_a_certificate():
     from opwords.finmap import f2
     from opwords.words import op_word, whisker
+    spec = importlib.util.spec_from_file_location("replay_lemmas", REGENERATOR)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
     ctx = builtin_group().context()
     lhs, rhs = builtin_group().relations[1]
-    cert = connect(lhs, rhs, ctx)
+    cert = script.connect(lhs, rhs, ctx)
     dup, mu = op_word(f2()), gen_word(builtin_group().alphabet.lookup("mu"))
-    moved = transport(cert, 0, 1, dup, mu, ctx)
+    moved = script.transport(cert, 0, 1, dup, mu, ctx)
     assert moved.start == compose_many(dup, whisker(0, lhs, 1), mu)
     assert moved.end == compose_many(dup, whisker(0, rhs, 1), mu)

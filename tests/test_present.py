@@ -145,6 +145,16 @@ class TestEquivalentMod:
                              consult_builtin=False)
         assert not isinstance(res, Disproved)
 
+    def test_builtin_certificate_replays_under_the_query(self, monkeypatch):
+        import opwords.present
+        from opwords.certificate import Certificate
+        from opwords.errors import ReplayError
+        w, w2 = gen_word(OMEGA), identity_word(1)
+        monkeypatch.setattr(opwords.present, "known_certificates",
+                            lambda pres: {(w, w2): Certificate(w, (), w2)})
+        with pytest.raises(ReplayError):
+            equivalent_mod(w, w2, builtin_group())
+
     def test_omega_not_identity(self):
         pres = builtin_group()
         res = equivalent_mod(gen_word(OMEGA), identity_word(1), pres)

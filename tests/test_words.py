@@ -146,18 +146,16 @@ class TestTensorPower:
 
 class TestStructureWords:
     def test_identity_embeds(self):
-        from opwords.words import structure_word
-        assert structure_word(identity(3)) == identity_word(3)
+        assert op_word(identity(3)) == identity_word(3)
 
     def test_tensor_of_embedded_maps_embeds_tensor(self, rng):
         from opwords.finmap import tensor
-        from opwords.words import structure_word
         from conftest import random_map
         for _ in range(25):
             f = random_map(rng, rng.randint(0, 3), rng.randint(1, 3))
             g = random_map(rng, rng.randint(0, 3), rng.randint(1, 3))
-            assert (tensor_words(structure_word(f), structure_word(g))
-                    == structure_word(tensor(f, g)))
+            assert (tensor_words(op_word(f), op_word(g))
+                    == op_word(tensor(f, g)))
 
     def test_tensor_with_identities_is_padded_letter(self):
         got = tensor_words(identity_word(2),
