@@ -1,9 +1,15 @@
+import hashlib
+import random
+
 import pytest
 
 from opwords.alphabet import Generator
+from opwords.certificate import step_key
 from opwords.errors import ReplayError
 from opwords.evaluate import eval_word
 from opwords.finmap import FinMap
+from opwords.fixtures import lemma_fixtures
+from opwords.present import builtin_group
 from opwords.rules import (RewriteStep, RuleBounds, RuleContext, apply_step,
                            build_m1, build_m2, build_m3, build_m4,
                            canonical_word, moves, rule_instances_matching)
@@ -110,3 +116,33 @@ class TestCanonicalWord:
         succs = {succ for step, succ in moves(w, ctx, RuleBounds())
                  if step.rule == "CARD"}
         assert identity_word(0) in succs
+
+
+# SHA-256 and length of the successor stream of the corpus below, in order.
+# Any change to which moves are generated, their parameters or their order
+# changes it; a refactor of rules.py must keep it.
+MOVES_STREAM = (
+    "0dbaffac77bb6beec63117c6678932b1e79fbf4504d0d761e1c0e8876c8d56f1", 76530)
+
+
+def test_moves_stream_digest():
+    rng = random.Random(0)
+    free = [random_word(rng) for _ in range(40)]
+    for _ in range(6):
+        w, w2 = random_word(rng), random_word(rng)
+        free.extend(build_m1(w, w2))
+    lemmas = [w for fx in lemma_fixtures()
+              for w in (fx.certificate.start, fx.certificate.end)]
+    digest, count, rules = hashlib.sha256(), 0, set()
+    for cap in (2, 64):
+        bounds = RuleBounds(seam_cap=cap)
+        for corpus, ctx in ((free, RuleContext()),
+                            (lemmas, builtin_group().context())):
+            for w in corpus:
+                for step, succ in moves(w, ctx, bounds):
+                    digest.update(step_key(step).encode())
+                    digest.update(repr(succ).encode())
+                    count += 1
+                    rules.add(step.rule.split(":")[0])
+    assert rules == {"M1", "M2", "M3", "M4", "REL", "CARD"}
+    assert (digest.hexdigest(), count) == MOVES_STREAM
