@@ -66,7 +66,10 @@ def load_assignment(path: str, carrier_size: int | None):
                         f"carrier {declared} in file, {carrier_size} on the command line")
                 carrier_size = declared
             elif line.startswith("gen"):
-                blocks.append((line.split()[1], []))
+                fields = line.split()
+                if len(fields) < 2:
+                    raise ParseError(f"gen line without a name: {line!r}")
+                blocks.append((fields[1], []))
             else:
                 if not blocks:
                     raise OpwordsError(f"table row before any gen line: {line!r}")

@@ -13,7 +13,8 @@ Grammar (``.`` binds loosest, then ``*``, then ``^``):
 
 Map atoms denote length-0 words read in the opposite direction, so ``dup``
 is a word 1 -> 2 and ``del`` a word 1 -> 0. Unicode operators are accepted
-on input and never printed.
+on input and never printed. No construct may build a word wider than
+``MAX_STRANDS`` strands; the limit is checked before anything is allocated.
 """
 
 from __future__ import annotations
@@ -26,6 +27,13 @@ from .errors import ArityError, ParseError
 from .finmap import FinMap, braid, branch, f0, f2
 from .words import (Word, compose_words, gen_word, identity_word, op_word,
                     tensor_power, tensor_words, whisker)
+
+
+# A power of k copies whiskers every boundary built so far at each step, so
+# its cost grows with the cube of the width: `gen omega^256` takes about a
+# second on a 2-core x86 VM, `gen omega^512` seven. Words in the tests and
+# lemmas are under 20 strands wide.
+MAX_STRANDS = 256
 
 
 class Expr:
@@ -285,29 +293,45 @@ def _child(e: Expr, need: int) -> str:
     return f"({text})" if _prec(e) < need else text
 
 
+def _check_strands(n: int, e: Expr) -> None:
+    if n > MAX_STRANDS:
+        raise ParseError(f"{print_expr(e)!r} exceeds the size limit "
+                         f"({n} > {MAX_STRANDS} strands)")
+
+
 def elaborate(e: Expr, alphabet: Alphabet) -> Word:
     if isinstance(e, EGen):
         return gen_word(alphabet.lookup(e.name))
     if isinstance(e, EId):
+        _check_strands(e.n, e)
         return identity_word(e.n)
     if isinstance(e, EDup):
         return op_word(f2())
     if isinstance(e, EDel):
         return op_word(f0())
     if isinstance(e, EBraid):
+        _check_strands(e.m + e.m2, e)
         return op_word(braid(e.m, e.m2))
     if isinstance(e, EBranch):
+        _check_strands(max(e.a * e.m, e.m), e)
         return op_word(branch(e.a, e.m))
     if isinstance(e, EMap):
+        _check_strands(max(e.src, e.tgt), e)
         return op_word(FinMap(e.src, e.tgt, e.table))
     if isinstance(e, EPad):
-        return whisker(e.q, elaborate(e.body, alphabet), e.p)
+        body = elaborate(e.body, alphabet)
+        _check_strands(e.q + max(body.src, body.tgt) + e.p, e)
+        return whisker(e.q, body, e.p)
     if isinstance(e, EPower):
-        return tensor_power(elaborate(e.base, alphabet), e.k)
+        base = elaborate(e.base, alphabet)
+        _check_strands(e.k * max(base.src, base.tgt, 1), e)
+        return tensor_power(base, e.k)
     if isinstance(e, ETensor):
         out = elaborate(e.parts[0], alphabet)
         for part in e.parts[1:]:
-            out = tensor_words(out, elaborate(part, alphabet))
+            nxt = elaborate(part, alphabet)
+            _check_strands(max(out.src + nxt.src, out.tgt + nxt.tgt), e)
+            out = tensor_words(out, nxt)
         return out
     if isinstance(e, ECompose):
         out = elaborate(e.parts[0], alphabet)

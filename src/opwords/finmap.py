@@ -138,31 +138,36 @@ def all_maps(src: int, tgt: int) -> Iterator[FinMap]:
         yield FinMap(src, tgt, table)
 
 
-def factorizations_through(h: FinMap, g: FinMap) -> list[FinMap]:
-    """All u with compose(u, g) = h, solved fiberwise.
+def factorizations_through(h: FinMap, g: FinMap,
+                           cap: int | None = None) -> list[FinMap]:
+    """All u with compose(u, g) = h, solved fiberwise, identity-like first.
 
-    u(i) may be any preimage of h(i) under g; the result is the full product
-    of those fibers, empty when some fiber is empty.
+    u(i) may be any preimage of h(i) under g; each fiber lists i itself first
+    when g(i) = h(i), then the rest in increasing order. The result is the
+    product of those fibers, empty when some fiber is empty, and its first
+    max(cap, 1) maps when a cap is given.
     """
     if h.tgt != g.tgt:
         raise ArityError("factorization targets differ")
     fibers = []
-    for v in h.table:
-        fiber = tuple(j for j in range(1, g.src + 1) if g.table[j - 1] == v)
+    for i, v in enumerate(h.table, start=1):
+        fiber = [j for j in range(1, g.src + 1) if g.table[j - 1] == v]
         if not fiber:
             return []
+        fiber.sort(key=lambda j: j != i)
         fibers.append(fiber)
-    if h.src > 0 and g.src == 0:
-        return []
-    return [FinMap(h.src, g.src, choice)
-            for choice in itertools.product(*fibers)]
+    choices = itertools.product(*fibers)
+    if cap is not None:
+        choices = itertools.islice(choices, max(cap, 1))
+    return [FinMap._raw(h.src, g.src, choice) for choice in choices]
 
 
 def factorizations_from(h: FinMap, f: FinMap) -> Iterator[FinMap]:
     """All g with compose(f, g) = h (f applied first), lazily.
 
-    g is forced on the image of f and free elsewhere; fillings are yielded in
-    increasing lexicographic order, the all-ones filling first.
+    g is forced on the image of f and free elsewhere. The identity-like
+    filling comes first, sending each free j to min(j, h.tgt); the other
+    fillings follow in increasing lexicographic order.
     """
     if h.src != f.src:
         raise ArityError("factorization sources differ")
@@ -175,10 +180,17 @@ def factorizations_from(h: FinMap, f: FinMap) -> Iterator[FinMap]:
     free = [j for j in range(1, f.tgt + 1) if j not in forced]
     if free and h.tgt == 0:
         return
-    for filling in itertools.product(range(1, h.tgt + 1), repeat=len(free)):
-        table = list(range(f.tgt))
-        for j, v in forced.items():
-            table[j - 1] = v
+    table = [0] * f.tgt
+    for j, v in forced.items():
+        table[j - 1] = v
+
+    def build(filling):
         for j, v in zip(free, filling):
             table[j - 1] = v
-        yield FinMap(f.tgt, h.tgt, tuple(table))
+        return FinMap._raw(f.tgt, h.tgt, tuple(table))
+
+    natural = tuple(min(j, h.tgt) for j in free)
+    yield build(natural)
+    for filling in itertools.product(range(1, h.tgt + 1), repeat=len(free)):
+        if filling != natural:
+            yield build(filling)

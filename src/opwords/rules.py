@@ -20,7 +20,8 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 from .errors import ArityError, ReplayError
-from .finmap import FinMap, branch, braid, compose, identity
+from .finmap import (FinMap, branch, braid, compose, factorizations_from,
+                     factorizations_through, identity)
 from .words import (Word, compose_words, identity_word, op_word, tensor_power,
                     whisker)
 
@@ -102,6 +103,9 @@ def canonical_word(src: int, tgt: int) -> Word:
 
 def step_sides(step: RewriteStep, ctx: RuleContext) -> tuple[Word, Word]:
     """(pattern, replacement) for a step, rebuilt from its parameters."""
+    if step.direction not in ("fwd", "bwd"):
+        raise ReplayError(f"direction must be fwd or bwd, found "
+                          f"{step.direction!r}")
     if step.v is None and step.rule in ("M1", "M2", "M3", "M4", "CARD"):
         raise ReplayError(f"{step.rule} step needs v=")
     if step.rule == "M1":
@@ -190,22 +194,24 @@ def untensor(f: FinMap, src_split: int, tgt_split: int):
     for v in f.table[src_split:]:
         if v <= tgt_split:
             return None
-    a = FinMap(src_split, tgt_split, f.table[:src_split])
-    b = FinMap(f.src - src_split, f.tgt - tgt_split,
-               tuple(v - tgt_split for v in f.table[src_split:]))
+    a = FinMap._raw(src_split, tgt_split, f.table[:src_split])
+    b = FinMap._raw(f.src - src_split, f.tgt - tgt_split,
+                    tuple(v - tgt_split for v in f.table[src_split:]))
     return a, b
 
 
 def unpad(f: FinMap, q: int, p: int) -> FinMap | None:
     """Strip identity pads: f = tensor(id_q, mid, id_p) gives mid, else None."""
-    split = untensor(f, q, q)
-    if split is None or not split[0].is_identity:
+    src, tgt = f.src - q - p, f.tgt - q - p
+    if src < 0 or tgt < 0:
         return None
-    mid_p = split[1]
-    split2 = untensor(mid_p, mid_p.src - p, mid_p.tgt - p)
-    if split2 is None or not split2[1].is_identity:
+    if (f.table[:q] != tuple(range(1, q + 1))
+            or f.table[q + src:] != tuple(range(q + tgt + 1, f.tgt + 1))):
         return None
-    return split2[0]
+    mid = tuple(v - q for v in f.table[q:q + src])
+    if not all(0 < v <= tgt for v in mid):
+        return None
+    return FinMap._raw(src, tgt, mid)
 
 
 def _extract_block(mid: FinMap, pre: int, width_src: int, tgt_lo: int,
@@ -215,60 +221,6 @@ def _extract_block(mid: FinMap, pre: int, width_src: int, tgt_lo: int,
     if all(tgt_lo < v <= tgt_lo + width_tgt for v in vals):
         return FinMap(width_src, width_tgt, tuple(v - tgt_lo for v in vals))
     return None
-
-
-def _left_seams(observed: FinMap, b0: FinMap, cap: int) -> list[FinMap]:
-    """Context maps g with compose(b0, g) = observed; identity-like first."""
-    if observed.src != b0.src:
-        return []
-    forced: dict[int, int] = {}
-    for i in range(1, b0.src + 1):
-        v = b0.table[i - 1]
-        want = observed.table[i - 1]
-        if forced.setdefault(v, want) != want:
-            return []
-    free = [j for j in range(1, b0.tgt + 1) if j not in forced]
-    if free and observed.tgt == 0:
-        return []
-
-    def build(filling):
-        table = [0] * b0.tgt
-        for j, v in forced.items():
-            table[j - 1] = v
-        for j, v in zip(free, filling):
-            table[j - 1] = v
-        return FinMap(b0.tgt, observed.tgt, tuple(table))
-
-    natural = tuple(min(j, observed.tgt) for j in free)
-    out = [build(natural)]
-    if len(out) < cap:
-        for filling in itertools.product(range(1, observed.tgt + 1),
-                                         repeat=len(free)):
-            if filling == natural:
-                continue
-            out.append(build(filling))
-            if len(out) >= cap:
-                break
-    return out
-
-
-def _right_seams(observed: FinMap, blast: FinMap, cap: int) -> list[FinMap]:
-    """Context maps g with compose(g, blast) = observed; identity-like first."""
-    if observed.tgt != blast.tgt:
-        return []
-    fibers = []
-    for i, v in enumerate(observed.table, start=1):
-        fiber = [j for j in range(1, blast.src + 1) if blast.table[j - 1] == v]
-        if not fiber:
-            return []
-        fiber.sort(key=lambda j, i=i: (j != i, j))
-        fibers.append(fiber)
-    out = []
-    for choice in itertools.product(*fibers):
-        out.append(FinMap(observed.src, blast.src, choice))
-        if len(out) >= cap:
-            break
-    return out
 
 
 def _letter_factor(c0: FinMap, letter, c1: FinMap) -> Word:
@@ -286,88 +238,63 @@ def _letter_factor(c0: FinMap, letter, c1: FinMap) -> Word:
 
 
 def _emit(w, s, rule, direction, ctx, bounds, *, v, v2=None, a=0, q=0, p=0):
-    step0 = RewriteStep(rule, direction, s, a=a, q=q, p=p, v=v, v2=v2)
+    params = dict(a=a, q=q, p=p, v=v, v2=v2)
     try:
-        pat, repl = step_sides(step0, ctx)
+        pat, repl = step_sides(RewriteStep(rule, direction, s, **params), ctx)
     except (ArityError, ReplayError):
         return
     k = len(pat)
     if w.letters[s:s + k] != pat.letters:
         return
-    if k == 0:
-        yield from _emit_empty(w, s, step0, pat, repl, bounds)
-        return
+    seams = (_empty_seams(w.boundaries[s], pat.boundaries[0], bounds.seam_cap)
+             if k == 0 else _span_seams(w, s, pat, bounds.seam_cap))
+    for g_u, g_v in seams:
+        succ = substitute(w, s, k, repl, g_u, g_v)
+        if succ != w:
+            yield (RewriteStep(rule, direction, s, **params,
+                               seam_left=g_u, seam_right=g_v), succ)
+
+
+def _span_seams(w, s, pat, cap):
+    """Context maps around a pattern of length k >= 1 matched at letter s."""
+    k = len(pat)
     if w.boundaries[s + 1:s + k] != pat.boundaries[1:-1]:
-        return
-    lefts = _left_seams(w.boundaries[s], pat.boundaries[0], bounds.seam_cap)
+        return []
+    lefts = list(itertools.islice(
+        factorizations_from(w.boundaries[s], pat.boundaries[0]), max(cap, 1)))
     if not lefts:
-        return
-    rights = _right_seams(w.boundaries[s + k], pat.boundaries[-1],
-                          bounds.seam_cap)
-    for g_u in lefts:
-        for g_v in rights:
-            step = replace(step0, seam_left=g_u, seam_right=g_v)
-            succ = substitute(w, s, k, repl, g_u, g_v)
-            if succ != w:
-                yield step, succ
+        return []
+    rights = factorizations_through(w.boundaries[s + k], pat.boundaries[-1],
+                                    cap)
+    return itertools.product(lefts, rights)
 
 
-def _emit_empty(w, bi, step0, pat, repl, bounds):
-    """Length-0 pattern at boundary bi: two canonical context families."""
-    obs = w.boundaries[bi]
-    pmap = pat.boundaries[0]
+def _empty_seams(obs, pmap, cap):
+    """Length-0 pattern at a boundary: two canonical context families."""
     flush_down = pmap.tgt == obs.tgt
     if flush_down:
         g_u = identity(obs.tgt)
-        for g_v in _right_seams(obs, pmap, bounds.seam_cap):
-            step = replace(step0, seam_left=g_u, seam_right=g_v)
-            succ = substitute(w, bi, 0, repl, g_u, g_v)
-            if succ != w:
-                yield step, succ
+        for g_v in factorizations_through(obs, pmap, cap):
+            yield g_u, g_v
     if pmap.src == obs.src:
         g_v = identity(obs.src)
-        for g_u in _left_seams(obs, pmap, bounds.seam_cap):
-            if flush_down and g_u.is_identity:
-                continue
-            step = replace(step0, seam_left=g_u, seam_right=g_v)
-            succ = substitute(w, bi, 0, repl, g_u, g_v)
-            if succ != w:
-                yield step, succ
+        for g_u in itertools.islice(factorizations_from(obs, pmap),
+                                    max(cap, 1)):
+            if not (flush_down and g_u.is_identity):
+                yield g_u, g_v
 
 
-def _seam_adjacent(observed: FinMap, lo: int, hi: int, side: str):
+def _seam_adjacent(observed: FinMap | None, width: int, q: int, p: int):
     """Candidate boundary maps of a parameter word at a seam.
 
-    left:     c over [1,lo], pattern starts with tensor(c, id_hi)
-    left_lo:  c with pattern tensor(id_lo, c), c source [1,hi]
-    right:    c with pattern tensor(id_lo, c), c target [1,hi]
-    right_hi: c with pattern tensor(c, id_hi), c target [1,lo]
+    The identity on `width` strands, then the observed seam map with identity
+    pads q and p stripped, when it has them and differs from the first.
     """
-    if side == "left":
-        cands = [identity(lo)]
-        split = untensor(observed, lo, observed.tgt - hi)
-        if split is not None and split[1].is_identity:
-            cands.append(split[0])
-    elif side == "left_lo":
-        cands = [identity(hi)]
-        split = untensor(observed, lo, lo)
-        if split is not None and split[0].is_identity:
-            cands.append(split[1])
-    elif side == "right":
-        cands = [identity(hi)]
-        split = untensor(observed, lo, lo)
-        if split is not None and split[0].is_identity:
-            cands.append(split[1])
-    else:  # right_hi
-        cands = [identity(lo)]
-        split = untensor(observed, observed.src - hi, lo)
-        if split is not None and split[1].is_identity:
-            cands.append(split[0])
-    seen = []
-    for c in cands:
-        if c not in seen:
-            seen.append(c)
-            yield c
+    ident = identity(width)
+    yield ident
+    cand = None if observed is None else unpad(observed, q, p)
+    if cand is not None and cand != ident:
+        yield cand
 
 
 def _m1_moves(w: Word, ctx, bounds):
@@ -381,21 +308,19 @@ def _m1_moves(w: Word, ctx, bounds):
 def _m1_two(w, s, ctx, bounds):
     (l1, x1, r1), (l2, x2, r2) = w.letters[s], w.letters[s + 1]
     pm = bounds.pad_max
+    mid = w.boundaries[s + 1]
     # forward: pattern (v |> v2.src) . (v.tgt <| v2)
     for v2s in range(min(r1, pm) + 1):
         for vt in range(min(l2, pm) + 1):
             l, r = l1, r1 - v2s
             ll, rr = l2 - vt, r2
-            tau = l + x1.tgt + r
-            mid = w.boundaries[s + 1]
-            c1 = _extract_block(mid, 0, vt, 0, tau)
-            c20 = _extract_block(mid, vt, ll + x2.src + rr, tau, v2s)
-            if c1 is None or c20 is None:
+            split = untensor(mid, vt, l + x1.tgt + r)
+            if split is None:
                 continue
-            for c0 in _seam_adjacent(w.boundaries[s], l + x1.src + r, v2s,
-                                     "left"):
-                for c21 in _seam_adjacent(w.boundaries[s + 2], vt,
-                                          ll + x2.tgt + rr, "right"):
+            c1, c20 = split
+            for c0 in _seam_adjacent(w.boundaries[s], l + x1.src + r, 0, v2s):
+                for c21 in _seam_adjacent(w.boundaries[s + 2],
+                                          ll + x2.tgt + rr, vt, 0):
                     v = _letter_factor(c0, (l, x1, r), c1)
                     v2 = _letter_factor(c20, (ll, x2, rr), c21)
                     yield from _emit(w, s, "M1", "fwd", ctx, bounds, v=v, v2=v2)
@@ -404,16 +329,14 @@ def _m1_two(w, s, ctx, bounds):
         for v2t in range(min(r2, pm) + 1):
             ll, rr = l1 - vs, r1
             l, r = l2, r2 - v2t
-            mid = w.boundaries[s + 1]
-            c0 = _extract_block(mid, 0, l + x2.src + r, 0, vs)
-            c21 = _extract_block(mid, l + x2.src + r, v2t, vs,
-                                 ll + x1.tgt + rr)
-            if c0 is None or c21 is None:
+            split = untensor(mid, l + x2.src + r, vs)
+            if split is None:
                 continue
-            for c20 in _seam_adjacent(w.boundaries[s], vs,
-                                      ll + x1.src + rr, "left_lo"):
+            c0, c21 = split
+            for c20 in _seam_adjacent(w.boundaries[s], ll + x1.src + rr,
+                                      vs, 0):
                 for c1 in _seam_adjacent(w.boundaries[s + 2],
-                                         l + x2.tgt + r, v2t, "right_hi"):
+                                         l + x2.tgt + r, 0, v2t):
                     v = _letter_factor(c0, (l, x2, r), c1)
                     v2 = _letter_factor(c20, (ll, x1, rr), c21)
                     yield from _emit(w, s, "M1", "bwd", ctx, bounds, v=v, v2=v2)
@@ -422,73 +345,39 @@ def _m1_two(w, s, ctx, bounds):
 def _m1_slide(w, s, ctx, bounds):
     """Degenerate interchange: slide a boundary map block past a letter.
 
-    With one parameter word of length 0, the seam carrying the slid map f
-    decomposes into two disjoint blocks (the other parameter word's adjacent
-    boundary and f itself), so both are extracted exactly; the opposite seam
-    keeps the identity / block-split candidate pair.
+    One parameter word is the letter, the other the length-0 word of a map f
+    on k strands after the letter (|v2| = 0) or before it (|v| = 0). f sits
+    at the right seam going fwd with f after the letter or bwd with f before
+    it, and at the left seam otherwise. That seam decomposes into two
+    disjoint blocks (the letter's boundary map and f), so both are extracted
+    exactly; the opposite seam keeps the identity / block-split candidate
+    pair.
     """
     lam, x, rho = w.letters[s]
     pm = bounds.pad_max
-    # |v2| = 0 forward: pattern (v |> v2s) . (v.tgt <| f op)
-    for v2s in range(min(rho, pm) + 1):
-        l, r = lam, rho - v2s
-        tau = l + x.tgt + r
-        fr = w.boundaries[s + 1]
-        for vt in range(min(fr.src, pm) + 1):
-            c1 = _extract_block(fr, 0, vt, 0, tau)
-            f = _extract_block(fr, vt, fr.src - vt, tau, v2s)
-            if c1 is None or f is None:
-                continue
-            for c0 in _seam_adjacent(w.boundaries[s], l + x.src + r, v2s,
-                                     "left"):
-                v = _letter_factor(c0, (l, x, r), c1)
-                yield from _emit(w, s, "M1", "fwd", ctx, bounds,
-                                 v=v, v2=op_word(f))
-    # |v2| = 0 backward: pattern (v.src <| f op) . (v |> v2t)
-    for v2t in range(min(rho, pm) + 1):
-        l, r = lam, rho - v2t
-        sig = l + x.src + r
-        fl = w.boundaries[s]
-        for vs in range(min(fl.tgt, pm) + 1):
-            c0 = _extract_block(fl, 0, sig, 0, vs)
-            f = _extract_block(fl, sig, v2t, vs, fl.tgt - vs)
-            if c0 is None or f is None:
-                continue
-            for c1 in _seam_adjacent(w.boundaries[s + 1], l + x.tgt + r,
-                                     v2t, "right_hi"):
-                v = _letter_factor(c0, (l, x, r), c1)
-                yield from _emit(w, s, "M1", "bwd", ctx, bounds,
-                                 v=v, v2=op_word(f))
-    # |v| = 0 forward: pattern (f op |> v2.src) . (f.src <| v2)
-    for vt in range(min(lam, pm) + 1):
-        ll, rr = lam - vt, rho
-        sig2 = ll + x.src + rr
-        fl = w.boundaries[s]
-        for vs in range(min(fl.tgt, pm) + 1):
-            f = _extract_block(fl, 0, vt, 0, vs)
-            c20 = _extract_block(fl, vt, sig2, vs, fl.tgt - vs)
-            if f is None or c20 is None:
-                continue
-            for c21 in _seam_adjacent(w.boundaries[s + 1], vt,
-                                      ll + x.tgt + rr, "right"):
-                v2 = _letter_factor(c20, (ll, x, rr), c21)
-                yield from _emit(w, s, "M1", "fwd", ctx, bounds,
-                                 v=op_word(f), v2=v2)
-    # |v| = 0 backward: pattern (f.tgt <| v2) . (f op |> v2.tgt)
-    for vs in range(min(lam, pm) + 1):
-        ll, rr = lam - vs, rho
-        tau2 = ll + x.tgt + rr
-        fr = w.boundaries[s + 1]
-        for vt in range(min(fr.src, pm) + 1):
-            f = _extract_block(fr, 0, vt, 0, vs)
-            c21 = _extract_block(fr, vt, fr.src - vt, vs, tau2)
-            if f is None or c21 is None:
-                continue
-            for c20 in _seam_adjacent(w.boundaries[s], vs, ll + x.src + rr,
-                                      "left_lo"):
-                v2 = _letter_factor(c20, (ll, x, rr), c21)
-                yield from _emit(w, s, "M1", "bwd", ctx, bounds,
-                                 v=op_word(f), v2=v2)
+    for after, direction in itertools.product((True, False), ("fwd", "bwd")):
+        right = (direction == "fwd") == after
+        slid, other = ((w.boundaries[s + 1], w.boundaries[s]) if right
+                       else (w.boundaries[s], w.boundaries[s + 1]))
+        for k in range(min(rho if after else lam, pm) + 1):
+            l, r = (lam, rho - k) if after else (lam - k, rho)
+            sig, tau = l + x.src + r, l + x.tgt + r
+            near = (tau if right else sig) if after else k
+            pads = (0, k) if after else (k, 0)
+            for j in range(min(slid.src if right else slid.tgt, pm) + 1):
+                split = (untensor(slid, j, near) if right
+                         else untensor(slid, near, j))
+                if split is None:
+                    continue
+                c, f = split if after else split[::-1]
+                for c_other in _seam_adjacent(other, sig if right else tau,
+                                              *pads):
+                    c0, c1 = (c_other, c) if right else (c, c_other)
+                    letter = _letter_factor(c0, (l, x, r), c1)
+                    v, v2 = ((letter, op_word(f)) if after
+                             else (op_word(f), letter))
+                    yield from _emit(w, s, "M1", direction, ctx, bounds,
+                                     v=v, v2=v2)
 
 
 def _braid_moves(w: Word, ctx, bounds, mirror: bool):
@@ -497,106 +386,42 @@ def _braid_moves(w: Word, ctx, bounds, mirror: bool):
     pm, am = bounds.pad_max, bounds.a_max
     for s, (lam, x, rho) in enumerate(w.letters):
         for a in range(1, am + 1):
-            # forward pattern pads: M2 letter (q+l, x, r+a+p), M3 (q+a+l, x, r+p)
-            if mirror:
-                if lam >= a:
-                    for q in range(min(lam - a, pm) + 1):
-                        for p in range(min(rho, pm) + 1):
-                            yield from _braid_fwd(w, s, rule, ctx, bounds, x,
-                                                  lam - q - a, rho - p,
-                                                  a, q, p, mirror)
-            else:
-                if rho >= a:
-                    for q in range(min(lam, pm) + 1):
-                        for p in range(min(rho - a, pm) + 1):
-                            yield from _braid_fwd(w, s, rule, ctx, bounds, x,
-                                                  lam - q, rho - a - p,
-                                                  a, q, p, mirror)
-            # backward pattern pads: M2 letter (q+a+l, x, r+p), M3 (q+l, x, r+a+p)
-            if mirror:
-                if rho >= a:
-                    for q in range(min(lam, pm) + 1):
-                        for p in range(min(rho - a, pm) + 1):
-                            yield from _braid_bwd(w, s, rule, ctx, bounds, x,
-                                                  lam - q, rho - a - p,
-                                                  a, q, p, mirror)
-            else:
-                if lam >= a:
-                    for q in range(min(lam - a, pm) + 1):
-                        for p in range(min(rho, pm) + 1):
-                            yield from _braid_bwd(w, s, rule, ctx, bounds, x,
-                                                  lam - q - a, rho - p,
-                                                  a, q, p, mirror)
+            for direction in ("fwd", "bwd"):
+                # pattern letter (q+l, x, r+a+p) when the a strands come
+                # after it, (q+a+l, x, r+p) when they come before
+                after = (direction == "fwd") != mirror
+                lo, hi = (lam, rho - a) if after else (lam - a, rho)
+                if lo < 0 or hi < 0:
+                    continue
+                for q in range(min(lo, pm) + 1):
+                    for p in range(min(hi, pm) + 1):
+                        yield from _braid_case(w, s, rule, direction, ctx,
+                                               bounds, (lo - q, x, hi - p),
+                                               a, q, p, after)
 
 
-def _braid_fwd(w, s, rule, ctx, bounds, x, l, r, a, q, p, mirror):
-    if l < 0 or r < 0:
-        return
-    sig, tau = l + x.src + r, l + x.tgt + r
-    c0s = [identity(sig)]
+def _braid_case(w, s, rule, direction, ctx, bounds, letter, a, q, p, after):
+    """One M2/M3 pattern letter with a strands after it (or before it).
+
+    The block swap sits at the left seam going fwd and at the right seam
+    going bwd; it is undone there before the seam maps are split.
+    """
+    l, x, r = letter
     mid = unpad(w.boundaries[s], q, p)
-    if mid is not None and mid.tgt >= a:
-        vs_guess = mid.tgt - a
-        try:
-            undone = compose(mid, braid(a, vs_guess) if not mirror
-                             else braid(vs_guess, a))
-        except ArityError:
-            undone = None
-        if undone is not None:
-            split = (untensor(undone, sig, vs_guess) if not mirror
-                     else untensor(undone, a, a))
-            if split is not None:
-                cand, ident = split if not mirror else (split[1], split[0])
-                if ident.is_identity and cand not in c0s:
-                    c0s.append(cand)
-    c1s = [identity(tau)]
     midr = unpad(w.boundaries[s + 1], q, p)
-    if midr is not None and midr.src >= a and midr.tgt >= a:
-        split = (untensor(midr, midr.src - a, midr.tgt - a) if not mirror
-                 else untensor(midr, a, a))
-        if split is not None:
-            cand, ident = split if not mirror else (split[1], split[0])
-            if ident.is_identity and cand not in c1s:
-                c1s.append(cand)
-    for c0 in c0s:
+    if direction == "fwd" and mid is not None and mid.tgt >= a:
+        b = mid.tgt - a
+        mid = compose(mid, braid(a, b) if after else braid(b, a))
+    if direction == "bwd" and midr is not None and midr.src >= a:
+        b = midr.src - a
+        midr = compose(braid(b, a) if after else braid(a, b), midr)
+    pads = (0, a) if after else (a, 0)
+    c1s = list(_seam_adjacent(midr, l + x.tgt + r, *pads))
+    for c0 in _seam_adjacent(mid, l + x.src + r, *pads):
         for c1 in c1s:
-            v = _letter_factor(c0, (l, x, r), c1)
-            yield from _emit(w, s, rule, "fwd", ctx, bounds, v=v, a=a, q=q, p=p)
-
-
-def _braid_bwd(w, s, rule, ctx, bounds, x, l, r, a, q, p, mirror):
-    if l < 0 or r < 0:
-        return
-    sig, tau = l + x.src + r, l + x.tgt + r
-    c0s = [identity(sig)]
-    mid = unpad(w.boundaries[s], q, p)
-    if mid is not None and mid.src >= a and mid.tgt >= a:
-        split = (untensor(mid, a, a) if not mirror
-                 else untensor(mid, sig, mid.tgt - a))
-        if split is not None:
-            cand, ident = (split[1], split[0]) if not mirror else split
-            if ident.is_identity and cand not in c0s:
-                c0s.append(cand)
-    c1s = [identity(tau)]
-    midr = unpad(w.boundaries[s + 1], q, p)
-    if midr is not None and midr.src >= a:
-        vt_guess = midr.src - a
-        try:
-            undone = compose(braid(a, vt_guess) if not mirror
-                             else braid(vt_guess, a), midr)
-        except ArityError:
-            undone = None
-        if undone is not None:
-            split = (untensor(undone, a, a) if not mirror
-                     else untensor(undone, vt_guess, tau))
-            if split is not None:
-                cand, ident = (split[1], split[0]) if not mirror else split
-                if ident.is_identity and cand not in c1s:
-                    c1s.append(cand)
-    for c0 in c0s:
-        for c1 in c1s:
-            v = _letter_factor(c0, (l, x, r), c1)
-            yield from _emit(w, s, rule, "bwd", ctx, bounds, v=v, a=a, q=q, p=p)
+            v = _letter_factor(c0, letter, c1)
+            yield from _emit(w, s, rule, direction, ctx, bounds,
+                             v=v, a=a, q=q, p=p)
 
 
 def _m4_moves(w: Word, ctx, bounds):
@@ -648,17 +473,14 @@ def _m4_bwd(w, ctx, bounds):
             for p in range(min(rho, pm) + 1):
                 r = rho - p
                 sig, tau = l + x.src + r, l + x.tgt + r
-                c0s = [identity(sig)]
-                mid = unpad(w.boundaries[s], q, p)
-                if mid is not None and not mid.is_identity:
-                    c0s.append(mid)
+                c0s = list(_seam_adjacent(w.boundaries[s], sig, q, p))
                 midr = unpad(w.boundaries[s + 1], q, p)
                 for a in a_values:
                     c1s = [identity(tau)]
                     if a >= 2 and midr is not None and midr.src % a == 0:
                         vt = midr.src // a
-                        c1 = _extract_block(midr, 0, vt, 0, tau)
-                        if (c1 is not None and not c1.is_identity
+                        c1 = FinMap(vt, tau, midr.table[:vt])
+                        if (not c1.is_identity
                                 and compose(branch(a, vt), c1) == midr):
                             c1s.append(c1)
                     for c0 in c0s:

@@ -1,5 +1,6 @@
 import io
 import textwrap
+import time
 from contextlib import redirect_stdout
 
 import pytest
@@ -129,7 +130,9 @@ class TestVerifyCert:
     @pytest.mark.parametrize("step", [
         'rule=M1 dir=fwd split=0 a=0 q=0 p=0 seamL="id(1)" seamR="id(1)"',
         'rule=REL:x dir=fwd split=0 a=0 q=0 p=0 seamL="id(1)" seamR="id(1)"',
-    ], ids=["M1-without-v", "REL-index-not-integer"])
+        'rule=M2 dir=sideways split=0 a=0 q=0 p=0 v="gen omega" '
+        'seamL="id(1)" seamR="id(1)"',
+    ], ids=["M1-without-v", "REL-index-not-integer", "dir-not-fwd-or-bwd"])
     def test_malformed_step_is_invalid(self, tmp_path, step):
         path = tmp_path / "bad.cert"
         path.write_text(f"start: gen omega\nend: gen omega\nstep 1: {step}\n")
@@ -147,6 +150,8 @@ NON_INTEGER_FIELDS = [
              'step 1: rule=M2 dir=fwd split=x a=0 q=0 p=0 v="gen omega" '
              'seamL="id(1)" seamR="id(1)"\n',
      ["verify-cert", "--pres", "@group", "{path}"]),
+    ("gen", "carrier 2\ngen\n0 -> 1\n",
+     ["eval", "--assign", "{path}", "gen mu"]),
 ]
 
 
@@ -166,3 +171,12 @@ class TestLemmas:
         code, out = run(["lemmas"])
         assert code == 0
         assert out.count(": ok") == 11
+
+
+@pytest.mark.parametrize("expr", ["id(1)^999999999", "id(999999999)"])
+def test_oversized_expression_is_a_parse_error(capsys, expr):
+    t0 = time.monotonic()
+    code, _ = run(["equiv", expr, "id(1)"])
+    assert code == 3
+    assert time.monotonic() - t0 < 5
+    assert capsys.readouterr().err.startswith("error: ")

@@ -3,9 +3,9 @@ import random
 import pytest
 
 from opwords.alphabet import Alphabet, Generator
-from opwords.dsl import (EBraid, EBranch, ECompose, EDel, EDup, EGen, EId,
-                         EMap, EPad, EPower, ETensor, elaborate, parse,
-                         parse_word, print_expr, print_word)
+from opwords.dsl import (MAX_STRANDS, EBraid, EBranch, ECompose, EDel, EDup,
+                         EGen, EId, EMap, EPad, EPower, ETensor, elaborate,
+                         parse, parse_word, print_expr, print_word)
 from opwords.errors import ArityError, ParseError
 from conftest import random_word
 
@@ -56,6 +56,21 @@ class TestParse:
         with pytest.raises(ArityError) as err:
             parse_word("gen eta . gen mu", ALPHABET)
         assert "gen mu" in str(err.value)
+
+    def test_strand_limit(self):
+        n = MAX_STRANDS
+        cases = [(f"id({n})", f"id({n + 1})"),
+                 (f"braid({n - 1},1)", f"braid({n},1)"),
+                 (f"branch(2,{n // 2})", f"branch(2,{n // 2 + 1})"),
+                 (f"fm[0->{n}:]", f"fm[0->{n + 1}:]"),
+                 (f"pad(1, id({n - 2}), 1)", f"pad(1, id({n - 1}), 1)"),
+                 (f"gen eta^{n}", f"gen eta^{n + 1}"),
+                 (f"id({n - 1}) * gen eta", f"id({n}) * gen eta")]
+        for fits, too_wide in cases:
+            w = parse_word(fits, ALPHABET)
+            assert max(w.src, w.tgt) == n
+            with pytest.raises(ParseError):
+                parse_word(too_wide, ALPHABET)
 
 
 def random_expr(rng, depth=3):

@@ -135,10 +135,17 @@ class TestFactorizations:
             for g in all_maps_upto(3):
                 if h.tgt != g.tgt:
                     continue
-                got = set(factorizations_through(h, g))
-                assert got == set(brute_force_left_factors(h, g))
-                for u in got:
+                full = factorizations_through(h, g)
+                assert set(full) == set(brute_force_left_factors(h, g))
+                for u in full:
                     assert compose(u, g) == h
+                # identity-like first: u(i) = i wherever g(i) = h(i)
+                for i in range(1, min(h.src, g.src) + 1):
+                    if full and g(i) == h(i):
+                        assert full[0](i) == i
+                for cap in (0, 1, 2, 5):
+                    capped = factorizations_through(h, g, cap)
+                    assert capped == full[:max(cap, 1)]
 
     def test_factorizations_from(self):
         for h in all_maps_upto(2):
@@ -149,6 +156,18 @@ class TestFactorizations:
                 brute = [g for g in all_maps(f.tgt, h.tgt)
                          if compose(f, g) == h]
                 assert set(got) == set(brute)
+                assert len(got) == len(set(got))
+                # identity-like first: g(j) = min(j, h.tgt) off the image
+                # of f, then increasing lexicographic order
+                if got:
+                    image = set(f.table)
+                    assert all(got[0](j) == min(j, h.tgt)
+                               for j in range(1, f.tgt + 1)
+                               if j not in image)
+                    rest = [g.table for g in got[1:]]
+                    assert rest == sorted(rest)
+                if f == h:
+                    assert got[0] == identity(f.tgt)
 
 
 @given(maps(), maps())

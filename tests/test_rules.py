@@ -122,15 +122,24 @@ class TestCanonicalWord:
 # Any change to which moves are generated, their parameters or their order
 # changes it; a refactor of rules.py must keep it.
 MOVES_STREAM = (
-    "0dbaffac77bb6beec63117c6678932b1e79fbf4504d0d761e1c0e8876c8d56f1", 76530)
+    "0055d2bd60d0cb365fabbefe262a2a4a04eecf13b113bc97813ae2a50bf5fa31", 70462)
 
 
 def test_moves_stream_digest():
     rng = random.Random(0)
     free = [random_word(rng) for _ in range(40)]
-    for _ in range(6):
+    for _ in range(4):
         w, w2 = random_word(rng), random_word(rng)
         free.extend(build_m1(w, w2))
+    for a in (1, 2, 3):
+        for build in (build_m2, build_m3, build_m4):
+            v = random_word(rng, max_len=1)
+            free.extend(build(v, a, rng.randint(0, 1), rng.randint(0, 1)))
+    # three-copy folds: the only spans whose middle seam M4 reads as two
+    # blocks that leave part of it uncovered
+    for _ in range(4):
+        v = random_word(rng, max_len=1, max_ar=2)
+        free.extend(build_m4(v, 3, 0, 0))
     lemmas = [w for fx in lemma_fixtures()
               for w in (fx.certificate.start, fx.certificate.end)]
     digest, count, rules = hashlib.sha256(), 0, set()
