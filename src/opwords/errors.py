@@ -27,5 +27,9 @@ class ParseError(OpwordsError):
         super().__init__(message)
 
 
+class EvaluationSizeError(OpwordsError):
+    """An evaluation would tabulate more rows than ``evaluate.MAX_ROWS``."""
+
+
 class ReplayError(OpwordsError):
     """A certificate step does not apply where it claims to."""

@@ -2,17 +2,22 @@
 
 A word denotes the composite of coordinate pullbacks of its boundary maps
 with the whiskered functions assigned to its letters, in standard
-decomposition order.
+decomposition order. It is evaluated column by column: one column of
+values per strand, each as long as carrier^src.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, repeat
 
 from .alphabet import Alphabet, Generator
-from .endo import Carrier, FinFunction, ff_compose, ff_identity, ff_tensor, pullback
-from .errors import AssignmentError
+from .endo import Carrier, FinFunction
+from .errors import AssignmentError, EvaluationSizeError
 from .words import Word
+
+# Largest number of input rows (carrier^src) an evaluation may tabulate.
+MAX_ROWS = 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -41,11 +46,37 @@ class GeneratorAssignment:
         return all(g in self.functions for g in alphabet)
 
 
+def _coordinates(carrier: Carrier, m: int) -> list[tuple[int, ...]]:
+    """The m coordinate columns of carrier^m, rows in mixed-radix order."""
+    n = carrier.size
+    return [tuple(chain.from_iterable(repeat(x, n ** (m - 1 - j))
+                                      for x in range(n))) * n ** j
+            for j in range(m)]
+
+
 def eval_word(w: Word, assignment: GeneratorAssignment) -> FinFunction:
+    """Push the columns of carrier^src through the word, one per strand.
+
+    A boundary map only reorders, copies or drops columns; a letter looks up
+    each row of its input columns in the assigned table and splices the
+    output columns in their place. The cost is carrier^src rows per letter,
+    whatever the width of the layers in between.
+    """
     carrier = assignment.carrier
-    out = pullback(w.boundaries[0], carrier)
+    rows = carrier.size ** w.src
+    if rows > MAX_ROWS:
+        raise EvaluationSizeError(
+            f"evaluating a word with {w.src} inputs on carrier "
+            f"{carrier.size} needs {carrier.size}^{w.src} rows, "
+            f"more than the limit of {MAX_ROWS}")
+    cols = _coordinates(carrier, w.src)
+    cols = [cols[v - 1] for v in w.boundaries[0].table]
     for (l, g, r), b in zip(w.letters, w.boundaries[1:]):
-        layer = ff_tensor(ff_identity(carrier, l),
-                          ff_tensor(assignment[g], ff_identity(carrier, r)))
-        out = ff_compose(ff_compose(out, layer), pullback(b, carrier))
-    return out
+        fn = assignment[g]
+        lookup = dict(zip(carrier.tuples(g.src), fn.table)).__getitem__
+        args = zip(*cols[l:l + g.src]) if g.src else repeat((), rows)
+        outs = list(map(lookup, args))
+        cols[l:l + g.src] = list(zip(*outs)) if outs else [()] * g.tgt
+        cols = [cols[v - 1] for v in b.table]
+    table = tuple(zip(*cols)) if cols else ((),) * rows
+    return FinFunction(carrier, w.src, w.tgt, table)

@@ -123,8 +123,8 @@ def find_refutation(w: Word, w2: Word,
     for assignment in candidates:
         t1, t2 = eval_word(w, assignment), eval_word(w2, assignment)
         if t1 != t2:
-            for xs in assignment.carrier.tuples(w.src):
-                y1, y2 = t1(xs), t2(xs)
+            for xs, y1, y2 in zip(assignment.carrier.tuples(w.src),
+                                  t1.table, t2.table):
                 if y1 != y2:
                     return Witness("evaluation", assignment, xs, (y1, y2))
     return None

@@ -100,10 +100,17 @@ def compose_words(w: Word, w2: Word) -> Word:
 
 
 def compose_many(*ws: Word) -> Word:
-    out = ws[0]
+    """Concatenate left to right in one pass, merging each seam once."""
+    bounds, letters = list(ws[0].boundaries), list(ws[0].letters)
     for w in ws[1:]:
-        out = compose_words(out, w)
-    return out
+        if bounds[-1].src != w.src:
+            raise ArityError(
+                f"cannot compose word ({bounds[0].tgt},{bounds[-1].src}) "
+                f"with ({w.src},{w.tgt})")
+        bounds[-1] = compose(w.boundaries[0], bounds[-1])
+        bounds += w.boundaries[1:]
+        letters += w.letters
+    return Word(tuple(bounds), tuple(letters))
 
 
 def whisker(q: int, w: Word, p: int) -> Word:
@@ -133,10 +140,10 @@ def tensor_many_words(*ws: Word) -> Word:
 def tensor_power(w: Word, a: int) -> Word:
     if a < 0:
         raise ArityError("negative tensor power")
-    out = identity_word(0)
-    for _ in range(a):
-        out = compose_words(whisker(0, out, w.src), whisker(out.tgt, w, 0))
-    return out
+    if a == 0:
+        return identity_word(0)
+    return compose_many(*(whisker(j * w.tgt, w, (a - 1 - j) * w.src)
+                          for j in range(a)))
 
 
 def standard_decomposition(w: Word) -> list[Word]:

@@ -180,3 +180,18 @@ def test_oversized_expression_is_a_parse_error(capsys, expr):
     assert code == 3
     assert time.monotonic() - t0 < 5
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--assign", "{path}", "id(30)"],
+    ["equiv", "id(30)", "braid(15,15)"],
+], ids=["eval-carrier-5", "equiv-probes"])
+def test_oversized_evaluation_is_refused(tmp_path, capsys, argv):
+    path = tmp_path / "z5.assign"
+    path.write_text("carrier 5\n")
+    t0 = time.monotonic()
+    code, _ = run([a.format(path=path) for a in argv])
+    assert code == 3
+    assert time.monotonic() - t0 < 5
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1

@@ -4,7 +4,9 @@ from opwords.evaluate import eval_word
 from opwords.finmap import braid, branch
 from opwords.rules import RuleContext, build_m1
 from opwords.search import (Disproved, Proved, SearchBudget, Unknown,
-                            equivalent, validate_witness)
+                            Witness, equivalent, find_refutation,
+                            probe_assignments, validate_witness,
+                            word_generators)
 from opwords.words import (compose_words, gen_word, identity_word, op_word,
                            tensor_power)
 
@@ -37,6 +39,26 @@ class TestDisproved:
         assert validate_witness(mu, swapped, wit)
         t1, t2 = eval_word(mu, wit.assignment), eval_word(swapped, wit.assignment)
         assert t1(wit.input_tuple) != t2(wit.input_tuple)
+
+    def test_witness_is_first_differing_row(self, rng):
+        refuted = 0
+        for _ in range(300):
+            w, w2 = random_word(rng), random_word(rng)
+            if (w.src, w.tgt) != (w2.src, w2.tgt):
+                continue
+            probes = probe_assignments(word_generators(w, w2), SearchBudget())
+            expected = None
+            for asg in probes:
+                t1, t2 = eval_word(w, asg), eval_word(w2, asg)
+                rows = [xs for xs in asg.carrier.tuples(w.src)
+                        if t1(xs) != t2(xs)]
+                if rows:
+                    xs = rows[0]
+                    expected = Witness("evaluation", asg, xs, (t1(xs), t2(xs)))
+                    break
+            assert find_refutation(w, w2, probes) == expected
+            refuted += expected is not None
+        assert refuted > 10
 
 
 class TestProved:

@@ -64,6 +64,10 @@ class TestCompose:
         with pytest.raises(ArityError):
             compose_words(gen_word(ETA), gen_word(MU))
 
+    def test_compose_many_mismatch(self):
+        with pytest.raises(ArityError):
+            compose_many(gen_word(MU), gen_word(OMEGA), gen_word(MU))
+
 
 class TestWhisker:
     def test_zero_pads_identity(self, rng):
@@ -142,6 +146,20 @@ class TestTensorPower:
                 p = tensor_power(w, a)
                 assert (p.src, p.tgt) == (a * w.src, a * w.tgt)
                 assert len(p) == a * len(w)
+
+    def test_matches_stepwise_loop(self, rng):
+        def stepwise(w, a):
+            # the former implementation: re-whisker the whole power each step
+            out = identity_word(0)
+            for _ in range(a):
+                out = compose_words(whisker(0, out, w.src),
+                                    whisker(out.tgt, w, 0))
+            return out
+
+        for _ in range(40):
+            w = random_word(rng, max_len=3, max_pad=2)
+            for a in range(9):
+                assert tensor_power(w, a) == stepwise(w, a)
 
 
 class TestStructureWords:
