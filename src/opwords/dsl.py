@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from .alphabet import Alphabet
 from .errors import ArityError, ParseError
 from .finmap import FinMap, braid, branch, f0, f2
-from .words import (Word, compose_words, gen_word, identity_word, op_word,
+from .words import (Word, compose_many, gen_word, identity_word, op_word,
                     tensor_power, tensor_words, whisker)
 
 
@@ -334,15 +334,15 @@ def elaborate(e: Expr, alphabet: Alphabet) -> Word:
             out = tensor_words(out, nxt)
         return out
     if isinstance(e, ECompose):
-        out = elaborate(e.parts[0], alphabet)
+        words = [elaborate(e.parts[0], alphabet)]
         for part in e.parts[1:]:
             nxt = elaborate(part, alphabet)
-            if out.tgt != nxt.src:
+            if words[-1].tgt != nxt.src:
                 raise ArityError(
                     f"cannot compose onto {print_expr(part)!r}: "
-                    f"{out.tgt} strands meet {nxt.src}")
-            out = compose_words(out, nxt)
-        return out
+                    f"{words[-1].tgt} strands meet {nxt.src}")
+            words.append(nxt)
+        return compose_many(*words)
     raise TypeError(f"not an expression: {e!r}")
 
 

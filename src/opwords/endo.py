@@ -60,10 +60,11 @@ class FinFunction:
 
     def dump(self) -> str:
         """One row per input tuple: ``x1 .. xm -> y1 .. yn``."""
+        names = [str(v) for v in range(self.carrier.size)]
         lines = []
-        for xs in self.carrier.tuples(self.src):
-            left = " ".join(map(str, xs))
-            right = " ".join(map(str, self(xs)))
+        for xs, ys in zip(self.carrier.tuples(self.src), self.table):
+            left = " ".join([names[x] for x in xs])
+            right = " ".join([names[y] for y in ys])
             lines.append(f"{left} -> {right}".strip() if left else f"-> {right}".rstrip())
         return "\n".join(lines)
 

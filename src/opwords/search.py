@@ -167,91 +167,174 @@ def _reconstruct(meet: Word, parents_l, parents_r, w: Word, w2: Word,
     return cert
 
 
+# A lane pauses once visited >= cap or work >= _WORK_PER_VISIT * cap:
+# saturated components regenerate old successors endlessly, so the work of
+# generating them is capped too. A round-robin starts every lane at
+# _FIRST_CAP and grows the cap _CAP_GROWTH-fold per round, up to each
+# lane's final cap.
+_WORK_PER_VISIT = 12
+_FIRST_CAP = 16
+_CAP_GROWTH = 4
+
+
 def _certificate_search(w: Word, w2: Word, ctx: RuleContext,
                         budget: SearchBudget):
-    """Tiered bidirectional search: one rule family at a time, then all.
+    """Search in lanes, round-robin: (certificate or None, visited).
 
-    A shortest chain for one lemma family usually stays inside that family;
-    restricting the branching first makes those chains reachable within the
-    visited-word budget. Any tier's find is a valid certificate, and only
-    exhausting the full tier yields Unknown.
+    A lane is a bidirectional pass with a set of rule families, a seam cap
+    and a final cap on visited words. A shortest chain for one lemma
+    family usually stays inside that family, so the tight lanes restrict
+    the branching: M2/M3, M4/CARD, REL/CARD/M1 (with relations only) and
+    M1, each at seam cap 2. The tight lanes run in one round-robin, in
+    that order: every lane runs to cap 16, then to 64, and so on (x4 per
+    round) up to its final cap; a lane resumes where it paused. Then the
+    three deep lanes (M1 at seam cap 4, all families at seam cap 8, all
+    families at the budget's seam cap) share the rest of the budget in a
+    second round-robin. The first certificate found is returned.
+
+    A lane paused at any cap is a prefix of the same deterministic pass
+    run at once to its final cap. So a query is Proved exactly when some
+    lane run alone to its final cap finds a chain, and an Unknown's
+    visited count is the sum of every lane's count at its final cap: both
+    do not depend on the schedule. Only which certificate is returned, and
+    the visited count that comes with it, do.
     """
     pre = max(64, budget.max_steps // 256)
     scan = max(2, budget.max_steps // 32)
-    tight = min(2, budget.seam_cap)
-    tiers: list[tuple[tuple[str, ...] | None, int, int]] = [
-        (("M2", "M3"), tight, pre),
-        (("M4", "CARD"), tight, pre)]
+    seam = min(2, budget.seam_cap)
+    tight_lanes: list[tuple[tuple[str, ...] | None, int, int]] = [
+        (("M2", "M3"), seam, pre),
+        (("M4", "CARD"), seam, pre)]
     if ctx.relations:
-        tiers.append((("REL", "CARD", "M1"), tight, scan))
-    tiers.append((("M1",), tight, scan))
-    deep = budget.max_steps - sum(cap for _, _, cap in tiers)
-    tiers.append((("M1",), min(4, budget.seam_cap), max(2, deep // 3)))
-    tiers.append((None, min(8, budget.seam_cap), max(2, deep // 3)))
-    tiers.append((None, budget.seam_cap, max(2, deep - 2 * (deep // 3))))
+        tight_lanes.append((("REL", "CARD", "M1"), seam, scan))
+    tight_lanes.append((("M1",), seam, scan))
+    deep = budget.max_steps - sum(cap for _, _, cap in tight_lanes)
+    deep_lanes = [
+        (("M1",), min(4, budget.seam_cap), max(2, deep // 3)),
+        (None, min(8, budget.seam_cap), max(2, deep // 3)),
+        (None, budget.seam_cap, max(2, deep - 2 * (deep // 3)))]
     total = 0
-    for families, seam_cap, cap in tiers:
-        cert, visited = _search_pass(w, w2, ctx, budget, families, cap,
-                                     seam_cap)
-        total += visited
+    for group in (tight_lanes, deep_lanes):
+        lanes = [_Lane(w, w2, ctx, budget, families, cap, seam_cap)
+                 for families, seam_cap, cap in group]
+        cert = _round_robin(lanes)
+        total += sum(lane.visited for lane in lanes)
         if cert is not None:
             return cert, total
     return None, total
 
 
+def _round_robin(lanes: list[_Lane]) -> Certificate | None:
+    cap = _FIRST_CAP
+    while not all(lane.done for lane in lanes):
+        for lane in lanes:
+            if lane.advance(cap) is not None:
+                return lane.cert
+        cap *= _CAP_GROWTH
+    return None
+
+
 def _search_pass(w: Word, w2: Word, ctx: RuleContext, budget: SearchBudget,
                  families, max_steps: int, seam_cap: int | None = None):
-    max_len = (budget.max_word_len if budget.max_word_len is not None
-               else len(w) + len(w2) + 4)
-    pad_max = (budget.pad_max if budget.pad_max is not None
-               else max(2, w.src + w.tgt))
-    max_width = (budget.max_width if budget.max_width is not None
-                 else max(word_width(w), word_width(w2)) + 2)
-    bounds = RuleBounds(a_max=budget.a_max, pad_max=pad_max,
-                        seam_cap=seam_cap or budget.seam_cap,
-                        families=families)
-    parents_l: dict[Word, tuple[Word | None, RewriteStep | None]] = {w: (None, None)}
-    parents_r: dict[Word, tuple[Word | None, RewriteStep | None]] = {w2: (None, None)}
-    if w in parents_r:
-        return _reconstruct(w, parents_l, parents_r, w, w2, ctx), 2
-    frontier_l, frontier_r = [w], [w2]
-    visited = 2
-    # saturated components regenerate old successors endlessly; cap that work
-    work, work_cap = 0, 12 * max_steps
+    """One lane run to its final cap: (certificate or None, visited)."""
+    lane = _Lane(w, w2, ctx, budget, families, max_steps, seam_cap)
+    return lane.advance(max_steps), lane.visited
 
-    while (frontier_l or frontier_r) and visited < max_steps and work < work_cap:
-        if not frontier_r:
-            expand_left = True
-        elif not frontier_l:
-            expand_left = False
-        else:
-            expand_left = len(frontier_l) <= len(frontier_r)
-        frontier = frontier_l if expand_left else frontier_r
-        own = parents_l if expand_left else parents_r
-        other = parents_r if expand_left else parents_l
-        next_frontier: list[Word] = []
-        meets: list[Word] = []
-        for node in frontier:
-            for step, succ in moves(node, ctx, bounds):
-                work += 1
-                if (len(succ) > max_len or succ in own
-                        or word_width(succ) > max_width):
-                    continue
-                own[succ] = (node, step)
-                next_frontier.append(succ)
-                visited += 1
-                if succ in other:
-                    meets.append(succ)
-            if meets or visited >= max_steps or work >= work_cap:
-                break
-        if meets:
-            best = min(meets, key=_meet_key(parents_l, parents_r))
-            return _reconstruct(best, parents_l, parents_r, w, w2, ctx), visited
-        if expand_left:
-            frontier_l = next_frontier
-        else:
-            frontier_r = next_frontier
-    return None, visited
+
+class _Lane:
+    """One bidirectional pass that pauses at a cap and resumes at a larger one.
+
+    The pass expands the smaller frontier one level at a time and stops at
+    the first level that meets the other side. It checks its cap before
+    each level and after each expanded node; there `advance(cap)` pauses
+    it, and the next `advance` resumes it with the next node of the same
+    frontier. The lane is done once it has found a certificate, exhausted
+    both frontiers (no chain within the bounds) or paused at its final cap.
+    A done lane drops its frontiers and visited words.
+    """
+
+    def __init__(self, w: Word, w2: Word, ctx: RuleContext,
+                 budget: SearchBudget, families, final_cap: int,
+                 seam_cap: int | None = None):
+        self.final_cap = final_cap
+        self.cap = 0
+        self.visited = 2
+        self.work = 0
+        self.cert: Certificate | None = None
+        self.done = False
+        self._run = self._pass(w, w2, ctx, budget, families, seam_cap)
+
+    def advance(self, cap: int) -> Certificate | None:
+        """Resume up to min(cap, final cap); the certificate or None."""
+        if self.done:
+            return self.cert
+        self.cap = min(cap, self.final_cap)
+        try:
+            next(self._run)
+        except StopIteration:
+            self.done = True
+        if self.done or self.cap >= self.final_cap:
+            self.done, self._run = True, None
+        return self.cert
+
+    def _paused(self) -> bool:
+        return (self.visited >= self.cap
+                or self.work >= _WORK_PER_VISIT * self.cap)
+
+    def _pass(self, w, w2, ctx, budget, families, seam_cap):
+        max_len = (budget.max_word_len if budget.max_word_len is not None
+                   else len(w) + len(w2) + 4)
+        pad_max = (budget.pad_max if budget.pad_max is not None
+                   else max(2, w.src + w.tgt))
+        max_width = (budget.max_width if budget.max_width is not None
+                     else max(word_width(w), word_width(w2)) + 2)
+        bounds = RuleBounds(a_max=budget.a_max, pad_max=pad_max,
+                            seam_cap=seam_cap or budget.seam_cap,
+                            families=families)
+        parents_l: dict[Word, tuple[Word | None, RewriteStep | None]] = {w: (None, None)}
+        parents_r: dict[Word, tuple[Word | None, RewriteStep | None]] = {w2: (None, None)}
+        if w in parents_r:
+            self.cert = _reconstruct(w, parents_l, parents_r, w, w2, ctx)
+            return
+        frontier_l, frontier_r = [w], [w2]
+        while frontier_l or frontier_r:
+            while self._paused():
+                yield
+            if not frontier_r:
+                expand_left = True
+            elif not frontier_l:
+                expand_left = False
+            else:
+                expand_left = len(frontier_l) <= len(frontier_r)
+            frontier = frontier_l if expand_left else frontier_r
+            own = parents_l if expand_left else parents_r
+            other = parents_r if expand_left else parents_l
+            next_frontier: list[Word] = []
+            meets: list[Word] = []
+            for node in frontier:
+                for step, succ in moves(node, ctx, bounds):
+                    self.work += 1
+                    if (len(succ) > max_len or succ in own
+                            or word_width(succ) > max_width):
+                        continue
+                    own[succ] = (node, step)
+                    next_frontier.append(succ)
+                    self.visited += 1
+                    if succ in other:
+                        meets.append(succ)
+                if meets:
+                    break
+                while self._paused():
+                    yield
+            if meets:
+                best = min(meets, key=_meet_key(parents_l, parents_r))
+                self.cert = _reconstruct(best, parents_l, parents_r, w, w2,
+                                         ctx)
+                return
+            if expand_left:
+                frontier_l = next_frontier
+            else:
+                frontier_r = next_frontier
 
 
 def _meet_key(parents_l, parents_r):

@@ -1,4 +1,6 @@
+import functools
 import random
+import time
 
 import pytest
 
@@ -7,6 +9,7 @@ from opwords.dsl import (MAX_STRANDS, EBraid, EBranch, ECompose, EDel, EDup,
                          EGen, EId, EMap, EPad, EPower, ETensor, elaborate,
                          parse, parse_word, print_expr, print_word)
 from opwords.errors import ArityError, ParseError
+from opwords.words import compose_words
 from conftest import random_word
 
 ALPHABET = Alphabet((Generator("mu", 2, 1), Generator("eta", 0, 1),
@@ -56,6 +59,16 @@ class TestParse:
         with pytest.raises(ArityError) as err:
             parse_word("gen eta . gen mu", ALPHABET)
         assert "gen mu" in str(err.value)
+
+    def test_long_compose_chain(self):
+        parts = ["gen omega", "dup", "gen mu", "fm[1->1: 1]"] * 1000
+        t0 = time.perf_counter()
+        w = parse_word(" . ".join(parts), ALPHABET)
+        elapsed = time.perf_counter() - t0
+        stepwise = functools.reduce(
+            compose_words, [parse_word(p, ALPHABET) for p in parts])
+        assert w == stepwise
+        assert elapsed < 1.0
 
     def test_strand_limit(self):
         n = MAX_STRANDS

@@ -1,6 +1,7 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from opwords.endo import (Carrier, FinFunction, check_braiding,
                           check_branching, ff_compose, ff_identity, ff_tensor,
@@ -35,6 +36,27 @@ class TestTables:
             "0 0 -> 0", "0 1 -> 1", "1 0 -> 1", "1 1 -> 0"]
         eta = tabulate(Z2, 0, 1, lambda xs: (1,))
         assert eta.dump() == "-> 1"
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_dump_matches_row_lookup(self, data):
+        size = data.draw(st.integers(0, 3), label="carrier")
+        src = data.draw(st.integers(0, 3), label="src")
+        # carrier 0 has one (empty) input row at src = 0, and no values
+        tgt = data.draw(st.integers(0, 0 if size == 0 and src == 0 else 3),
+                        label="tgt")
+        # no value is ever drawn at size 0
+        row = st.tuples(*[st.integers(0, max(size - 1, 0))] * tgt)
+        table = data.draw(st.lists(row, min_size=size ** src,
+                                   max_size=size ** src), label="table")
+        f = FinFunction(Carrier(size), src, tgt, tuple(table))
+        lines = []
+        for xs in f.carrier.tuples(src):
+            left = " ".join(map(str, xs))
+            right = " ".join(map(str, f(xs)))
+            lines.append(f"{left} -> {right}".strip() if left
+                         else f"-> {right}".rstrip())
+        assert f.dump() == "\n".join(lines)
 
     def test_validation(self):
         with pytest.raises(ArityError):

@@ -1,16 +1,23 @@
+import hashlib
+import random
+
+from hypothesis import given, settings, strategies as st
+
 from opwords.alphabet import Generator
 from opwords.certificate import encode
 from opwords.evaluate import eval_word
 from opwords.finmap import braid, branch
-from opwords.rules import RuleContext, build_m1
+from opwords.fixtures import lemma_fixtures
+from opwords.present import builtin_group
+from opwords.rules import RuleBounds, RuleContext, apply_step, build_m1, moves
 from opwords.search import (Disproved, Proved, SearchBudget, Unknown,
-                            Witness, equivalent, find_refutation,
-                            probe_assignments, validate_witness,
-                            word_generators)
+                            Witness, _Lane, _search_pass, equivalent,
+                            find_refutation, probe_assignments,
+                            validate_witness, word_generators)
 from opwords.words import (compose_words, gen_word, identity_word, op_word,
-                           tensor_power)
+                           tensor_power, whisker)
 
-from conftest import random_word
+from conftest import GENS, random_word
 
 MU = Generator("mu", 2, 1)
 
@@ -111,5 +118,112 @@ class TestUnknown:
                                              probe_carriers=(),
                                              probe_assignments=0))
         assert isinstance(res, Unknown)
-        # tier floors can overshoot a tiny budget slightly
+        # the M2/M3 and M4/CARD lanes' floor of 64 visited words can
+        # overshoot a tiny budget slightly
         assert res.visited < 200
+
+
+# ---------------------------------------------------------------------------
+# The search schedule: resumable lanes and schedule-independent outcomes
+
+LANES = (("M2", "M3"), ("M4", "CARD"), ("REL", "CARD", "M1"), ("M1",), None)
+
+
+def _walk(rng, w, ctx, steps):
+    """The end of a random chain of up to `steps` moves from w."""
+    bounds = RuleBounds(seam_cap=2)
+    for _ in range(steps):
+        succs = [succ for _, succ in moves(w, ctx, bounds)]
+        if not succs:
+            break
+        w = rng.choice(succs)
+    return w
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_lane_resumption_is_exact(data):
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+    if data.draw(st.booleans(), label="modulo @group"):
+        group = builtin_group()
+        ctx, gens = group.context(), group.alphabet.generators
+    else:
+        ctx, gens = RuleContext(), GENS
+    w = random_word(rng, max_len=2, gens=gens)
+    if data.draw(st.booleans(), label="connected pair"):
+        w2 = _walk(rng, w, ctx, rng.randint(1, 3))
+    else:
+        w2 = random_word(rng, max_len=2, gens=gens)
+    families = data.draw(st.sampled_from(LANES), label="families")
+    seam_cap = data.draw(st.sampled_from((1, 2, 4, 8)), label="seam cap")
+    final = data.draw(st.integers(2, 250), label="final cap")
+    caps = sorted(set(data.draw(st.lists(st.integers(0, final), max_size=6),
+                                label="caps"))) + [final]
+    budget = SearchBudget()
+    lane = _Lane(w, w2, ctx, budget, families, final, seam_cap)
+    for cap in caps:
+        lane.advance(cap)
+    assert lane.done
+    cert, visited = _search_pass(w, w2, ctx, budget, families, final, seam_cap)
+    assert ((None if lane.cert is None else encode(lane.cert)), lane.visited) \
+        == ((None if cert is None else encode(cert)), visited)
+
+
+def test_lane_checks_its_cap_before_the_first_level():
+    lhs, rhs = build_m1(gen_word(MU), gen_word(MU))
+    lane = _Lane(lhs, rhs, RuleContext(), SearchBudget(), None, 100)
+    assert lane.advance(2) is None
+    assert (lane.visited, lane.work, lane.done) == (2, 0, False)
+    assert lane.advance(100) is not None
+    assert _search_pass(lhs, rhs, RuleContext(), SearchBudget(), None, 2) \
+        == (None, 2)
+
+
+def _outcome_corpus():
+    """Criterion 4's and 5's query generators, then every lemma step."""
+    free = RuleContext()
+    rng = random.Random(4)
+    for _ in range(30):
+        w, w2 = random_word(rng, max_len=2), random_word(rng, max_len=2)
+        yield (compose_words(whisker(0, w, w2.src), whisker(w.tgt, w2, 0)),
+               compose_words(whisker(w.src, w2, 0), whisker(0, w, w2.tgt)),
+               free, SearchBudget())
+    rng = random.Random(5)
+    for _ in range(100):
+        w, p = random_word(rng, max_len=2), rng.randint(0, 2)
+        yield (compose_words(op_word(braid(w.src, p)), whisker(0, w, p)),
+               compose_words(whisker(p, w, 0), op_word(braid(w.tgt, p))),
+               free, SearchBudget())
+    for _ in range(100):
+        w, a = random_word(rng, max_len=1), rng.randint(0, 2)
+        yield (compose_words(op_word(branch(a, w.src)), tensor_power(w, a)),
+               compose_words(w, op_word(branch(a, w.tgt))),
+               free, SearchBudget())
+    budget = SearchBudget(max_steps=1000)
+    for fx in lemma_fixtures():
+        ctx = fx.context or free
+        words = [fx.certificate.start]
+        for step in fx.certificate.steps:
+            words.append(apply_step(words[-1], step, ctx))
+        for a, b in zip(words, words[1:]):
+            yield a, b, ctx, budget
+
+
+# SHA-256, count and verdict classes of the outcomes of the corpus above:
+# each query's verdict class, and the visited count of an Unknown. A change
+# to the search schedule must keep it; which certificate a Proved query
+# returns is not part of it.
+OUTCOMES = ("554b9afe06b4db95b7e24a1f04114fb78eec65c702de1064461056f520ef67e4",
+            323, {"Proved": 318, "Unknown": 5})
+
+
+def test_outcome_digest():
+    digest, count, classes = hashlib.sha256(), 0, {}
+    for lhs, rhs, ctx, budget in _outcome_corpus():
+        res = equivalent(lhs, rhs, budget, ctx=ctx)
+        name = type(res).__name__
+        visited = res.visited if isinstance(res, Unknown) else ""
+        digest.update(f"{name} {visited}\n".encode())
+        count += 1
+        classes[name] = classes.get(name, 0) + 1
+    assert (digest.hexdigest(), count, classes) == OUTCOMES
