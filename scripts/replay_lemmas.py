@@ -23,7 +23,7 @@ from opwords.alphabet import Generator
 from opwords.certificate import Certificate, decode, encode
 from opwords.dsl import print_word
 from opwords.errors import OpwordsError
-from opwords.finmap import compose, f0, f2, identity, tensor, tensor_many
+from opwords.finmap import compose, f0, f2, identity, pad, tensor
 from opwords.fixtures import LEMMAS
 from opwords.present import (ETA, GROUP_ALPHABET, MU, OMEGA, Presentation,
                              builtin_group, builtin_group_Z, group_relations,
@@ -65,9 +65,6 @@ def transport(cert: Certificate, q: int, p: int, left: Word, right: Word,
               ctx: RuleContext) -> Certificate:
     """Map a certificate through the context left . (q <| w |> p) . right."""
 
-    def pad_map(g):
-        return tensor_many(identity(q), g, identity(p))
-
     def embed(x: Word) -> Word:
         return compose_many(left, whisker(q, x, p), right)
 
@@ -76,10 +73,10 @@ def transport(cert: Certificate, q: int, p: int, left: Word, right: Word,
     for st in cert.steps:
         pat, _ = step_sides(st, ctx)
         k = len(pat)
-        g_u = pad_map(st.seam_left)
+        g_u = pad(q, st.seam_left, p)
         if st.split == 0:
             g_u = compose(g_u, left.boundaries[-1])
-        g_v = pad_map(st.seam_right)
+        g_v = pad(q, st.seam_right, p)
         if st.split + k == len(w):
             g_v = compose(right.boundaries[0], g_v)
         if st.rule == "M1":

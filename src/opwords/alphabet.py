@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import ArityError, UnknownGeneratorError
 
@@ -12,10 +12,17 @@ class Generator:
     name: str
     src: int
     tgt: int
+    # cached: every hash of a word hashes each of its letters' generators
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.src < 0 or self.tgt < 0:
             raise ArityError(f"generator {self.name} has negative arity")
+        object.__setattr__(self, "_hash",
+                           hash((self.name, self.src, self.tgt)))
+
+    def __hash__(self):
+        return self._hash
 
     def __repr__(self):
         return f"{self.name}:{self.src}->{self.tgt}"

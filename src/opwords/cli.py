@@ -8,6 +8,7 @@ errors.
 from __future__ import annotations
 
 import argparse
+import itertools
 import sys
 
 from .alphabet import Alphabet, Generator
@@ -107,7 +108,13 @@ def cmd_eval(args) -> int:
     assignment = load_assignment(args.assign, args.carrier)
     alphabet = _assignment_alphabet(assignment)
     word = parse_word(args.expr, alphabet)
-    print(eval_word(word, assignment).dump())
+    rows = eval_word(word, assignment).rows()
+    # written block by block as formatted, never as one string; the output
+    # is print(dump()) byte for byte
+    block = list(itertools.islice(rows, 4096))
+    sys.stdout.write("\n".join(block) + "\n")
+    while block := list(itertools.islice(rows, 4096)):
+        sys.stdout.write("\n".join(block) + "\n")
     return EXIT_OK
 
 

@@ -15,6 +15,8 @@ Map atoms denote length-0 words read in the opposite direction, so ``dup``
 is a word 1 -> 2 and ``del`` a word 1 -> 0. Unicode operators are accepted
 on input and never printed. No construct may build a word wider than
 ``MAX_STRANDS`` strands; the limit is checked before anything is allocated.
+Parentheses, ``pad`` and ``^`` may nest at most ``MAX_NESTING`` levels deep,
+so parsing, elaboration and printing stay within Python's recursion limit.
 """
 
 from __future__ import annotations
@@ -34,6 +36,11 @@ from .words import (Word, compose_many, gen_word, identity_word, op_word,
 # second on a 2-core x86 VM, `gen omega^512` seven. Words in the tests and
 # lemmas are under 20 strands wide.
 MAX_STRANDS = 256
+
+# Each level of parentheses or pad costs the parser six stack frames, so 100
+# levels stay well inside Python's default recursion limit of 1000. Words in
+# the tests and lemmas nest a few levels.
+MAX_NESTING = 100
 
 
 class Expr:
@@ -110,6 +117,8 @@ _TOKEN = re.compile(r"""
   | (?P<sym>[.*^(),\[\]:⊠◁▷])
 """, re.VERBOSE)
 
+_TOO_DEEP = f"expression nested more than {MAX_NESTING} levels deep"
+
 _KEYWORDS = {"gen", "id", "dup", "del", "braid", "branch", "fm", "pad"}
 
 
@@ -131,6 +140,7 @@ class _Parser:
     def __init__(self, text: str):
         self.toks = _tokenize(text)
         self.i = 0
+        self.depth = 0
 
     def peek(self):
         return self.toks[self.i]
@@ -144,6 +154,16 @@ class _Parser:
         kind, text, pos = self.next()
         if text != value:
             raise ParseError(f"expected {value!r}, found {text or 'end'!r}", pos)
+
+    def enclosed(self, pos: int, closing: str) -> Expr:
+        """An expression in parentheses or pad, one nesting level down."""
+        if self.depth == MAX_NESTING:
+            raise ParseError(_TOO_DEEP, pos)
+        self.depth += 1
+        e = self.expr()
+        self.depth -= 1
+        self.expect(closing)
+        return e
 
     def integer(self) -> int:
         kind, text, pos = self.next()
@@ -190,9 +210,7 @@ class _Parser:
     def primary(self) -> Expr:
         kind, text, pos = self.next()
         if text == "(":
-            e = self.expr()
-            self.expect(")")
-            return e
+            return self.enclosed(pos, ")")
         if text == "gen":
             kind2, name, pos2 = self.next()
             if kind2 != "name" or name in _KEYWORDS:
@@ -218,8 +236,7 @@ class _Parser:
             self.expect("(")
             q = self.integer()
             self.expect(",")
-            e = self.expr()
-            self.expect(",")
+            e = self.enclosed(pos, ",")
             p = self.integer()
             self.expect(")")
             return EPad(q, e, p)
@@ -240,12 +257,30 @@ class _Parser:
         raise ParseError(f"unexpected token {text or 'end'!r}", pos)
 
 
+def _height(e: Expr) -> int:
+    """Levels of the expression tree, counted without recursion."""
+    height, stack = 0, [(e, 1)]
+    while stack:
+        e, level = stack.pop()
+        height = max(height, level)
+        if isinstance(e, (ECompose, ETensor)):
+            stack.extend((part, level + 1) for part in e.parts)
+        elif isinstance(e, EPower):
+            stack.append((e.base, level + 1))
+        elif isinstance(e, EPad):
+            stack.append((e.body, level + 1))
+    return height
+
+
 def parse(text: str) -> Expr:
     p = _Parser(text)
     e = p.expr()
     kind, tok, pos = p.peek()
     if kind != "eof":
         raise ParseError(f"trailing input {tok!r}", pos)
+    # a chain x^a^b^... nests without parentheses
+    if _height(e) > MAX_NESTING:
+        raise ParseError(_TOO_DEEP)
     return e
 
 

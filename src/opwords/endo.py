@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 from .errors import ArityError
 from .finmap import FinMap, braid, branch
@@ -58,15 +58,17 @@ class FinFunction:
     def __call__(self, xs: tuple[int, ...]) -> tuple[int, ...]:
         return self.table[self.row_index(xs)]
 
-    def dump(self) -> str:
-        """One row per input tuple: ``x1 .. xm -> y1 .. yn``."""
+    def rows(self) -> Iterator[str]:
+        """One line per input tuple, lazily: ``x1 .. xm -> y1 .. yn``."""
         names = [str(v) for v in range(self.carrier.size)]
-        lines = []
         for xs, ys in zip(self.carrier.tuples(self.src), self.table):
             left = " ".join([names[x] for x in xs])
             right = " ".join([names[y] for y in ys])
-            lines.append(f"{left} -> {right}".strip() if left else f"-> {right}".rstrip())
-        return "\n".join(lines)
+            yield f"{left} -> {right}".strip() if left else f"-> {right}".rstrip()
+
+    def dump(self) -> str:
+        """The rows, one per line."""
+        return "\n".join(self.rows())
 
 
 def tabulate(carrier: Carrier, src: int, tgt: int,

@@ -39,11 +39,11 @@ class FinMap:
     @staticmethod
     def _raw(src: int, tgt: int, table: tuple[int, ...]) -> "FinMap":
         """Unvalidated constructor for outputs that are valid by construction."""
-        f = object.__new__(FinMap)
-        object.__setattr__(f, "src", src)
-        object.__setattr__(f, "tgt", tgt)
-        object.__setattr__(f, "table", table)
-        object.__setattr__(f, "_hash", hash((tgt, table)))
+        f = _new(FinMap)
+        _set_src(f, src)
+        _set_tgt(f, tgt)
+        _set_table(f, table)
+        _set_hash(f, hash((tgt, table)))
         return f
 
     def __hash__(self):
@@ -74,6 +74,12 @@ class FinMap:
         return self.src == self.tgt and len(set(self.table)) == self.src
 
 
+# The slots' member descriptors set fields past the frozen __setattr__.
+_new = object.__new__
+_set_src, _set_tgt, _set_table, _set_hash = (
+    FinMap.__dict__[name].__set__ for name in ("src", "tgt", "table", "_hash"))
+
+
 def identity(m: int) -> FinMap:
     return FinMap._raw(m, m, tuple(range(1, m + 1)))
 
@@ -83,7 +89,8 @@ def compose(f: FinMap, g: FinMap) -> FinMap:
     if f.tgt != g.src:
         raise ArityError(
             f"cannot compose ({f.src},{f.tgt}) with ({g.src},{g.tgt})")
-    return FinMap._raw(f.src, g.tgt, tuple(g.table[v - 1] for v in f.table))
+    gt = g.table
+    return FinMap._raw(f.src, g.tgt, tuple([gt[v - 1] for v in f.table]))
 
 
 def tensor(f: FinMap, g: FinMap) -> FinMap:
@@ -92,11 +99,14 @@ def tensor(f: FinMap, g: FinMap) -> FinMap:
     return FinMap._raw(f.src + g.src, f.tgt + g.tgt, table)
 
 
-def tensor_many(*maps: FinMap) -> FinMap:
-    out = identity(0)
-    for m in maps:
-        out = tensor(out, m)
-    return out
+def pad(q: int, f: FinMap, p: int) -> FinMap:
+    """tensor(tensor(identity(q), f), identity(p)) in one pass."""
+    if q == 0 and p == 0:
+        return f
+    mid = q + f.tgt
+    table = (*range(1, q + 1), *[q + v for v in f.table],
+             *range(mid + 1, mid + p + 1))
+    return FinMap._raw(q + f.src + p, mid + p, table)
 
 
 def braid(m: int, m2: int) -> FinMap:
@@ -149,12 +159,16 @@ def factorizations_through(h: FinMap, g: FinMap,
     """
     if h.tgt != g.tgt:
         raise ArityError("factorization targets differ")
+    preimages: dict[int, list[int]] = {}
+    for j, v in enumerate(g.table, start=1):
+        preimages.setdefault(v, []).append(j)
     fibers = []
     for i, v in enumerate(h.table, start=1):
-        fiber = [j for j in range(1, g.src + 1) if g.table[j - 1] == v]
-        if not fiber:
+        fiber = preimages.get(v)
+        if fiber is None:
             return []
-        fiber.sort(key=lambda j: j != i)
+        if fiber[0] != i and i in fiber:
+            fiber = [i] + [j for j in fiber if j != i]
         fibers.append(fiber)
     choices = itertools.product(*fibers)
     if cap is not None:

@@ -26,6 +26,7 @@ from .words import (Word, compose_words, identity_word, op_word, tensor_power,
                     whisker)
 
 M_RULES = ("M1", "M2", "M3", "M4")
+_new = object.__new__
 
 
 @dataclass(frozen=True)
@@ -158,17 +159,32 @@ def pattern_matches(w: Word, s: int, pat: Word, g_u: FinMap, g_v: FinMap) -> boo
 
 def substitute(w: Word, s: int, span: int, repl: Word,
                g_u: FinMap, g_v: FinMap) -> Word:
-    if len(repl) == 0:
-        merged = compose(compose(g_v, repl.boundaries[0]), g_u)
-        bounds = w.boundaries[:s] + (merged,) + w.boundaries[s + span + 1:]
-    else:
-        bounds = (w.boundaries[:s]
-                  + (compose(repl.boundaries[0], g_u),)
-                  + repl.boundaries[1:-1]
-                  + (compose(g_v, repl.boundaries[-1]),)
-                  + w.boundaries[s + span + 1:])
+    """w with the span's factor replaced by repl between the two seams."""
+    _, _, succ = next(_substitutions(w, s, span, repl, [(g_u, g_v)]))
+    return Word(succ.boundaries, succ.letters)
+
+
+def _substitutions(w, s, span, repl, seams):
+    """(g_u, g_v, substituted word) per seam pair, unvalidated.
+
+    The part left of the right seam is built once per run of equal g_u.
+    """
     letters = w.letters[:s] + repl.letters + w.letters[s + span:]
-    return Word(bounds, letters)
+    pre, post = w.boundaries[:s], w.boundaries[s + span + 1:]
+    if len(repl) == 0:
+        only = repl.boundaries[0]
+        for g_u, g_v in seams:
+            merged = compose(compose(g_v, only), g_u)
+            yield g_u, g_v, Word._raw(pre + (merged,) + post, letters)
+        return
+    first, mid, last = (repl.boundaries[0], repl.boundaries[1:-1],
+                        repl.boundaries[-1])
+    prev = None
+    for g_u, g_v in seams:
+        if g_u is not prev:
+            prev, head = g_u, pre + (compose(first, g_u),) + mid
+        yield g_u, g_v, Word._raw(head + (compose(g_v, last),) + post,
+                                  letters)
 
 
 def apply_step(w: Word, step: RewriteStep, ctx: RuleContext) -> Word:
@@ -238,21 +254,30 @@ def _letter_factor(c0: FinMap, letter, c1: FinMap) -> Word:
 
 
 def _emit(w, s, rule, direction, ctx, bounds, *, v, v2=None, a=0, q=0, p=0):
-    params = dict(a=a, q=q, p=p, v=v, v2=v2)
+    step = RewriteStep(rule, direction, s, a, q, p, v, v2)
     try:
-        pat, repl = step_sides(RewriteStep(rule, direction, s, **params), ctx)
+        pat, repl = step_sides(step, ctx)
     except (ArityError, ReplayError):
+        return
+    # the seams solve the pattern's equations, so an unchanged factor
+    # would give back w at every seam
+    if pat == repl:
         return
     k = len(pat)
     if w.letters[s:s + k] != pat.letters:
         return
     seams = (_empty_seams(w.boundaries[s], pat.boundaries[0], bounds.seam_cap)
              if k == 0 else _span_seams(w, s, pat, bounds.seam_cap))
-    for g_u, g_v in seams:
-        succ = substitute(w, s, k, repl, g_u, g_v)
+    for g_u, g_v, succ in _substitutions(w, s, k, repl, seams):
         if succ != w:
-            yield (RewriteStep(rule, direction, s, **params,
-                               seam_left=g_u, seam_right=g_v), succ)
+            yield _with_seams(step, g_u, g_v), succ
+
+
+def _with_seams(step: RewriteStep, g_u: FinMap, g_v: FinMap) -> RewriteStep:
+    """A copy of step with its seams set, without the dataclass __init__."""
+    out = _new(RewriteStep)
+    vars(out).update(vars(step), seam_left=g_u, seam_right=g_v)
+    return out
 
 
 def _span_seams(w, s, pat, cap):

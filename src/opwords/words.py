@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 from .alphabet import Generator
 from .errors import ArityError
-from .finmap import FinMap, compose, identity, tensor_many
+from .finmap import FinMap, compose, identity, pad
 
 Letter = tuple[int, Generator, int]
 
@@ -39,6 +39,16 @@ class Word:
                     f"letter {i} emits {l + g.tgt + r} strands but boundary "
                     f"{i + 1} consumes {self.boundaries[i + 1].tgt}")
         object.__setattr__(self, "_hash", hash((self.boundaries, self.letters)))
+
+    @staticmethod
+    def _raw(boundaries: tuple[FinMap, ...],
+             letters: tuple[Letter, ...]) -> "Word":
+        """Unvalidated constructor for words that are valid by construction."""
+        w = _new(Word)
+        _set_boundaries(w, boundaries)
+        _set_letters(w, letters)
+        _set_hash(w, hash((boundaries, letters)))
+        return w
 
     def __hash__(self):
         return self._hash
@@ -71,13 +81,19 @@ class Word:
         return "Word[" + " ".join(parts) + "]"
 
 
+# The slots' member descriptors set fields past the frozen __setattr__.
+_new = object.__new__
+_set_boundaries, _set_letters, _set_hash = (
+    Word.__dict__[name].__set__ for name in ("boundaries", "letters", "_hash"))
+
+
 def op_word(f: FinMap) -> Word:
     """The length-0 word of a map read in the opposite direction."""
-    return Word((f,), ())
+    return Word._raw((f,), ())
 
 
 def identity_word(m: int) -> Word:
-    return Word((identity(m),), ())
+    return Word._raw((identity(m),), ())
 
 
 def letter_word(l: int, g: Generator, r: int) -> Word:
@@ -95,8 +111,8 @@ def compose_words(w: Word, w2: Word) -> Word:
         raise ArityError(
             f"cannot compose word ({w.src},{w.tgt}) with ({w2.src},{w2.tgt})")
     seam = compose(w2.boundaries[0], w.boundaries[-1])
-    return Word(w.boundaries[:-1] + (seam,) + w2.boundaries[1:],
-                w.letters + w2.letters)
+    return Word._raw(w.boundaries[:-1] + (seam,) + w2.boundaries[1:],
+                     w.letters + w2.letters)
 
 
 def compose_many(*ws: Word) -> Word:
@@ -110,7 +126,7 @@ def compose_many(*ws: Word) -> Word:
         bounds[-1] = compose(w.boundaries[0], bounds[-1])
         bounds += w.boundaries[1:]
         letters += w.letters
-    return Word(tuple(bounds), tuple(letters))
+    return Word._raw(tuple(bounds), tuple(letters))
 
 
 def whisker(q: int, w: Word, p: int) -> Word:
@@ -119,10 +135,9 @@ def whisker(q: int, w: Word, p: int) -> Word:
         raise ArityError("negative whisker pad")
     if q == 0 and p == 0:
         return w
-    idq, idp = identity(q), identity(p)
-    bounds = tuple(tensor_many(idq, f, idp) for f in w.boundaries)
-    letters = tuple((q + l, g, r + p) for (l, g, r) in w.letters)
-    return Word(bounds, letters)
+    bounds = tuple([pad(q, f, p) for f in w.boundaries])
+    letters = tuple([(q + l, g, r + p) for (l, g, r) in w.letters])
+    return Word._raw(bounds, letters)
 
 
 def tensor_words(w: Word, w2: Word) -> Word:

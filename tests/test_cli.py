@@ -5,7 +5,10 @@ from contextlib import redirect_stdout
 
 import pytest
 
-from opwords.cli import main
+from opwords.alphabet import Alphabet
+from opwords.cli import load_assignment, main
+from opwords.dsl import MAX_NESTING, parse_word
+from opwords.evaluate import eval_word
 
 XOR_ASSIGN = textwrap.dedent("""
     carrier 2
@@ -53,6 +56,21 @@ class TestEval:
     def test_parse_error_exit_3(self, xor_file):
         code, _ = run(["eval", "--assign", xor_file, "gen mu . . id(1)"])
         assert code == 3
+
+    def test_output_streams_the_dump(self, xor_file):
+        # 2^13 rows span several written blocks
+        code, out = run(["eval", "--assign", xor_file, "id(13)"])
+        assert code == 0
+        assign = load_assignment(xor_file, None)
+        word = parse_word("id(13)", Alphabet(sorted(assign.functions,
+                                                    key=lambda g: g.name)))
+        assert out == eval_word(word, assign).dump() + "\n"
+
+    def test_empty_table_prints_one_newline(self, tmp_path):
+        path = tmp_path / "empty.assign"
+        path.write_text("carrier 0\n")
+        code, out = run(["eval", "--assign", str(path), "id(1)"])
+        assert (code, out) == (0, "\n")
 
 
 class TestEquiv:
@@ -193,5 +211,35 @@ def test_oversized_evaluation_is_refused(tmp_path, capsys, argv):
     code, _ = run([a.format(path=path) for a in argv])
     assert code == 3
     assert time.monotonic() - t0 < 5
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+DEEP = "(" * 200 + "id(1)" + ")" * 200
+
+
+@pytest.mark.parametrize("expr", [
+    DEEP, "pad(0," * 200 + "id(1)" + ",0)" * 200, "id(1)" + "^1" * 2000,
+], ids=["parentheses", "pad", "power-chain"])
+def test_deep_nesting_is_a_parse_error(capsys, expr):
+    code, _ = run(["equiv", expr, "id(1)"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"nested more than {MAX_NESTING} levels" in err
+
+
+def test_nesting_at_the_limit_parses():
+    expr = "(" * MAX_NESTING + "id(1)" + ")" * MAX_NESTING
+    assert run(["equiv", expr, "id(1)"])[0] == 0
+
+
+def test_deep_certificate_field_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "deep.cert"
+    path.write_text("start: gen omega\nend: gen omega\n"
+                    f'step 1: rule=M2 dir=fwd split=0 a=1 q=0 p=0 v="{DEEP}" '
+                    'seamL="id(1)" seamR="id(1)"\n')
+    code, _ = run(["verify-cert", "--pres", "@group", str(path)])
+    assert code == 3
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1

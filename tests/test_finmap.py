@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 from opwords.errors import ArityError
 from opwords.finmap import (FinMap, all_maps, braid, branch, compose, f0, f2,
                             factorizations_from, factorizations_through,
-                            identity, inverse, tensor)
+                            identity, inverse, pad, tensor)
 
 from conftest import all_maps_upto, brute_force_left_factors
 
@@ -168,6 +168,11 @@ class TestFactorizations:
                     assert rest == sorted(rest)
                 if f == h:
                     assert got[0] == identity(f.tgt)
+
+
+@given(maps(), st.integers(0, 3), st.integers(0, 3))
+def test_pad_is_tensor_with_identities(f, q, p):
+    assert pad(q, f, p) == tensor(tensor(identity(q), f), identity(p))
 
 
 @given(maps(), maps())

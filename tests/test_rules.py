@@ -1,23 +1,25 @@
 import hashlib
 import random
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from opwords.alphabet import Generator
 from opwords.certificate import step_key
-from opwords.errors import ReplayError
+from opwords.errors import ArityError, ReplayError
 from opwords.evaluate import eval_word
-from opwords.finmap import FinMap
+from opwords.finmap import FinMap, identity
 from opwords.fixtures import lemma_fixtures
 from opwords.present import builtin_group
 from opwords.rules import (RewriteStep, RuleBounds, RuleContext, apply_step,
                            build_m1, build_m2, build_m3, build_m4,
                            canonical_word, moves, rule_instances_matching)
 from opwords.search import probe_assignments, SearchBudget, word_generators
-from opwords.words import (compose_words, gen_word, identity_word, op_word,
-                           tensor_words)
+from opwords.words import (Word, compose_words, gen_word, identity_word,
+                           op_word, tensor_words)
 
-from conftest import random_word
+from conftest import GENS, random_word
 
 MU = Generator("mu", 2, 1)
 OMEGA = Generator("omega", 1, 1)
@@ -83,6 +85,17 @@ class TestMatching:
                 assert back == w
                 for asg in probes[:3]:
                     assert eval_word(w, asg) == eval_word(succ, asg)
+
+    @pytest.mark.parametrize("seam", ["seam_left", "seam_right"])
+    def test_replay_rejects_seams_that_do_not_fit(self, seam):
+        # moves() builds successors without validation; replay must not
+        w = tensor_words(gen_word(MU), gen_word(OMEGA))
+        ctx = RuleContext()
+        for step, _ in rule_instances_matching(w):
+            g = getattr(step, seam)
+            wide = identity(max(g.src, g.tgt) + 1)
+            with pytest.raises((ReplayError, ArityError)):
+                apply_step(w, replace(step, **{seam: wide}), ctx)
 
     def test_bad_replay_raises(self):
         w = tensor_words(gen_word(MU), gen_word(OMEGA))
@@ -155,3 +168,26 @@ def test_moves_stream_digest():
                     rules.add(step.rule.split(":")[0])
     assert rules == {"M1", "M2", "M3", "M4", "REL", "CARD"}
     assert (digest.hexdigest(), count) == MOVES_STREAM
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_successors_are_valid_and_new(data):
+    """moves() builds successors unvalidated: the validating rebuild agrees."""
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+    if data.draw(st.booleans(), label="modulo @group"):
+        group = builtin_group()
+        ctx, gens = group.context(), group.alphabet.generators
+    else:
+        ctx, gens = RuleContext(), GENS
+    if data.draw(st.booleans(), label="interchange pair"):
+        words = build_m1(random_word(rng, max_len=1, gens=gens),
+                         random_word(rng, max_len=1, gens=gens))
+    else:
+        words = (random_word(rng, gens=gens),)
+    bounds = RuleBounds(seam_cap=data.draw(st.sampled_from((1, 2, 8)),
+                                           label="seam cap"))
+    for w in words:
+        for step, succ in moves(w, ctx, bounds):
+            assert succ == Word(succ.boundaries, succ.letters)
+            assert succ != w

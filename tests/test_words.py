@@ -109,6 +109,19 @@ class TestWhisker:
         assert w.boundaries[1] == identity(4)
 
 
+def test_unvalidated_builders_make_valid_words(rng):
+    """compose_words, compose_many and whisker skip validation: rebuild them."""
+    for _ in range(100):
+        w, w2 = random_word(rng), random_word(rng)
+        q, p = rng.randint(0, 3), rng.randint(0, 3)
+        built = [whisker(q, w, p), whisker(0, w2, p)]
+        if w.tgt == w2.src:
+            built += [compose_words(w, w2),
+                      compose_many(w, w2, identity_word(w2.tgt))]
+        for out in built:
+            assert out == Word(out.boundaries, out.letters)
+
+
 class TestTensor:
     def test_identity_tensor(self):
         assert tensor_words(identity_word(2), identity_word(3)) == identity_word(5)
