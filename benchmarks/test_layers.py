@@ -14,12 +14,15 @@ from functools import lru_cache
 
 import pytest
 
+from opwords.alphabet import Alphabet
+from opwords.certificate import decode, encode
 from opwords.finmap import FinMap, compose, pad, tensor
 from opwords.fixtures import lemma_fixtures
 from opwords.present import GROUP_ALPHABET
-from opwords.rules import RuleBounds, apply_step, build_m1, moves
-from opwords.search import (SearchBudget, _Lane, find_refutation,
-                            probe_assignments, word_generators)
+from opwords.rules import RuleBounds, Tally, apply_step, build_m1, moves
+from opwords.search import (SearchBudget, _Lane, _lane_bounds,
+                            find_refutation, probe_assignments,
+                            word_generators)
 from opwords.words import Word, gen_word, whisker
 
 F = FinMap(8, 6, (1, 2, 3, 3, 4, 5, 6, 6))
@@ -28,16 +31,20 @@ FAMILIES = ("M1", "M2", "M3", "M4", "REL", "CARD")
 
 
 @lru_cache(maxsize=1)
-def lemma_words():
-    """(word, context) for every word along every shipped certificate."""
+def lemma_chains():
+    """(fixture, the words along its certificate) per shipped lemma."""
     out = []
     for fx in lemma_fixtures():
-        w = fx.certificate.start
-        out.append((w, fx.context))
+        words = [fx.certificate.start]
         for step in fx.certificate.steps:
-            w = apply_step(w, step, fx.context)
-            out.append((w, fx.context))
+            words.append(apply_step(words[-1], step, fx.context))
+        out.append((fx, words))
     return out
+
+
+def lemma_words():
+    """(word, context) for every word along every shipped certificate."""
+    return [(w, fx.context) for fx, words in lemma_chains() for w in words]
 
 
 def longest_word():
@@ -68,12 +75,59 @@ def test_word_whisker(benchmark):
 @pytest.mark.parametrize("family", FAMILIES)
 def test_moves(benchmark, family):
     bounds = RuleBounds(seam_cap=8, families=(family,))
+    cases = lemma_words()
 
     def successors():
-        return sum(1 for w, ctx in lemma_words()
-                   for _ in moves(w, ctx, bounds))
+        return sum(1 for w, ctx in cases for _ in moves(w, ctx, bounds))
 
     assert benchmark(successors) > 0
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_moves_in_lane_bounds(benchmark, family):
+    """test_moves with the length and width bounds of a lane of the lemma.
+
+    Successors out of bounds are counted by moves(), not built.
+    """
+    cases = [(w, fx.context, _lane_bounds(words[0], words[-1],
+                                          SearchBudget(), (family,), 8))
+             for fx, words in lemma_chains() for w in words]
+
+    def successors():
+        tally = Tally()
+        built = sum(1 for w, ctx, bounds in cases
+                    for _ in moves(w, ctx, bounds, tally))
+        return built, tally.pruned
+
+    built, pruned = benchmark(successors)
+    assert built + pruned > 0
+
+
+@lru_cache(maxsize=1)
+def certificate_cases():
+    """(certificate, its text, its alphabet, its context) per shipped lemma."""
+    return [(fx.certificate, encode(fx.certificate),
+             Alphabet(word_generators(*words)), fx.context)
+            for fx, words in lemma_chains()]
+
+
+def test_certificate_encode(benchmark):
+    cases = certificate_cases()
+    texts = benchmark(lambda: [encode(cert) for cert, *_ in cases])
+    assert texts == [text for _, text, *_ in cases]
+
+
+def test_certificate_decode(benchmark):
+    cases = certificate_cases()
+    certs = benchmark(lambda: [decode(text, alphabet)
+                               for _, text, alphabet, _ in cases])
+    assert certs == [cert for cert, *_ in cases]
+
+
+def test_certificate_replay(benchmark):
+    cases = certificate_cases()
+    ends = benchmark(lambda: [cert.replay(ctx) for cert, _, _, ctx in cases])
+    assert ends == [cert.end for cert, *_ in cases]
 
 
 def test_lane_to_final_cap(benchmark):

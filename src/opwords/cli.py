@@ -18,7 +18,8 @@ from .endo import Carrier, FinFunction
 from .errors import OpwordsError, ParseError, ReplayError
 from .evaluate import GeneratorAssignment, eval_word
 from .fixtures import lemma_fixtures
-from .present import check_algebra, equivalent_mod, load_presentation
+from .present import (check_algebra, equivalent_mod, load_presentation,
+                      read_text)
 from .rules import RuleContext
 from .search import Disproved, Proved, SearchBudget, equivalent
 
@@ -41,6 +42,8 @@ def _parse_rows(lines, m, carrier_size):
         ys = tuple(_int(t, line) for t in right.split())
         if len(xs) != m:
             raise OpwordsError(f"row has {len(xs)} inputs, expected {m}")
+        if xs in rows:
+            raise ParseError(f"repeated row for input {xs}: {line!r}")
         rows[xs] = ys
     c = Carrier(carrier_size)
     table = []
@@ -55,26 +58,25 @@ def _parse_rows(lines, m, carrier_size):
 def load_assignment(path: str, carrier_size: int | None):
     """Assignment file: optional ``carrier N`` line, then gen blocks."""
     blocks: list[tuple[str, list[str]]] = []
-    with open(path, encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if line.startswith("carrier"):
-                declared = _int(line[len("carrier"):].strip(), line)
-                if carrier_size is not None and carrier_size != declared:
-                    raise OpwordsError(
-                        f"carrier {declared} in file, {carrier_size} on the command line")
-                carrier_size = declared
-            elif line.startswith("gen"):
-                fields = line.split()
-                if len(fields) < 2:
-                    raise ParseError(f"gen line without a name: {line!r}")
-                blocks.append((fields[1], []))
-            else:
-                if not blocks:
-                    raise OpwordsError(f"table row before any gen line: {line!r}")
-                blocks[-1][1].append(line)
+    for raw in read_text(path).split("\n"):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if line.startswith("carrier"):
+            declared = _int(line[len("carrier"):].strip(), line)
+            if carrier_size is not None and carrier_size != declared:
+                raise OpwordsError(
+                    f"carrier {declared} in file, {carrier_size} on the command line")
+            carrier_size = declared
+        elif line.startswith("gen"):
+            fields = line.split()
+            if len(fields) < 2:
+                raise ParseError(f"gen line without a name: {line!r}")
+            blocks.append((fields[1], []))
+        else:
+            if not blocks:
+                raise OpwordsError(f"table row before any gen line: {line!r}")
+            blocks[-1][1].append(line)
     if carrier_size is None:
         for name, lines in blocks:
             if lines:
@@ -178,8 +180,7 @@ def cmd_verify_cert(args) -> int:
         extra = load_presentation(args.alphabet)
         alphabet = Alphabet(tuple(alphabet) + tuple(
             g for g in extra.alphabet if g.name not in alphabet))
-    with open(args.file, encoding="utf-8") as fh:
-        cert = decode(fh.read(), alphabet)
+    cert = decode(read_text(args.file), alphabet)
     try:
         cert.replay(ctx)
     except ReplayError as exc:

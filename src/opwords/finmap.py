@@ -148,6 +148,10 @@ def all_maps(src: int, tgt: int) -> Iterator[FinMap]:
         yield FinMap(src, tgt, table)
 
 
+def _capped(n: int, cap: int | None) -> int:
+    return n if cap is None else min(n, max(cap, 1))
+
+
 def factorizations_through(h: FinMap, g: FinMap,
                            cap: int | None = None) -> list[FinMap]:
     """All u with compose(u, g) = h, solved fiberwise, identity-like first.
@@ -176,6 +180,28 @@ def factorizations_through(h: FinMap, g: FinMap,
     return [FinMap._raw(h.src, g.src, choice) for choice in choices]
 
 
+def count_factorizations_through(h: FinMap, g: FinMap,
+                                 cap: int | None = None) -> int:
+    """len(factorizations_through(h, g, cap)), from the fiber sizes alone."""
+    if h.tgt != g.tgt:
+        raise ArityError("factorization targets differ")
+    n = 1
+    for v in h.table:
+        n *= g.table.count(v)
+    return _capped(n, cap)
+
+
+def _forced(h: FinMap, f: FinMap) -> dict[int, int] | None:
+    """The values g must take on the image of f, or None if they clash."""
+    if h.src != f.src:
+        raise ArityError("factorization sources differ")
+    forced: dict[int, int] = {}
+    for v, want in zip(f.table, h.table):
+        if forced.setdefault(v, want) != want:
+            return None
+    return forced
+
+
 def factorizations_from(h: FinMap, f: FinMap) -> Iterator[FinMap]:
     """All g with compose(f, g) = h (f applied first), lazily.
 
@@ -183,14 +209,9 @@ def factorizations_from(h: FinMap, f: FinMap) -> Iterator[FinMap]:
     filling comes first, sending each free j to min(j, h.tgt); the other
     fillings follow in increasing lexicographic order.
     """
-    if h.src != f.src:
-        raise ArityError("factorization sources differ")
-    forced: dict[int, int] = {}
-    for i in range(1, f.src + 1):
-        v = f.table[i - 1]
-        want = h.table[i - 1]
-        if forced.setdefault(v, want) != want:
-            return
+    forced = _forced(h, f)
+    if forced is None:
+        return
     free = [j for j in range(1, f.tgt + 1) if j not in forced]
     if free and h.tgt == 0:
         return
@@ -208,3 +229,15 @@ def factorizations_from(h: FinMap, f: FinMap) -> Iterator[FinMap]:
     for filling in itertools.product(range(1, h.tgt + 1), repeat=len(free)):
         if filling != natural:
             yield build(filling)
+
+
+def count_factorizations_from(h: FinMap, f: FinMap,
+                              cap: int | None = None) -> int:
+    """How many maps factorizations_from(h, f) yields, at most max(cap, 1).
+
+    Every filling of the free points is one: h.tgt ** (number free).
+    """
+    forced = _forced(h, f)
+    if forced is None:
+        return 0
+    return _capped(h.tgt ** (f.tgt - len(forced)), cap)

@@ -336,11 +336,19 @@ def parse_presentation(text: str) -> Presentation:
     return Presentation(alphabet, relations)
 
 
+def read_text(path: str) -> str:
+    """An input file's text; bytes that are not UTF-8 are a ParseError."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path} is not UTF-8 text: {exc}") from None
+
+
 def load_presentation(source: str) -> Presentation:
     """Resolve @group / @group-Z or read a presentation file."""
     if source == "@group":
         return builtin_group()
     if source == "@group-Z":
         return builtin_group_Z()
-    with open(source, encoding="utf-8") as fh:
-        return parse_presentation(fh.read())
+    return parse_presentation(read_text(source))

@@ -16,12 +16,14 @@ slip in parameter inference cannot produce an unsound step.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
 from .errors import ArityError, ReplayError
-from .finmap import (FinMap, branch, braid, compose, factorizations_from,
-                     factorizations_through, identity)
+from .finmap import (FinMap, branch, braid, compose,
+                     count_factorizations_from, count_factorizations_through,
+                     factorizations_from, factorizations_through, identity)
 from .words import (Word, compose_words, identity_word, op_word, tensor_power,
                     whisker)
 
@@ -35,6 +37,8 @@ class RuleBounds:
     pad_max: int = 6
     seam_cap: int = 64
     families: tuple[str, ...] | None = None   # None = every family
+    max_len: int | None = None     # None = no bound on successor length
+    max_width: int | None = None   # None = no bound on successor width
 
 
 @dataclass(frozen=True)
@@ -253,7 +257,8 @@ def _letter_factor(c0: FinMap, letter, c1: FinMap) -> Word:
 # identity-first under a deterministic cap.
 
 
-def _emit(w, s, rule, direction, ctx, bounds, *, v, v2=None, a=0, q=0, p=0):
+def _emit(w, s, rule, direction, ctx, bounds, cut, *, v, v2=None, a=0, q=0,
+          p=0):
     step = RewriteStep(rule, direction, s, a, q, p, v, v2)
     try:
         pat, repl = step_sides(step, ctx)
@@ -266,8 +271,9 @@ def _emit(w, s, rule, direction, ctx, bounds, *, v, v2=None, a=0, q=0, p=0):
     k = len(pat)
     if w.letters[s:s + k] != pat.letters:
         return
-    seams = (_empty_seams(w.boundaries[s], pat.boundaries[0], bounds.seam_cap)
-             if k == 0 else _span_seams(w, s, pat, bounds.seam_cap))
+    if cut is not None and cut.prunes(s, pat, repl, bounds.seam_cap):
+        return
+    seams = _seams(w, s, pat, bounds.seam_cap)
     for g_u, g_v, succ in _substitutions(w, s, k, repl, seams):
         if succ != w:
             yield _with_seams(step, g_u, g_v), succ
@@ -278,6 +284,13 @@ def _with_seams(step: RewriteStep, g_u: FinMap, g_v: FinMap) -> RewriteStep:
     out = _new(RewriteStep)
     vars(out).update(vars(step), seam_left=g_u, seam_right=g_v)
     return out
+
+
+def _seams(w, s, pat, cap):
+    """The (g_u, g_v) context maps of pattern pat matched at letter s."""
+    if len(pat) == 0:
+        return _empty_seams(w.boundaries[s], pat.boundaries[0], cap)
+    return _span_seams(w, s, pat, cap)
 
 
 def _span_seams(w, s, pat, cap):
@@ -309,6 +322,92 @@ def _empty_seams(obs, pmap, cap):
                 yield g_u, g_v
 
 
+def _seam_count(w, s, pat, cap) -> int:
+    """len(list(_seams(w, s, pat, cap))) from the fiber sizes alone.
+
+    Of the length-0 pattern's two families, the second skips the identity,
+    which is a solution exactly when the pattern's map is the observed one
+    (and then it is the first one listed).
+    """
+    if len(pat) == 0:
+        obs, pmap = w.boundaries[s], pat.boundaries[0]
+        n = 0
+        if pmap.tgt == obs.tgt:
+            n += count_factorizations_through(obs, pmap, cap)
+        if pmap.src == obs.src:
+            n += count_factorizations_from(obs, pmap, cap) - (pmap == obs)
+        return n
+    k = len(pat)
+    if w.boundaries[s + 1:s + k] != pat.boundaries[1:-1]:
+        return 0
+    return (count_factorizations_from(w.boundaries[s], pat.boundaries[0], cap)
+            * count_factorizations_through(w.boundaries[s + k],
+                                           pat.boundaries[-1], cap))
+
+
+class Tally:
+    """Successors that moves() left unbuilt for breaking a bound."""
+
+    __slots__ = ("pruned",)
+
+    def __init__(self):
+        self.pruned = 0
+
+
+class _Cut:
+    """The length and width bounds of one moves() call, decided per emit.
+
+    A successor has w's type, and a word's width is the largest of its
+    source, its target and its letters' widths, since each boundary map
+    sits between two letters or at an end. So an emit's successors all
+    share one length and one width, read off the span and the replacement
+    before any seam is solved: the letter widths of w before and after the
+    span come from prefix and suffix maxima computed once per call.
+    """
+
+    __slots__ = ("w", "max_len", "max_width", "before", "after", "tally")
+
+    def __init__(self, w: Word, bounds: RuleBounds, tally: Tally | None):
+        self.w, self.tally = w, tally
+        self.max_len = math.inf if bounds.max_len is None else bounds.max_len
+        self.max_width = (math.inf if bounds.max_width is None
+                          else bounds.max_width)
+        ends = max(w.src, w.tgt)
+        widths = [l + r + max(g.src, g.tgt) for l, g, r in w.letters]
+        self.before = list(itertools.accumulate(widths, max, initial=ends))
+        self.after = list(itertools.accumulate(reversed(widths), max,
+                                               initial=ends))[::-1]
+
+    def prunes(self, s: int, pat: Word, repl: Word, cap: int) -> bool:
+        """True, with the successors counted, when they break a bound.
+
+        All of them differ from w, and so would all be yielded, when their
+        length or width differs from w's; otherwise w breaks the bound too
+        and they are built to leave out the ones equal to w.
+        """
+        w, k, n = self.w, len(pat.letters), len(self.w.letters)
+        length = n - k + len(repl.letters)
+        # this runs for every emit, so it compares instead of calling max()
+        width, after = self.before[s], self.after[s + k]
+        if after > width:
+            width = after
+        for l, g, r in repl.letters:
+            x = l + r + (g.src if g.src > g.tgt else g.tgt)
+            if x > width:
+                width = x
+        if length <= self.max_len and width <= self.max_width:
+            return False
+        if length != n or width != self.before[-1]:
+            count = _seam_count(w, s, pat, cap)
+        else:
+            seams = _seams(w, s, pat, cap)
+            count = sum(succ != w for *_, succ in
+                        _substitutions(w, s, k, repl, seams))
+        if self.tally is not None:
+            self.tally.pruned += count
+        return True
+
+
 def _seam_adjacent(observed: FinMap | None, width: int, q: int, p: int):
     """Candidate boundary maps of a parameter word at a seam.
 
@@ -322,15 +421,15 @@ def _seam_adjacent(observed: FinMap | None, width: int, q: int, p: int):
         yield cand
 
 
-def _m1_moves(w: Word, ctx, bounds):
+def _m1_moves(w: Word, ctx, bounds, cut):
     n = len(w)
     for s in range(n - 1):
-        yield from _m1_two(w, s, ctx, bounds)
+        yield from _m1_two(w, s, ctx, bounds, cut)
     for s in range(n):
-        yield from _m1_slide(w, s, ctx, bounds)
+        yield from _m1_slide(w, s, ctx, bounds, cut)
 
 
-def _m1_two(w, s, ctx, bounds):
+def _m1_two(w, s, ctx, bounds, cut):
     (l1, x1, r1), (l2, x2, r2) = w.letters[s], w.letters[s + 1]
     pm = bounds.pad_max
     mid = w.boundaries[s + 1]
@@ -348,7 +447,8 @@ def _m1_two(w, s, ctx, bounds):
                                           ll + x2.tgt + rr, vt, 0):
                     v = _letter_factor(c0, (l, x1, r), c1)
                     v2 = _letter_factor(c20, (ll, x2, rr), c21)
-                    yield from _emit(w, s, "M1", "fwd", ctx, bounds, v=v, v2=v2)
+                    yield from _emit(w, s, "M1", "fwd", ctx, bounds, cut,
+                                     v=v, v2=v2)
     # backward: pattern (v.src <| v2) . (v |> v2.tgt)
     for vs in range(min(l1, pm) + 1):
         for v2t in range(min(r2, pm) + 1):
@@ -364,10 +464,11 @@ def _m1_two(w, s, ctx, bounds):
                                          l + x2.tgt + r, 0, v2t):
                     v = _letter_factor(c0, (l, x2, r), c1)
                     v2 = _letter_factor(c20, (ll, x1, rr), c21)
-                    yield from _emit(w, s, "M1", "bwd", ctx, bounds, v=v, v2=v2)
+                    yield from _emit(w, s, "M1", "bwd", ctx, bounds, cut,
+                                     v=v, v2=v2)
 
 
-def _m1_slide(w, s, ctx, bounds):
+def _m1_slide(w, s, ctx, bounds, cut):
     """Degenerate interchange: slide a boundary map block past a letter.
 
     One parameter word is the letter, the other the length-0 word of a map f
@@ -401,11 +502,11 @@ def _m1_slide(w, s, ctx, bounds):
                     letter = _letter_factor(c0, (l, x, r), c1)
                     v, v2 = ((letter, op_word(f)) if after
                              else (op_word(f), letter))
-                    yield from _emit(w, s, "M1", direction, ctx, bounds,
+                    yield from _emit(w, s, "M1", direction, ctx, bounds, cut,
                                      v=v, v2=v2)
 
 
-def _braid_moves(w: Word, ctx, bounds, mirror: bool):
+def _braid_moves(w: Word, ctx, bounds, cut, mirror: bool):
     """M2 (mirror False) and M3 (mirror True), both directions."""
     rule = "M3" if mirror else "M2"
     pm, am = bounds.pad_max, bounds.a_max
@@ -421,11 +522,13 @@ def _braid_moves(w: Word, ctx, bounds, mirror: bool):
                 for q in range(min(lo, pm) + 1):
                     for p in range(min(hi, pm) + 1):
                         yield from _braid_case(w, s, rule, direction, ctx,
-                                               bounds, (lo - q, x, hi - p),
+                                               bounds, cut,
+                                               (lo - q, x, hi - p),
                                                a, q, p, after)
 
 
-def _braid_case(w, s, rule, direction, ctx, bounds, letter, a, q, p, after):
+def _braid_case(w, s, rule, direction, ctx, bounds, cut, letter, a, q, p,
+                after):
     """One M2/M3 pattern letter with a strands after it (or before it).
 
     The block swap sits at the left seam going fwd and at the right seam
@@ -445,16 +548,16 @@ def _braid_case(w, s, rule, direction, ctx, bounds, letter, a, q, p, after):
     for c0 in _seam_adjacent(mid, l + x.src + r, *pads):
         for c1 in c1s:
             v = _letter_factor(c0, letter, c1)
-            yield from _emit(w, s, rule, direction, ctx, bounds,
+            yield from _emit(w, s, rule, direction, ctx, bounds, cut,
                              v=v, a=a, q=q, p=p)
 
 
-def _m4_moves(w: Word, ctx, bounds):
-    yield from _m4_fwd(w, ctx, bounds)
-    yield from _m4_bwd(w, ctx, bounds)
+def _m4_moves(w: Word, ctx, bounds, cut):
+    yield from _m4_fwd(w, ctx, bounds, cut)
+    yield from _m4_bwd(w, ctx, bounds, cut)
 
 
-def _m4_fwd(w, ctx, bounds):
+def _m4_fwd(w, ctx, bounds, cut):
     """Merge a consecutive letters produced by a fold into one."""
     n, pm = len(w), bounds.pad_max
     for a in range(2, bounds.a_max + 1):
@@ -484,11 +587,11 @@ def _m4_fwd(w, ctx, bounds):
                     if c0 is None or c1 is None:
                         continue
                     v = _letter_factor(c0, (l, x, r), c1)
-                    yield from _emit(w, s, "M4", "fwd", ctx, bounds,
+                    yield from _emit(w, s, "M4", "fwd", ctx, bounds, cut,
                                      v=v, a=a, q=q, p=p)
 
 
-def _m4_bwd(w, ctx, bounds):
+def _m4_bwd(w, ctx, bounds, cut):
     """Duplicate a letter across a fold (a >= 2), or delete one (a = 0)."""
     pm = bounds.pad_max
     a_values = [0] + list(range(2, bounds.a_max + 1))
@@ -512,22 +615,22 @@ def _m4_bwd(w, ctx, bounds):
                         for c1 in c1s:
                             v = _letter_factor(c0, (l, x, r), c1)
                             yield from _emit(w, s, "M4", "bwd", ctx, bounds,
-                                             v=v, a=a, q=q, p=p)
+                                             cut, v=v, a=a, q=q, p=p)
 
 
-def _rel_moves(w: Word, ctx: RuleContext, bounds):
+def _rel_moves(w: Word, ctx: RuleContext, bounds, cut):
     for idx, (rl, rr) in enumerate(ctx.relations):
         rule = f"REL:{idx}"
         for direction, pat_side in (("fwd", rl), ("bwd", rr)):
             if len(pat_side) == 0:
                 yield from _rel_insertions(w, rule, direction, pat_side,
-                                           ctx, bounds)
+                                           ctx, bounds, cut)
             else:
                 yield from _rel_spans(w, rule, direction, pat_side,
-                                      ctx, bounds)
+                                      ctx, bounds, cut)
 
 
-def _rel_spans(w, rule, direction, pat_side, ctx, bounds):
+def _rel_spans(w, rule, direction, pat_side, ctx, bounds, cut):
     k = len(pat_side)
     pl0, px0, pr0 = pat_side.letters[0]
     for s in range(len(w) - k + 1):
@@ -537,26 +640,27 @@ def _rel_spans(w, rule, direction, pat_side, ctx, bounds):
         q, p = lam - pl0, rho - pr0
         if q < 0 or p < 0 or q > bounds.pad_max or p > bounds.pad_max:
             continue
-        yield from _emit(w, s, rule, direction, ctx, bounds, v=None, q=q, p=p)
+        yield from _emit(w, s, rule, direction, ctx, bounds, cut,
+                         v=None, q=q, p=p)
 
 
-def _rel_insertions(w, rule, direction, pat_side, ctx, bounds):
+def _rel_insertions(w, rule, direction, pat_side, ctx, bounds, cut):
     ws, wt = pat_side.src, pat_side.tgt
     for bi in range(len(w) + 1):
         obs = w.boundaries[bi]
         for q in range(min(obs.tgt - ws, bounds.pad_max) + 1):
             p = obs.tgt - ws - q
             if 0 <= p <= bounds.pad_max:
-                yield from _emit(w, bi, rule, direction, ctx, bounds,
+                yield from _emit(w, bi, rule, direction, ctx, bounds, cut,
                                  v=None, q=q, p=p)
         for q in range(min(obs.src - wt, bounds.pad_max) + 1):
             p = obs.src - wt - q
             if 0 <= p <= bounds.pad_max and q + ws + p != obs.tgt:
-                yield from _emit(w, bi, rule, direction, ctx, bounds,
+                yield from _emit(w, bi, rule, direction, ctx, bounds, cut,
                                  v=None, q=q, p=p)
 
 
-def _card_moves(w: Word, ctx, bounds):
+def _card_moves(w: Word, ctx, bounds, cut):
     """Collapse whole-boundary factors of type (0,0) or (1,0)."""
     n = len(w)
     for i in range(n):
@@ -566,24 +670,32 @@ def _card_moves(w: Word, ctx, bounds):
             if w.boundaries[j].src != 0:
                 continue
             sub = Word(w.boundaries[i:j + 1], w.letters[i:j])
-            yield from _emit(w, i, "CARD", "fwd", ctx, bounds, v=sub)
+            yield from _emit(w, i, "CARD", "fwd", ctx, bounds, cut, v=sub)
 
 
-def moves(w: Word, ctx: RuleContext, bounds: RuleBounds):
-    """All generated one-step successors of w under the context's rules."""
+def moves(w: Word, ctx: RuleContext, bounds: RuleBounds,
+          tally: Tally | None = None):
+    """All generated one-step successors of w under the context's rules.
+
+    Successors longer than bounds.max_len or wider than bounds.max_width
+    are left out without solving their seams or building them; each one
+    that would have been yielded adds 1 to tally.pruned.
+    """
+    cut = (None if bounds.max_len is None and bounds.max_width is None
+           else _Cut(w, bounds, tally))
     fams = bounds.families
     if fams is None or "M1" in fams:
-        yield from _m1_moves(w, ctx, bounds)
+        yield from _m1_moves(w, ctx, bounds, cut)
     if fams is None or "M2" in fams:
-        yield from _braid_moves(w, ctx, bounds, mirror=False)
+        yield from _braid_moves(w, ctx, bounds, cut, mirror=False)
     if fams is None or "M3" in fams:
-        yield from _braid_moves(w, ctx, bounds, mirror=True)
+        yield from _braid_moves(w, ctx, bounds, cut, mirror=True)
     if fams is None or "M4" in fams:
-        yield from _m4_moves(w, ctx, bounds)
+        yield from _m4_moves(w, ctx, bounds, cut)
     if ctx.relations and (fams is None or "REL" in fams):
-        yield from _rel_moves(w, ctx, bounds)
+        yield from _rel_moves(w, ctx, bounds, cut)
     if ctx.allow_card and (fams is None or "CARD" in fams):
-        yield from _card_moves(w, ctx, bounds)
+        yield from _card_moves(w, ctx, bounds, cut)
 
 
 def rule_instances_matching(w: Word, bounds: RuleBounds | None = None):

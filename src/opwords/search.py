@@ -17,7 +17,7 @@ from .certificate import Certificate, step_key
 from .endo import Carrier, FinFunction, tabulate
 from .errors import OpwordsError
 from .evaluate import GeneratorAssignment, eval_word
-from .rules import RewriteStep, RuleBounds, RuleContext, moves
+from .rules import RewriteStep, RuleBounds, RuleContext, Tally, moves
 from .words import Word
 
 
@@ -167,11 +167,12 @@ def _reconstruct(meet: Word, parents_l, parents_r, w: Word, w2: Word,
     return cert
 
 
-# A lane pauses once visited >= cap or work >= _WORK_PER_VISIT * cap:
-# saturated components regenerate old successors endlessly, so the work of
-# generating them is capped too. A round-robin starts every lane at
-# _FIRST_CAP and grows the cap _CAP_GROWTH-fold per round, up to each
-# lane's final cap.
+# A lane pauses once visited >= cap or work >= _WORK_PER_VISIT * cap, where
+# work counts every successor generated, including those moves() only
+# counts for breaking the length or width bound: saturated components
+# regenerate old successors endlessly, so the work of generating them is
+# capped too. A round-robin starts every lane at _FIRST_CAP and grows the
+# cap _CAP_GROWTH-fold per round, up to each lane's final cap.
 _WORK_PER_VISIT = 12
 _FIRST_CAP = 16
 _CAP_GROWTH = 4
@@ -282,15 +283,10 @@ class _Lane:
                 or self.work >= _WORK_PER_VISIT * self.cap)
 
     def _pass(self, w, w2, ctx, budget, families, seam_cap):
-        max_len = (budget.max_word_len if budget.max_word_len is not None
-                   else len(w) + len(w2) + 4)
-        pad_max = (budget.pad_max if budget.pad_max is not None
-                   else max(2, w.src + w.tgt))
-        max_width = (budget.max_width if budget.max_width is not None
-                     else max(word_width(w), word_width(w2)) + 2)
-        bounds = RuleBounds(a_max=budget.a_max, pad_max=pad_max,
-                            seam_cap=seam_cap or budget.seam_cap,
-                            families=families)
+        bounds = _lane_bounds(w, w2, budget, families, seam_cap)
+        # moves() counts the successors out of bounds here, unbuilt; they
+        # are work all the same
+        tally = Tally()
         parents_l: dict[Word, tuple[Word | None, RewriteStep | None]] = {w: (None, None)}
         parents_r: dict[Word, tuple[Word | None, RewriteStep | None]] = {w2: (None, None)}
         if w in parents_r:
@@ -312,16 +308,17 @@ class _Lane:
             next_frontier: list[Word] = []
             meets: list[Word] = []
             for node in frontier:
-                for step, succ in moves(node, ctx, bounds):
+                for step, succ in moves(node, ctx, bounds, tally):
                     self.work += 1
-                    if (len(succ) > max_len or succ in own
-                            or word_width(succ) > max_width):
+                    if succ in own:
                         continue
                     own[succ] = (node, step)
                     next_frontier.append(succ)
                     self.visited += 1
                     if succ in other:
                         meets.append(succ)
+                self.work += tally.pruned
+                tally.pruned = 0
                 if meets:
                     break
                 while self._paused():
@@ -335,6 +332,20 @@ class _Lane:
                 frontier_l = next_frontier
             else:
                 frontier_r = next_frontier
+
+
+def _lane_bounds(w: Word, w2: Word, budget: SearchBudget, families,
+                 seam_cap: int | None = None) -> RuleBounds:
+    """The rule bounds of a lane from w to w2, word length and width included."""
+    max_len = (budget.max_word_len if budget.max_word_len is not None
+               else len(w) + len(w2) + 4)
+    pad_max = (budget.pad_max if budget.pad_max is not None
+               else max(2, w.src + w.tgt))
+    max_width = (budget.max_width if budget.max_width is not None
+                 else max(word_width(w), word_width(w2)) + 2)
+    return RuleBounds(a_max=budget.a_max, pad_max=pad_max,
+                      seam_cap=seam_cap or budget.seam_cap, families=families,
+                      max_len=max_len, max_width=max_width)
 
 
 def _meet_key(parents_l, parents_r):

@@ -184,6 +184,37 @@ def test_non_integer_field_is_a_parse_error(tmp_path, capsys, suffix, text,
     assert capsys.readouterr().err.startswith("error: ")
 
 
+NOT_UTF8 = [
+    ("assign", b"carrier 2\ngen f\n\xff\n",
+     ["eval", "--assign", "{path}", "gen f"]),
+    ("pres", b"generator mu 2 1\n\xff\n",
+     ["equiv", "--pres", "{path}", "gen mu", "gen mu"]),
+    ("cert", b"start: gen omega\nend: gen omega\nstep 1: \xff\n",
+     ["verify-cert", "--pres", "@group", "{path}"]),
+]
+
+
+@pytest.mark.parametrize("suffix,data,argv", NOT_UTF8,
+                         ids=[case[0] for case in NOT_UTF8])
+def test_non_utf8_file_is_a_parse_error(tmp_path, capsys, suffix, data, argv):
+    path = tmp_path / f"bad.{suffix}"
+    path.write_bytes(data)
+    code, _ = run([a.format(path=path) for a in argv])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path} is not UTF-8 text")
+    assert err.count("\n") == 1
+
+
+def test_repeated_assignment_row_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "twice.assign"
+    path.write_text("carrier 2\ngen f\n0 -> 0\n1 -> 0\n0 -> 1\n")
+    code, out = run(["eval", "--assign", str(path), "gen f"])
+    assert (code, out) == (3, "")
+    err = capsys.readouterr().err
+    assert err == "error: repeated row for input (0,): '0 -> 1'\n"
+
+
 class TestLemmas:
     def test_all_replay(self):
         code, out = run(["lemmas"])

@@ -12,10 +12,12 @@ from opwords.evaluate import eval_word
 from opwords.finmap import FinMap, identity
 from opwords.fixtures import lemma_fixtures
 from opwords.present import builtin_group
-from opwords.rules import (RewriteStep, RuleBounds, RuleContext, apply_step,
-                           build_m1, build_m2, build_m3, build_m4,
-                           canonical_word, moves, rule_instances_matching)
-from opwords.search import probe_assignments, SearchBudget, word_generators
+from opwords.rules import (RewriteStep, RuleBounds, RuleContext, Tally,
+                           _seam_count, _seams, apply_step, build_m1,
+                           build_m2, build_m3, build_m4, canonical_word,
+                           moves, rule_instances_matching, step_sides)
+from opwords.search import (probe_assignments, SearchBudget, word_generators,
+                            word_width)
 from opwords.words import (Word, compose_words, gen_word, identity_word,
                            op_word, tensor_words)
 
@@ -109,7 +111,6 @@ class TestMatching:
 
 
 def step_pattern_letters(step):
-    from opwords.rules import step_sides
     pat, _ = step_sides(step, RuleContext())
     return pat.letters
 
@@ -170,10 +171,8 @@ def test_moves_stream_digest():
     assert (digest.hexdigest(), count) == MOVES_STREAM
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.data())
-def test_successors_are_valid_and_new(data):
-    """moves() builds successors unvalidated: the validating rebuild agrees."""
+def _drawn_words(data):
+    """Random words, free or modulo @group, with their rule context."""
     rng = random.Random(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
     if data.draw(st.booleans(), label="modulo @group"):
         group = builtin_group()
@@ -185,9 +184,71 @@ def test_successors_are_valid_and_new(data):
                          random_word(rng, max_len=1, gens=gens))
     else:
         words = (random_word(rng, gens=gens),)
+    return words, ctx
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_successors_are_valid_and_new(data):
+    """moves() builds successors unvalidated: the validating rebuild agrees."""
+    words, ctx = _drawn_words(data)
     bounds = RuleBounds(seam_cap=data.draw(st.sampled_from((1, 2, 8)),
                                            label="seam cap"))
     for w in words:
         for step, succ in moves(w, ctx, bounds):
             assert succ == Word(succ.boundaries, succ.letters)
             assert succ != w
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_pruned_stream_is_the_filtered_stream(data):
+    """Bounds leave out exactly the out-of-bounds successors, and count them.
+
+    The bounds sit near each word's own length and width, so some words
+    break them themselves (their successors of equal size are built to
+    leave out w) and some do not.
+    """
+    words, ctx = _drawn_words(data)
+    full = RuleBounds(seam_cap=data.draw(st.sampled_from((1, 2, 8)),
+                                         label="seam cap"))
+    offsets = st.one_of(st.none(), st.integers(-1, 2))
+    len_off = data.draw(offsets, label="max_len - len(w)")
+    width_off = data.draw(offsets, label="max_width - width(w)")
+    for w in words:
+        max_len = None if len_off is None else max(0, len(w) + len_off)
+        max_width = None if width_off is None else word_width(w) + width_off
+        bounded = replace(full, max_len=max_len, max_width=max_width)
+        stream = list(moves(w, ctx, full))
+        kept = [(step, succ) for step, succ in stream
+                if (max_len is None or len(succ) <= max_len)
+                and (max_width is None or word_width(succ) <= max_width)]
+        tally = Tally()
+        assert list(moves(w, ctx, bounded, tally)) == kept
+        assert tally.pruned == len(stream) - len(kept)
+
+
+def test_seam_counts_match_the_solvers(rng):
+    """The closed-form seam count against the listed seams, hits or not."""
+    ctx = builtin_group().context()
+    gens = builtin_group().alphabet.generators
+    words = [random_word(rng, max_len=3, gens=gens) for _ in range(40)]
+    for _ in range(10):
+        words.extend(build_m1(random_word(rng, max_len=1, gens=gens),
+                              random_word(rng, max_len=1, gens=gens)))
+    bounds = RuleBounds(seam_cap=2)
+    patterns = {step_sides(step, ctx)[0] for w in words[::4]
+                for step, _ in moves(w, ctx, bounds)}
+    checked = set()
+    for w in words:
+        for pat in patterns:
+            k = len(pat)
+            for s in range(len(w) - k + 1):
+                if w.letters[s:s + k] != pat.letters:
+                    continue
+                for cap in (1, 2, 8, 64):
+                    n = _seam_count(w, s, pat, cap)
+                    assert n == len(list(_seams(w, s, pat, cap)))
+                    checked.add((k == 0, n > 0))
+    assert checked == {(True, True), (True, False), (False, True),
+                       (False, False)}
