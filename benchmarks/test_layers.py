@@ -5,17 +5,22 @@ Run from the repository root (pytest-benchmark is needed):
     PYTHONPATH=src python -m pytest benchmarks                      # timed
     PYTHONPATH=src python -m pytest benchmarks --benchmark-disable  # smoke
 
-The inputs are fixed: the maps below and the words along the shipped lemma
-certificates, under each lemma's own rule context. These cases are not part
-of the test suite (pytest's testpaths name tests/ only).
+The inputs are fixed: the maps below, the words along the shipped lemma
+certificates (under each lemma's own rule context, or evaluated under the
+carrier-3 probe battery), and seeded random carrier-3 functions for the
+axiom checks. These cases are not part of the test suite (pytest's
+testpaths name tests/ only).
 """
 
+import random
 from functools import lru_cache
 
 import pytest
 
 from opwords.alphabet import Alphabet
 from opwords.certificate import decode, encode
+from opwords.endo import Carrier, FinFunction, check_braiding, check_branching
+from opwords.evaluate import eval_word
 from opwords.finmap import FinMap, compose, pad, tensor
 from opwords.fixtures import lemma_fixtures
 from opwords.present import GROUP_ALPHABET
@@ -150,3 +155,39 @@ def test_find_refutation(benchmark):
     w, w2 = build_m1(gen_word(mu), gen_word(omega))
     probes = probe_assignments(word_generators(w, w2), SearchBudget())
     assert benchmark(find_refutation, w, w2, probes) is None
+
+
+@lru_cache(maxsize=1)
+def eval_cases():
+    """(word, assignment): each shipped-certificate word under each
+    assignment of the carrier-3 probe battery."""
+    budget = SearchBudget(probe_carriers=(3,))
+    return [(w, asg) for w, _ in lemma_words()
+            for asg in probe_assignments(word_generators(w), budget)]
+
+
+def test_eval_word(benchmark):
+    cases = eval_cases()
+    tables = benchmark(lambda: [eval_word(w, asg) for w, asg in cases])
+    assert [t.tgt for t in tables] == [w.tgt for w, _ in cases]
+
+
+@lru_cache(maxsize=1)
+def axiom_cases():
+    """(x, x2, a) batches like criterion 2's sampled family: random
+    carrier-3 functions of arity <= 2, seeded."""
+    rng, z3 = random.Random(0), Carrier(3)
+
+    def function():
+        m, n = rng.randint(0, 2), rng.randint(0, 2)
+        return FinFunction(z3, m, n, tuple(
+            tuple(rng.randrange(3) for _ in range(n)) for _ in range(3 ** m)))
+
+    return [(function(), function(), rng.randint(0, 3)) for _ in range(200)]
+
+
+def test_axiom_checks(benchmark):
+    cases = axiom_cases()
+    assert all(benchmark(lambda: [check_braiding(x, x2)
+                                  and check_branching(a, x)
+                                  for x, x2, a in cases]))

@@ -16,7 +16,7 @@ from .certificate import decode, encode
 from .dsl import parse_word
 from .endo import Carrier, FinFunction
 from .errors import OpwordsError, ParseError, ReplayError
-from .evaluate import GeneratorAssignment, eval_word
+from .evaluate import MAX_ROWS, GeneratorAssignment, eval_word
 from .fixtures import lemma_fixtures
 from .present import (check_algebra, equivalent_mod, load_presentation,
                       read_text)
@@ -35,6 +35,12 @@ def _int(text: str, line: str) -> int:
 
 
 def _parse_rows(lines, m, carrier_size):
+    # a carrier above 1 passes the limit within bit_length(MAX_ROWS)
+    # factors, so the power stays small whatever m is
+    if carrier_size ** min(m, MAX_ROWS.bit_length()) > MAX_ROWS:
+        raise OpwordsError(
+            f"a table with {m} inputs on carrier {carrier_size} has "
+            f"{carrier_size}^{m} rows, more than the limit of {MAX_ROWS}")
     rows = {}
     for line in lines:
         left, _, right = line.partition("->")

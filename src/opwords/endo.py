@@ -10,10 +10,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from functools import lru_cache
+from typing import Callable, Iterator, Sequence
 
+from .alphabet import Generator
 from .errors import ArityError
 from .finmap import FinMap, braid, branch
+from .words import compose_words, gen_word, op_word, tensor_power, tensor_words
 
 
 @dataclass(frozen=True, slots=True)
@@ -49,6 +52,35 @@ class FinFunction:
                 if not 0 <= v < n:
                     raise ArityError(f"output value {v} outside carrier")
 
+    @classmethod
+    def from_columns(cls, carrier: Carrier, src: int, tgt: int,
+                     cols: Sequence[Sequence[int]]) -> "FinFunction":
+        """The function with output columns `cols`, checked column by column.
+
+        The checks are the row constructor's, with its messages: `tgt`
+        columns, each carrier^src long, every value in the carrier. Each
+        distinct column object is checked once, since callers may repeat a
+        column by reference. The column count is checked even when there
+        are no rows, where a row table could not show it.
+        """
+        n, rows = carrier.size, carrier.size ** src
+        if len(cols) != tgt:
+            raise ArityError("output tuple length mismatch")
+        distinct = {id(col): col for col in cols}.values()
+        wrong = set(map(len, distinct)) - {rows}
+        if wrong:
+            raise ArityError(f"table has {min(wrong)} rows, expected {rows}")
+        values = set(itertools.chain.from_iterable(distinct))
+        if not all(0 <= v < n for v in values):
+            # the row constructor names the first value outside, in row order
+            return cls(carrier, src, tgt, tuple(zip(*cols)))
+        f = _new(cls)
+        _set_carrier(f, carrier)
+        _set_src(f, src)
+        _set_tgt(f, tgt)
+        _set_table(f, tuple(zip(*cols)) if cols else ((),) * rows)
+        return f
+
     def row_index(self, xs: tuple[int, ...]) -> int:
         idx = 0
         for x in xs:
@@ -69,6 +101,13 @@ class FinFunction:
     def dump(self) -> str:
         """The rows, one per line."""
         return "\n".join(self.rows())
+
+
+# The slots' member descriptors set fields past the frozen __setattr__.
+_new = object.__new__
+_set_carrier, _set_src, _set_tgt, _set_table = (
+    FinFunction.__dict__[name].__set__
+    for name in ("carrier", "src", "tgt", "table"))
 
 
 def tabulate(carrier: Carrier, src: int, tgt: int,
@@ -114,19 +153,56 @@ def pullback(f: FinMap, carrier: Carrier) -> FinFunction:
                     lambda xs: tuple(xs[v - 1] for v in f.table))
 
 
-def check_braiding(x: FinFunction, x2: FinFunction) -> bool:
-    """Block swap of inputs then x (x) x2 equals x2 (x) x then output swap."""
+def _evaluate(functions: dict[Generator, FinFunction], *words):
+    """Evaluate words over one assignment of `functions`."""
+    from .evaluate import GeneratorAssignment, eval_word  # it imports endo
+    carrier = next(iter(functions.values())).carrier
+    assignment = GeneratorAssignment(carrier, functions)
+    return tuple(eval_word(w, assignment) for w in words)
+
+
+@lru_cache(maxsize=256)
+def _braiding_words(m: int, n: int, m2: int, n2: int):
+    """Generators x: (m,n) and x2: (m2,n2), and the braiding axiom's sides."""
+    g, g2 = Generator("x", m, n), Generator("x2", m2, n2)
+    lhs = compose_words(op_word(braid(m, m2)),
+                        tensor_words(gen_word(g), gen_word(g2)))
+    rhs = compose_words(tensor_words(gen_word(g2), gen_word(g)),
+                        op_word(braid(n, n2)))
+    return g, g2, lhs, rhs
+
+
+@lru_cache(maxsize=256)
+def _branching_words(a: int, m: int, n: int):
+    """A generator x: (m,n) and the branching axiom's sides for a."""
+    g = Generator("x", m, n)
+    lhs = compose_words(op_word(branch(a, m)), tensor_power(gen_word(g), a))
+    rhs = compose_words(gen_word(g), op_word(branch(a, n)))
+    return g, lhs, rhs
+
+
+def _braiding_sides(x: FinFunction,
+                    x2: FinFunction) -> tuple[FinFunction, FinFunction]:
+    """The two sides of the braiding axiom, each evaluated as one word."""
     if x.carrier != x2.carrier:
         raise ArityError("carrier mismatch")
-    c = x.carrier
-    lhs = ff_compose(pullback(braid(x.src, x2.src), c), ff_tensor(x, x2))
-    rhs = ff_compose(ff_tensor(x2, x), pullback(braid(x.tgt, x2.tgt), c))
+    g, g2, lhs, rhs = _braiding_words(x.src, x.tgt, x2.src, x2.tgt)
+    return _evaluate({g: x, g2: x2}, lhs, rhs)
+
+
+def _branching_sides(a: int, x: FinFunction) -> tuple[FinFunction, FinFunction]:
+    """The two sides of the branching axiom, each evaluated as one word."""
+    g, lhs, rhs = _branching_words(a, x.src, x.tgt)
+    return _evaluate({g: x}, lhs, rhs)
+
+
+def check_braiding(x: FinFunction, x2: FinFunction) -> bool:
+    """Block swap of inputs then x (x) x2 equals x2 (x) x then output swap."""
+    lhs, rhs = _braiding_sides(x, x2)
     return lhs == rhs
 
 
 def check_branching(a: int, x: FinFunction) -> bool:
     """Input fold then a-fold tensor power equals x then output fold."""
-    c = x.carrier
-    lhs = ff_compose(pullback(branch(a, x.src), c), ff_tensor_power(x, a))
-    rhs = ff_compose(x, pullback(branch(a, x.tgt), c))
+    lhs, rhs = _branching_sides(a, x)
     return lhs == rhs

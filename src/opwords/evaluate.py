@@ -9,6 +9,7 @@ values per strand, each as long as carrier^src.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain, repeat
 
 from .alphabet import Alphabet, Generator
@@ -46,12 +47,19 @@ class GeneratorAssignment:
         return all(g in self.functions for g in alphabet)
 
 
-def _coordinates(carrier: Carrier, m: int) -> list[tuple[int, ...]]:
-    """The m coordinate columns of carrier^m, rows in mixed-radix order."""
-    n = carrier.size
-    return [tuple(chain.from_iterable(repeat(x, n ** (m - 1 - j))
-                                      for x in range(n))) * n ** j
-            for j in range(m)]
+# Coordinate columns are kept for reuse only up to this many values in all,
+# so that the columns of a large table die with the call that built them.
+_CACHED_COORDINATE_VALUES = 2 ** 17
+
+
+def _coordinates(n: int, m: int) -> tuple[tuple[int, ...], ...]:
+    """The m coordinate columns of n^m, rows in mixed-radix order."""
+    return tuple(tuple(chain.from_iterable(repeat(x, n ** (m - 1 - j))
+                                           for x in range(n))) * n ** j
+                 for j in range(m))
+
+
+_cached_coordinates = lru_cache(maxsize=8)(_coordinates)
 
 
 def eval_word(w: Word, assignment: GeneratorAssignment) -> FinFunction:
@@ -69,7 +77,10 @@ def eval_word(w: Word, assignment: GeneratorAssignment) -> FinFunction:
             f"evaluating a word with {w.src} inputs on carrier "
             f"{carrier.size} needs {carrier.size}^{w.src} rows, "
             f"more than the limit of {MAX_ROWS}")
-    cols = _coordinates(carrier, w.src)
+    if rows * w.src <= _CACHED_COORDINATE_VALUES:
+        cols = _cached_coordinates(carrier.size, w.src)
+    else:
+        cols = _coordinates(carrier.size, w.src)
     cols = [cols[v - 1] for v in w.boundaries[0].table]
     for (l, g, r), b in zip(w.letters, w.boundaries[1:]):
         fn = assignment[g]
@@ -78,5 +89,4 @@ def eval_word(w: Word, assignment: GeneratorAssignment) -> FinFunction:
         outs = list(map(lookup, args))
         cols[l:l + g.src] = list(zip(*outs)) if outs else [()] * g.tgt
         cols = [cols[v - 1] for v in b.table]
-    table = tuple(zip(*cols)) if cols else ((),) * rows
-    return FinFunction(carrier, w.src, w.tgt, table)
+    return FinFunction.from_columns(carrier, w.src, w.tgt, cols)

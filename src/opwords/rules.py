@@ -511,6 +511,7 @@ def _braid_moves(w: Word, ctx, bounds, cut, mirror: bool):
     rule = "M3" if mirror else "M2"
     pm, am = bounds.pad_max, bounds.a_max
     for s, (lam, x, rho) in enumerate(w.letters):
+        seams = {}  # (q, p) -> both seam maps of letter s, q and p unpadded
         for a in range(1, am + 1):
             for direction in ("fwd", "bwd"):
                 # pattern letter (q+l, x, r+a+p) when the a strands come
@@ -521,22 +522,27 @@ def _braid_moves(w: Word, ctx, bounds, cut, mirror: bool):
                     continue
                 for q in range(min(lo, pm) + 1):
                     for p in range(min(hi, pm) + 1):
+                        mids = seams.get((q, p))
+                        if mids is None:
+                            mids = seams[q, p] = (
+                                unpad(w.boundaries[s], q, p),
+                                unpad(w.boundaries[s + 1], q, p))
                         yield from _braid_case(w, s, rule, direction, ctx,
                                                bounds, cut,
                                                (lo - q, x, hi - p),
-                                               a, q, p, after)
+                                               a, q, p, after, *mids)
 
 
 def _braid_case(w, s, rule, direction, ctx, bounds, cut, letter, a, q, p,
-                after):
+                after, mid, midr):
     """One M2/M3 pattern letter with a strands after it (or before it).
 
-    The block swap sits at the left seam going fwd and at the right seam
-    going bwd; it is undone there before the seam maps are split.
+    mid and midr are the seam maps on either side of letter s with the pads
+    q and p stripped (None where they have no such pads). The block swap
+    sits at the left seam going fwd and at the right seam going bwd; it is
+    undone there before the seam maps are split.
     """
     l, x, r = letter
-    mid = unpad(w.boundaries[s], q, p)
-    midr = unpad(w.boundaries[s + 1], q, p)
     if direction == "fwd" and mid is not None and mid.tgt >= a:
         b = mid.tgt - a
         mid = compose(mid, braid(a, b) if after else braid(b, a))

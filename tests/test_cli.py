@@ -1,10 +1,16 @@
 import io
+import os
+import resource
+import subprocess
+import sys
 import textwrap
 import time
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
 
+import opwords
 from opwords.alphabet import Alphabet
 from opwords.cli import load_assignment, main
 from opwords.dsl import MAX_NESTING, parse_word
@@ -244,6 +250,30 @@ def test_oversized_evaluation_is_refused(tmp_path, capsys, argv):
     assert time.monotonic() - t0 < 5
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def _limit_address_space():
+    # a loader that allocates the table fails fast instead of exhausting
+    # the machine's memory
+    resource.setrlimit(resource.RLIMIT_AS, (2 * 10 ** 9, 2 * 10 ** 9))
+
+
+@pytest.mark.parametrize("text,flags", [
+    ("carrier 1000000000\ngen mu\n0 0 -> 0\n", []),
+    ("gen mu\n0 0 -> 0\n", ["--carrier", "1000000000"]),
+], ids=["carrier-line", "carrier-flag"])
+def test_oversized_assignment_table_is_refused(tmp_path, text, flags):
+    path = tmp_path / "huge.assign"
+    path.write_text(text)
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(opwords.__file__).resolve().parents[1]))
+    t0 = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-m", "opwords", "eval", *flags, "--assign",
+         str(path), "gen mu"], env=env, capture_output=True, timeout=60,
+        preexec_fn=_limit_address_space)
+    assert proc.returncode == 3
+    assert time.monotonic() - t0 < 10
 
 
 DEEP = "(" * 200 + "id(1)" + ")" * 200
