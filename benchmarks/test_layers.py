@@ -157,6 +157,22 @@ def test_find_refutation(benchmark):
     assert benchmark(find_refutation, w, w2, probes) is None
 
 
+@pytest.mark.parametrize("size", (2, 3))
+def test_probe_assignments(benchmark, size):
+    gens = word_generators(*(w for w, _ in lemma_words()))
+    budget = SearchBudget(probe_carriers=(size,))
+    probes = benchmark(probe_assignments, gens, budget)
+    assert len(probes) == 3 + budget.probe_assignments
+
+
+def test_dump_rows(benchmark):
+    # 2^16 rows of 4 inputs and 3 outputs on carrier 16
+    rng, c = random.Random(0), Carrier(16)
+    f = FinFunction(c, 4, 3, tuple(
+        tuple(rng.randrange(16) for _ in range(3)) for _ in range(16 ** 4)))
+    assert benchmark(lambda: sum(1 for _ in f.rows())) == 2 ** 16
+
+
 @lru_cache(maxsize=1)
 def eval_cases():
     """(word, assignment): each shipped-certificate word under each

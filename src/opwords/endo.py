@@ -2,6 +2,7 @@
 
 Rows are indexed by the input tuple in mixed-radix order with the leftmost
 coordinate most significant; elements are the opaque indices 0..size-1.
+A table is stored as one column per output strand.
 This is the evaluation target for words, and the home of the executable
 braiding/branching axiom checks.
 """
@@ -31,55 +32,72 @@ class Carrier:
         return itertools.product(range(self.size), repeat=m)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class FinFunction:
-    """A function M^src -> M^tgt, tabulated row by row."""
+    """A function M^src -> M^tgt, tabulated column by column.
+
+    `columns` holds one tuple per output strand, each carrier^src long, with
+    the rows in mixed-radix order. `FinFunction(carrier, src, tgt, rows)`
+    builds one from its row table; `table` gives that row table back.
+    """
 
     carrier: Carrier
     src: int
     tgt: int
-    table: tuple[tuple[int, ...], ...]
+    columns: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self):
-        n = self.carrier.size
-        if len(self.table) != n ** self.src:
+    def __init__(self, carrier: Carrier, src: int, tgt: int,
+                 table: Sequence[Sequence[int]]):
+        n = carrier.size
+        if len(table) != n ** src:
             raise ArityError(
-                f"table has {len(self.table)} rows, expected {n ** self.src}")
-        for row in self.table:
-            if len(row) != self.tgt:
+                f"table has {len(table)} rows, expected {n ** src}")
+        for row in table:
+            if len(row) != tgt:
                 raise ArityError("output tuple length mismatch")
             for v in row:
                 if not 0 <= v < n:
                     raise ArityError(f"output value {v} outside carrier")
+        _init(self, carrier, src, tgt,
+              tuple(zip(*table)) if table else ((),) * tgt)
 
     @classmethod
     def from_columns(cls, carrier: Carrier, src: int, tgt: int,
-                     cols: Sequence[Sequence[int]]) -> "FinFunction":
+                     cols: Sequence[Sequence[int]],
+                     checked: Sequence[Sequence[int]] = ()) -> "FinFunction":
         """The function with output columns `cols`, checked column by column.
 
         The checks are the row constructor's, with its messages: `tgt`
         columns, each carrier^src long, every value in the carrier. Each
         distinct column object is checked once, since callers may repeat a
-        column by reference. The column count is checked even when there
-        are no rows, where a row table could not show it.
+        column by reference, and a column that is one of the objects in
+        `checked` (columns the caller built and checked) is not checked
+        again. The column count is checked even when there are no rows,
+        where a row table could not show it.
         """
         n, rows = carrier.size, carrier.size ** src
         if len(cols) != tgt:
             raise ArityError("output tuple length mismatch")
-        distinct = {id(col): col for col in cols}.values()
-        wrong = set(map(len, distinct)) - {rows}
+        distinct = {id(col): col for col in cols}
+        for col in checked:
+            distinct.pop(id(col), None)
+        wrong = set(map(len, distinct.values())) - {rows}
         if wrong:
             raise ArityError(f"table has {min(wrong)} rows, expected {rows}")
-        values = set(itertools.chain.from_iterable(distinct))
-        if not all(0 <= v < n for v in values):
+        values = set(itertools.chain.from_iterable(distinct.values()))
+        if values and not (0 <= min(values) and max(values) < n):
             # the row constructor names the first value outside, in row order
             return cls(carrier, src, tgt, tuple(zip(*cols)))
         f = _new(cls)
-        _set_carrier(f, carrier)
-        _set_src(f, src)
-        _set_tgt(f, tgt)
-        _set_table(f, tuple(zip(*cols)) if cols else ((),) * rows)
+        _init(f, carrier, src, tgt, tuple(map(tuple, cols)))
         return f
+
+    @property
+    def table(self) -> tuple[tuple[int, ...], ...]:
+        """The row table: one output tuple per input tuple, in row order."""
+        if self.columns:
+            return tuple(zip(*self.columns))
+        return ((),) * self.carrier.size ** self.src
 
     def row_index(self, xs: tuple[int, ...]) -> int:
         idx = 0
@@ -88,14 +106,19 @@ class FinFunction:
         return idx
 
     def __call__(self, xs: tuple[int, ...]) -> tuple[int, ...]:
-        return self.table[self.row_index(xs)]
+        i = self.row_index(xs)
+        return tuple([col[i] for col in self.columns])
 
     def rows(self) -> Iterator[str]:
         """One line per input tuple, lazily: ``x1 .. xm -> y1 .. yn``."""
         names = [str(v) for v in range(self.carrier.size)]
-        for xs, ys in zip(self.carrier.tuples(self.src), self.table):
-            left = " ".join([names[x] for x in xs])
-            right = " ".join([names[y] for y in ys])
+        lefts = map(" ".join, itertools.product(names, repeat=self.src))
+        if self.columns:
+            rights = map(" ".join, zip(*[map(names.__getitem__, col)
+                                         for col in self.columns]))
+        else:
+            rights = itertools.repeat("")
+        for left, right in zip(lefts, rights):
             yield f"{left} -> {right}".strip() if left else f"-> {right}".rstrip()
 
     def dump(self) -> str:
@@ -105,9 +128,13 @@ class FinFunction:
 
 # The slots' member descriptors set fields past the frozen __setattr__.
 _new = object.__new__
-_set_carrier, _set_src, _set_tgt, _set_table = (
-    FinFunction.__dict__[name].__set__
-    for name in ("carrier", "src", "tgt", "table"))
+_setters = tuple(FinFunction.__dict__[name].__set__
+                 for name in ("carrier", "src", "tgt", "columns"))
+
+
+def _init(f: FinFunction, *fields) -> None:
+    for set_field, value in zip(_setters, fields):
+        set_field(f, value)
 
 
 def tabulate(carrier: Carrier, src: int, tgt: int,

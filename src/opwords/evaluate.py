@@ -3,7 +3,7 @@
 A word denotes the composite of coordinate pullbacks of its boundary maps
 with the whiskered functions assigned to its letters, in standard
 decomposition order. It is evaluated column by column: one column of
-values per strand, each as long as carrier^src.
+values per strand, each as long as carrier^src, and no row is ever built.
 """
 
 from __future__ import annotations
@@ -11,10 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, repeat
+from operator import add
 
 from .alphabet import Alphabet, Generator
 from .endo import Carrier, FinFunction
-from .errors import AssignmentError, EvaluationSizeError
+from .errors import ArityError, AssignmentError, EvaluationSizeError
 from .words import Word
 
 # Largest number of input rows (carrier^src) an evaluation may tabulate.
@@ -53,40 +54,62 @@ _CACHED_COORDINATE_VALUES = 2 ** 17
 
 
 def _coordinates(n: int, m: int) -> tuple[tuple[int, ...], ...]:
-    """The m coordinate columns of n^m, rows in mixed-radix order."""
-    return tuple(tuple(chain.from_iterable(repeat(x, n ** (m - 1 - j))
-                                           for x in range(n))) * n ** j
-                 for j in range(m))
+    """The m coordinate columns of n^m, rows in mixed-radix order.
+
+    Each column is checked here, as it is built, so that the tables made
+    from it need not check it again (`FinFunction.from_columns`, `checked`).
+    """
+    cols = []
+    for j in range(m):
+        # column j is n^j copies of a block of n runs, one per value
+        block = tuple(chain.from_iterable(repeat(x, n ** (m - 1 - j))
+                                          for x in range(n)))
+        col = block * n ** j
+        if len(col) != n ** m or not set(block) <= set(range(n)):
+            raise ArityError(f"coordinate column {j} of {n}^{m} is malformed")
+        cols.append(col)
+    return tuple(cols)
 
 
 _cached_coordinates = lru_cache(maxsize=8)(_coordinates)
 
 
+def coordinates(n: int, m: int) -> tuple[tuple[int, ...], ...]:
+    """The coordinate columns of n^m, from a small cache when they are few."""
+    if n ** m * m <= _CACHED_COORDINATE_VALUES:
+        return _cached_coordinates(n, m)
+    return _coordinates(n, m)
+
+
 def eval_word(w: Word, assignment: GeneratorAssignment) -> FinFunction:
     """Push the columns of carrier^src through the word, one per strand.
 
-    A boundary map only reorders, copies or drops columns; a letter looks up
-    each row of its input columns in the assigned table and splices the
-    output columns in their place. The cost is carrier^src rows per letter,
-    whatever the width of the layers in between.
+    A boundary map only reorders, copies or drops columns. A letter folds
+    its input columns into one column of row indices into its assigned
+    table, reads each output column at those indices, and splices the
+    output columns in place of the inputs. The cost is carrier^src rows per
+    letter, whatever the width of the layers in between.
     """
     carrier = assignment.carrier
-    rows = carrier.size ** w.src
+    n = carrier.size
+    rows = n ** w.src
     if rows > MAX_ROWS:
         raise EvaluationSizeError(
             f"evaluating a word with {w.src} inputs on carrier "
             f"{carrier.size} needs {carrier.size}^{w.src} rows, "
             f"more than the limit of {MAX_ROWS}")
-    if rows * w.src <= _CACHED_COORDINATE_VALUES:
-        cols = _cached_coordinates(carrier.size, w.src)
-    else:
-        cols = _coordinates(carrier.size, w.src)
-    cols = [cols[v - 1] for v in w.boundaries[0].table]
+    coords = coordinates(n, w.src)
+    cols = [coords[v - 1] for v in w.boundaries[0].table]
     for (l, g, r), b in zip(w.letters, w.boundaries[1:]):
-        fn = assignment[g]
-        lookup = dict(zip(carrier.tuples(g.src), fn.table)).__getitem__
-        args = zip(*cols[l:l + g.src]) if g.src else repeat((), rows)
-        outs = list(map(lookup, args))
-        cols[l:l + g.src] = list(zip(*outs)) if outs else [()] * g.tgt
+        outs = assignment[g].columns
+        if g.src:
+            idx = cols[l]
+            for col in cols[l + 1:l + g.src]:
+                idx = list(map(add, map(n.__mul__, idx), col))
+            cols[l:l + g.src] = [tuple(map(out.__getitem__, idx))
+                                 for out in outs]
+        else:
+            # a letter without inputs has one row: its constants
+            cols[l:l] = [out * rows for out in outs]
         cols = [cols[v - 1] for v in b.table]
-    return FinFunction.from_columns(carrier, w.src, w.tgt, cols)
+    return FinFunction.from_columns(carrier, w.src, w.tgt, cols, coords)

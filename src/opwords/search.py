@@ -11,12 +11,14 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import compress, count, islice
+from operator import add, ne
 
 from .alphabet import Generator
 from .certificate import Certificate, step_key
-from .endo import Carrier, FinFunction, tabulate
+from .endo import Carrier, FinFunction
 from .errors import OpwordsError
-from .evaluate import GeneratorAssignment, eval_word
+from .evaluate import GeneratorAssignment, coordinates, eval_word
 from .rules import RewriteStep, RuleBounds, RuleContext, Tally, moves
 from .words import Word
 
@@ -76,20 +78,29 @@ def word_generators(*ws: Word) -> tuple[Generator, ...]:
 
 
 def _cyclic_project(c: Carrier, m: int, n: int) -> FinFunction:
+    """Output j is input j mod m; zeros when there are no inputs."""
     if m == 0:
-        return tabulate(c, 0, n, lambda xs: (0,) * n)
-    return tabulate(c, m, n, lambda xs: tuple(xs[j % m] for j in range(n)))
+        return _constant(c, m, n)
+    coords = coordinates(c.size, m)
+    return FinFunction.from_columns(c, m, n, [coords[j % m] for j in range(n)],
+                                    coords)
 
 
 def _constant(c: Carrier, m: int, n: int) -> FinFunction:
-    return tabulate(c, m, n, lambda xs: (0,) * n)
+    return FinFunction.from_columns(c, m, n, [(0,) * c.size ** m] * n)
 
 
 def _shift_sum(c: Carrier, m: int, n: int) -> FinFunction:
+    """Output j is the sum of the inputs plus j, modulo the carrier."""
     if c.size == 0:
-        return tabulate(c, m, n, lambda xs: ())
-    return tabulate(c, m, n,
-                    lambda xs: tuple((sum(xs) + j) % c.size for j in range(n)))
+        # no values to sum: every row is empty
+        return FinFunction(c, m, n, ((),) * c.size ** m)
+    total = (0,) * c.size ** m
+    for col in coordinates(c.size, m):
+        total = tuple(map(add, total, col))
+    return FinFunction.from_columns(
+        c, m, n, [tuple(map(c.size.__rmod__, map(j.__add__, total)))
+                  for j in range(n)])
 
 
 def _random_fn(c: Carrier, m: int, n: int, rng: random.Random) -> FinFunction:
@@ -120,13 +131,17 @@ def probe_assignments(gens: tuple[Generator, ...],
 
 def find_refutation(w: Word, w2: Word,
                     candidates: list[GeneratorAssignment]) -> Witness | None:
+    """The first candidate on which w and w2 (of one arity) evaluate
+    differently, with the first input row where they differ."""
     for assignment in candidates:
         t1, t2 = eval_word(w, assignment), eval_word(w2, assignment)
         if t1 != t2:
-            for xs, y1, y2 in zip(assignment.carrier.tuples(w.src),
-                                  t1.table, t2.table):
-                if y1 != y2:
-                    return Witness("evaluation", assignment, xs, (y1, y2))
+            # the first differing row is the earliest in any differing column
+            i = min(next(compress(count(), map(ne, col1, col2)))
+                    for col1, col2 in zip(t1.columns, t2.columns)
+                    if col1 != col2)
+            xs = next(islice(assignment.carrier.tuples(w.src), i, None))
+            return Witness("evaluation", assignment, xs, (t1(xs), t2(xs)))
     return None
 
 

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from opwords.alphabet import Generator
+from opwords.errors import ArityError
 from opwords.finmap import FinMap
 from opwords.words import Word
 
@@ -68,3 +69,11 @@ def brute_force_left_factors(h, g):
         if tuple(g.table[v - 1] for v in u.table) == h.table:
             out.append(u)
     return out
+
+
+def arity_outcome(make):
+    """The value built, or the message of the ArityError raised."""
+    try:
+        return make()
+    except ArityError as exc:
+        return str(exc)

@@ -1,4 +1,5 @@
 import itertools
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,7 +12,7 @@ from opwords.errors import ArityError
 from opwords.finmap import (FinMap, braid, branch, compose, f2, identity,
                             tensor)
 
-from conftest import all_maps_upto
+from conftest import all_maps_upto, arity_outcome
 
 Z2 = Carrier(2)
 Z3 = Carrier(3)
@@ -28,8 +29,8 @@ def all_functions(carrier, m, n):
 
 
 @st.composite
-def functions(draw, max_arity=2, sizes=(0, 3)):
-    """A random tabulated function."""
+def row_tables(draw, max_arity=2, sizes=(0, 3)):
+    """(carrier, src, tgt, rows) of a random tabulated function."""
     size = draw(st.integers(*sizes), label="carrier")
     src = draw(st.integers(0, max_arity), label="src")
     # carrier 0 has one (empty) input row at src = 0, and no values
@@ -39,7 +40,23 @@ def functions(draw, max_arity=2, sizes=(0, 3)):
     row = st.tuples(*[st.integers(0, max(size - 1, 0))] * tgt)
     table = draw(st.lists(row, min_size=size ** src, max_size=size ** src),
                  label="table")
-    return FinFunction(Carrier(size), src, tgt, tuple(table))
+    return Carrier(size), src, tgt, tuple(table)
+
+
+def functions(max_arity=2, sizes=(0, 3)):
+    """A random tabulated function."""
+    return row_tables(max_arity, sizes).map(lambda t: FinFunction(*t))
+
+
+def reference_lines(carrier, src, rows):
+    """The dump of a row table, formatted row by row."""
+    lines = []
+    for xs, ys in zip(carrier.tuples(src), rows):
+        left = " ".join(map(str, xs))
+        right = " ".join(map(str, ys))
+        lines.append(f"{left} -> {right}".strip() if left
+                     else f"-> {right}".rstrip())
+    return lines
 
 
 class TestTables:
@@ -58,13 +75,37 @@ class TestTables:
     @given(st.data())
     def test_dump_matches_row_lookup(self, data):
         f = data.draw(functions(max_arity=3), label="f")
-        lines = []
-        for xs in f.carrier.tuples(f.src):
-            left = " ".join(map(str, xs))
-            right = " ".join(map(str, f(xs)))
-            lines.append(f"{left} -> {right}".strip() if left
-                         else f"-> {right}".rstrip())
+        lines = reference_lines(f.carrier, f.src,
+                                map(f, f.carrier.tuples(f.src)))
         assert f.dump() == "\n".join(lines)
+
+    @settings(max_examples=300, deadline=None)
+    @given(row_tables(max_arity=3))
+    def test_rows_and_columns_round_trip(self, spec):
+        c, src, tgt, rows = spec
+        f = FinFunction(c, src, tgt, rows)
+        cols = [tuple(row[j] for row in rows) for j in range(tgt)]
+        g = FinFunction.from_columns(c, src, tgt, cols)
+        assert f == g and hash(f) == hash(g)
+        assert f.columns == g.columns == tuple(cols)
+        assert f.table == g.table == rows
+        for i, xs in enumerate(c.tuples(src)):
+            assert f(xs) == g(xs) == rows[i]
+        assert list(f.rows()) == list(g.rows())
+        assert f.dump() == g.dump()
+
+    @settings(max_examples=200, deadline=None)
+    @given(row_tables(max_arity=3))
+    def test_rows_stream_from_the_columns(self, spec):
+        c, src, tgt, rows = spec
+        f = FinFunction(c, src, tgt, rows)
+
+        def no_table(self):
+            raise AssertionError("the row table was built")
+
+        with mock.patch.object(FinFunction, "table", property(no_table)):
+            assert list(f.rows()) == reference_lines(c, src, rows)
+            assert f.dump() == "\n".join(reference_lines(c, src, rows))
 
     def test_validation(self):
         with pytest.raises(ArityError):
@@ -165,14 +206,6 @@ class TestAxiomCheckers:
         assert ff_tensor_power(XOR, 2) == ff_tensor(XOR, XOR)
 
 
-def _outcome(make):
-    """The function built, or the message of the ArityError raised."""
-    try:
-        return make()
-    except ArityError as exc:
-        return str(exc)
-
-
 class TestColumnCheck:
     @settings(max_examples=400, deadline=None)
     @given(st.data())
@@ -209,8 +242,9 @@ class TestColumnCheck:
         elif mutation == "missing column":
             cols.pop()
         row_table = tuple(zip(*cols)) if cols else ((),) * rows
-        by_rows = _outcome(lambda: FinFunction(c, f.src, f.tgt, row_table))
-        by_cols = _outcome(
+        by_rows = arity_outcome(
+            lambda: FinFunction(c, f.src, f.tgt, row_table))
+        by_cols = arity_outcome(
             lambda: FinFunction.from_columns(c, f.src, f.tgt, cols))
         if mutation.endswith("column") and not rows:
             # no rows show the column count; the column check still sees it

@@ -1,23 +1,26 @@
 import hashlib
+import itertools
 import random
 
 from hypothesis import given, settings, strategies as st
 
 from opwords.alphabet import Generator
 from opwords.certificate import encode
+from opwords.endo import Carrier, tabulate
 from opwords.evaluate import eval_word
 from opwords.finmap import braid, branch
 from opwords.fixtures import lemma_fixtures
 from opwords.present import builtin_group
 from opwords.rules import RuleBounds, RuleContext, apply_step, build_m1, moves
 from opwords.search import (Disproved, Proved, SearchBudget, Unknown,
-                            Witness, _Lane, _search_pass, equivalent,
+                            Witness, _Lane, _constant, _cyclic_project,
+                            _search_pass, _shift_sum, equivalent,
                             find_refutation, probe_assignments,
                             validate_witness, word_generators)
 from opwords.words import (compose_words, gen_word, identity_word, op_word,
                            tensor_power, whisker)
 
-from conftest import GENS, random_word
+from conftest import GENS, arity_outcome, random_word
 
 MU = Generator("mu", 2, 1)
 
@@ -33,6 +36,28 @@ class TestTrivial:
         res = equivalent(identity_word(1), identity_word(2))
         assert isinstance(res, Disproved)
         assert res.witness.kind == "arity"
+
+
+def _tabulated_probe(maker, c, m, n):
+    """The probe table `maker` stands for, built row by row by tabulate."""
+    if maker is _cyclic_project and m:
+        return tabulate(c, m, n, lambda xs: tuple(xs[j % m] for j in range(n)))
+    if maker is _shift_sum and c.size:
+        return tabulate(c, m, n, lambda xs: tuple((sum(xs) + j) % c.size
+                                                  for j in range(n)))
+    if maker is _shift_sum:
+        return tabulate(c, m, n, lambda xs: ())
+    return tabulate(c, m, n, lambda xs: (0,) * n)
+
+
+def test_probe_tables_match_the_tabulated_ones():
+    # every carrier 0-3 and arity 0-3, so every case, valid or refused
+    for size, m, n in itertools.product(range(4), repeat=3):
+        c = Carrier(size)
+        for maker in (_cyclic_project, _constant, _shift_sum):
+            got = arity_outcome(lambda: maker(c, m, n))
+            want = arity_outcome(lambda: _tabulated_probe(maker, c, m, n))
+            assert got == want, (maker.__name__, size, m, n)
 
 
 class TestDisproved:
