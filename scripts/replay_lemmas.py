@@ -29,7 +29,7 @@ from opwords.present import (ETA, GROUP_ALPHABET, MU, OMEGA, Presentation,
                              builtin_group, builtin_group_Z, group_relations,
                              parse_presentation)
 from opwords.rules import RewriteStep, RuleContext, apply_step, step_sides
-from opwords.search import SearchBudget, _certificate_search, word_width
+from opwords.search import SearchBudget, _certificate_search
 from opwords.words import (Word, compose_many, gen_word, identity_word,
                            op_word, tensor_many_words, whisker)
 
@@ -41,11 +41,9 @@ def connect(a: Word, b: Word, ctx: RuleContext, name: str = "") -> Certificate:
     """A certificate for one hop between adjacent waypoints."""
     if a == b:
         return Certificate(a, (), b)
-    width = max(word_width(a), word_width(b)) + 2
     max_len = max(len(a), len(b)) + 3
     for max_steps in (4_000, 60_000, 400_000):
-        budget = SearchBudget(max_steps=max_steps, max_width=width,
-                              max_word_len=max_len)
+        budget = SearchBudget(max_steps=max_steps, max_word_len=max_len)
         cert, _ = _certificate_search(a, b, ctx, budget)
         if cert is not None:
             return cert

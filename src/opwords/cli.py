@@ -14,9 +14,9 @@ import sys
 from .alphabet import Alphabet, Generator
 from .certificate import decode, encode
 from .dsl import parse_word
-from .endo import Carrier, FinFunction
+from .endo import Carrier, FinFunction, table_rows
 from .errors import OpwordsError, ParseError, ReplayError
-from .evaluate import MAX_ROWS, GeneratorAssignment, eval_word
+from .evaluate import GeneratorAssignment, eval_word
 from .fixtures import lemma_fixtures
 from .present import (check_algebra, equivalent_mod, load_presentation,
                       read_text)
@@ -35,12 +35,8 @@ def _int(text: str, line: str) -> int:
 
 
 def _parse_rows(lines, m, carrier_size):
-    # a carrier above 1 passes the limit within bit_length(MAX_ROWS)
-    # factors, so the power stays small whatever m is
-    if carrier_size ** min(m, MAX_ROWS.bit_length()) > MAX_ROWS:
-        raise OpwordsError(
-            f"a table with {m} inputs on carrier {carrier_size} has "
-            f"{carrier_size}^{m} rows, more than the limit of {MAX_ROWS}")
+    c = Carrier(carrier_size)
+    table_rows(carrier_size, m)  # refuses an oversized table before reading it
     rows = {}
     for line in lines:
         left, _, right = line.partition("->")
@@ -48,10 +44,12 @@ def _parse_rows(lines, m, carrier_size):
         ys = tuple(_int(t, line) for t in right.split())
         if len(xs) != m:
             raise OpwordsError(f"row has {len(xs)} inputs, expected {m}")
+        if not all(0 <= x < carrier_size for x in xs):
+            raise ParseError(
+                f"input outside carrier {carrier_size}: {line!r}")
         if xs in rows:
             raise ParseError(f"repeated row for input {xs}: {line!r}")
         rows[xs] = ys
-    c = Carrier(carrier_size)
     table = []
     for xs in c.tuples(m):
         if xs not in rows:

@@ -336,7 +336,9 @@ def _check_strands(n: int, e: Expr) -> None:
 
 def elaborate(e: Expr, alphabet: Alphabet) -> Word:
     if isinstance(e, EGen):
-        return gen_word(alphabet.lookup(e.name))
+        g = alphabet.lookup(e.name)
+        _check_strands(max(g.src, g.tgt), e)
+        return gen_word(g)
     if isinstance(e, EId):
         _check_strands(e.n, e)
         return identity_word(e.n)

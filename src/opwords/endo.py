@@ -15,9 +15,61 @@ from functools import lru_cache
 from typing import Callable, Iterator, Sequence
 
 from .alphabet import Generator
-from .errors import ArityError
+from .errors import ArityError, EvaluationSizeError
 from .finmap import FinMap, braid, branch
 from .words import compose_words, gen_word, op_word, tensor_power, tensor_words
+
+
+# Largest number of rows (carrier^src) a table may have.
+MAX_ROWS = 2 ** 20
+
+
+def table_rows(n: int, m: int) -> int:
+    """The n^m rows of a table with m inputs on carrier n (n >= 0), or
+    EvaluationSizeError when that is more than MAX_ROWS."""
+    # a carrier above 1 passes the limit within bit_length(MAX_ROWS)
+    # factors, so the power stays small whatever m is
+    if n ** min(m, MAX_ROWS.bit_length()) > MAX_ROWS:
+        raise EvaluationSizeError(
+            f"a table with {m} inputs on carrier {n} has {n}^{m} rows, "
+            f"more than the limit of {MAX_ROWS}")
+    return n ** m
+
+
+# Coordinate columns are kept for reuse only up to this many values in all,
+# so that the columns of a large table die with the call that built them.
+_CACHED_COORDINATE_VALUES = 2 ** 17
+
+
+def _coordinates(n: int, m: int) -> tuple[tuple[int, ...], ...]:
+    """The m coordinate columns of n^m, rows in mixed-radix order.
+
+    Each column is checked here, as it is built, so that the tables made
+    from it need not check it again (`FinFunction.from_columns`, `checked`).
+    """
+    cols = []
+    for j in range(m):
+        # column j is n^j copies of a block of n runs, one per value
+        block = tuple(itertools.chain.from_iterable(
+            itertools.repeat(x, n ** (m - 1 - j)) for x in range(n)))
+        col = block * n ** j
+        if len(col) != n ** m or not set(block) <= set(range(n)):
+            raise ArityError(f"coordinate column {j} of {n}^{m} is malformed")
+        cols.append(col)
+    return tuple(cols)
+
+
+_cached_coordinates = lru_cache(maxsize=8)(_coordinates)
+
+
+def coordinates(n: int, m: int) -> tuple[tuple[int, ...], ...]:
+    """The coordinate columns of n^m, from a small cache when they are few.
+
+    Raises EvaluationSizeError, before building anything, past MAX_ROWS.
+    """
+    if table_rows(n, m) * m <= _CACHED_COORDINATE_VALUES:
+        return _cached_coordinates(n, m)
+    return _coordinates(n, m)
 
 
 @dataclass(frozen=True, slots=True)
@@ -100,9 +152,13 @@ class FinFunction:
         return ((),) * self.carrier.size ** self.src
 
     def row_index(self, xs: tuple[int, ...]) -> int:
+        """The row of input tuple xs; ArityError unless xs is in M^src."""
+        n = self.carrier.size
+        if len(xs) != self.src or not all(0 <= x < n for x in xs):
+            raise ArityError(f"input {xs} is not in {n}^{self.src}")
         idx = 0
         for x in xs:
-            idx = idx * self.carrier.size + x
+            idx = idx * n + x
         return idx
 
     def __call__(self, xs: tuple[int, ...]) -> tuple[int, ...]:

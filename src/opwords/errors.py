@@ -28,7 +28,7 @@ class ParseError(OpwordsError):
 
 
 class EvaluationSizeError(OpwordsError):
-    """An evaluation would tabulate more rows than ``evaluate.MAX_ROWS``."""
+    """A table would have more rows than ``endo.MAX_ROWS``."""
 
 
 class ReplayError(OpwordsError):

@@ -9,17 +9,13 @@ values per strand, each as long as carrier^src, and no row is ever built.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import chain, repeat
 from operator import add
 
 from .alphabet import Alphabet, Generator
-from .endo import Carrier, FinFunction
-from .errors import ArityError, AssignmentError, EvaluationSizeError
+# MAX_ROWS is endo's, kept importable from here
+from .endo import MAX_ROWS, Carrier, FinFunction, coordinates
+from .errors import AssignmentError
 from .words import Word
-
-# Largest number of input rows (carrier^src) an evaluation may tabulate.
-MAX_ROWS = 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -48,39 +44,6 @@ class GeneratorAssignment:
         return all(g in self.functions for g in alphabet)
 
 
-# Coordinate columns are kept for reuse only up to this many values in all,
-# so that the columns of a large table die with the call that built them.
-_CACHED_COORDINATE_VALUES = 2 ** 17
-
-
-def _coordinates(n: int, m: int) -> tuple[tuple[int, ...], ...]:
-    """The m coordinate columns of n^m, rows in mixed-radix order.
-
-    Each column is checked here, as it is built, so that the tables made
-    from it need not check it again (`FinFunction.from_columns`, `checked`).
-    """
-    cols = []
-    for j in range(m):
-        # column j is n^j copies of a block of n runs, one per value
-        block = tuple(chain.from_iterable(repeat(x, n ** (m - 1 - j))
-                                          for x in range(n)))
-        col = block * n ** j
-        if len(col) != n ** m or not set(block) <= set(range(n)):
-            raise ArityError(f"coordinate column {j} of {n}^{m} is malformed")
-        cols.append(col)
-    return tuple(cols)
-
-
-_cached_coordinates = lru_cache(maxsize=8)(_coordinates)
-
-
-def coordinates(n: int, m: int) -> tuple[tuple[int, ...], ...]:
-    """The coordinate columns of n^m, from a small cache when they are few."""
-    if n ** m * m <= _CACHED_COORDINATE_VALUES:
-        return _cached_coordinates(n, m)
-    return _coordinates(n, m)
-
-
 def eval_word(w: Word, assignment: GeneratorAssignment) -> FinFunction:
     """Push the columns of carrier^src through the word, one per strand.
 
@@ -92,13 +55,8 @@ def eval_word(w: Word, assignment: GeneratorAssignment) -> FinFunction:
     """
     carrier = assignment.carrier
     n = carrier.size
+    coords = coordinates(n, w.src)  # refuses more than MAX_ROWS rows
     rows = n ** w.src
-    if rows > MAX_ROWS:
-        raise EvaluationSizeError(
-            f"evaluating a word with {w.src} inputs on carrier "
-            f"{carrier.size} needs {carrier.size}^{w.src} rows, "
-            f"more than the limit of {MAX_ROWS}")
-    coords = coordinates(n, w.src)
     cols = [coords[v - 1] for v in w.boundaries[0].table]
     for (l, g, r), b in zip(w.letters, w.boundaries[1:]):
         outs = assignment[g].columns

@@ -9,11 +9,11 @@ from dataclasses import dataclass
 from .alphabet import Alphabet, Generator
 from .endo import Carrier, tabulate
 from .errors import ArityError, AssignmentError, OpwordsError, ParseError
-from .evaluate import GeneratorAssignment, eval_word
+from .evaluate import GeneratorAssignment
 from .finmap import f0, f2
 from .rules import RuleContext
 from .search import (Disproved, Proved, SearchBudget, equivalent,
-                     probe_assignments)
+                     find_refutation, probe_assignments)
 from .words import (Word, compose_many, gen_word, identity_word, op_word,
                     tensor_words)
 
@@ -99,16 +99,10 @@ def check_algebra(assignment: GeneratorAssignment,
         raise AssignmentError("assignment does not cover the alphabet")
     checks = []
     for i, (lhs, rhs) in enumerate(pres.relations):
-        t1, t2 = eval_word(lhs, assignment), eval_word(rhs, assignment)
-        if t1 == t2:
-            checks.append(RelationCheck(i, True))
-            continue
-        located = None
-        for xs in assignment.carrier.tuples(lhs.src):
-            if t1(xs) != t2(xs):
-                located = RelationCheck(i, False, xs, t1(xs), t2(xs))
-                break
-        checks.append(located)
+        witness = find_refutation(lhs, rhs, [assignment])
+        checks.append(RelationCheck(i, True) if witness is None else
+                      RelationCheck(i, False, witness.input_tuple,
+                                    *witness.outputs))
     return AlgebraReport(tuple(checks))
 
 

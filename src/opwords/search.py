@@ -16,9 +16,9 @@ from operator import add, ne
 
 from .alphabet import Generator
 from .certificate import Certificate, step_key
-from .endo import Carrier, FinFunction
-from .errors import OpwordsError
-from .evaluate import GeneratorAssignment, coordinates, eval_word
+from .endo import Carrier, FinFunction, coordinates, table_rows
+from .errors import EvaluationSizeError, OpwordsError
+from .evaluate import GeneratorAssignment, eval_word
 from .rules import RewriteStep, RuleBounds, RuleContext, Tally, moves
 from .words import Word
 
@@ -27,12 +27,8 @@ from .words import Word
 class SearchBudget:
     max_steps: int = 100_000
     max_word_len: int | None = None      # default: len(w) + len(w2) + 4
-    a_max: int = 3
-    pad_max: int | None = None           # default: w.src + w.tgt, floor 2
-    max_width: int | None = None         # default: widest boundary arity + 2
     probe_carriers: tuple[int, ...] = (2, 3)
     probe_assignments: int = 5
-    seam_cap: int = 64
     seed: int = 0
 
 
@@ -111,12 +107,20 @@ def _random_fn(c: Carrier, m: int, n: int, rng: random.Random) -> FinFunction:
 
 def probe_assignments(gens: tuple[Generator, ...],
                       budget: SearchBudget) -> list[GeneratorAssignment]:
-    """Deterministic battery plus seeded random tables, per carrier size."""
+    """Deterministic battery plus seeded random tables, per carrier size.
+
+    Skipped are carrier 0 when a generator has strands, and a carrier on
+    which some generator's table would have more than MAX_ROWS rows.
+    """
     rng = random.Random(budget.seed)
     out = []
     for size in budget.probe_carriers:
         c = Carrier(size)
         if size == 0 and any(g.src > 0 or g.tgt > 0 for g in gens):
+            continue
+        try:
+            table_rows(size, max((g.src for g in gens), default=0))
+        except EvaluationSizeError:
             continue
         for maker in (_cyclic_project, _constant, _shift_sum):
             out.append(GeneratorAssignment(
@@ -158,26 +162,21 @@ def validate_witness(w: Word, w2: Word, witness: Witness) -> bool:
 # Bidirectional certificate search
 
 
+def _path(parents, node: Word) -> list[RewriteStep]:
+    """The steps from node back to the root of its side, nearest first."""
+    steps = []
+    while True:
+        node, step = parents[node]
+        if node is None:
+            return steps
+        steps.append(step)
+
+
 def _reconstruct(meet: Word, parents_l, parents_r, w: Word, w2: Word,
                  ctx: RuleContext) -> Certificate:
-    fwd_steps: list[RewriteStep] = []
-    node = meet
-    while True:
-        prev, step = parents_l[node]
-        if prev is None:
-            break
-        fwd_steps.append(step)
-        node = prev
-    fwd_steps.reverse()
-    bwd_steps: list[RewriteStep] = []
-    node = meet
-    while True:
-        prev, step = parents_r[node]
-        if prev is None:
-            break
-        bwd_steps.append(step.inverted())
-        node = prev
-    cert = Certificate(w, tuple(fwd_steps) + tuple(bwd_steps), w2)
+    steps = _path(parents_l, meet)[::-1] + [
+        step.inverted() for step in _path(parents_r, meet)]
+    cert = Certificate(w, tuple(steps), w2)
     cert.replay(ctx)
     return cert
 
@@ -191,6 +190,8 @@ def _reconstruct(meet: Word, parents_l, parents_r, w: Word, w2: Word,
 _WORK_PER_VISIT = 12
 _FIRST_CAP = 16
 _CAP_GROWTH = 4
+# The seam cap of the widest lane, and of a lane given none.
+_SEAM_CAP = 64
 
 
 def _certificate_search(w: Word, w2: Word, ctx: RuleContext,
@@ -205,7 +206,7 @@ def _certificate_search(w: Word, w2: Word, ctx: RuleContext,
     that order: every lane runs to cap 16, then to 64, and so on (x4 per
     round) up to its final cap; a lane resumes where it paused. Then the
     three deep lanes (M1 at seam cap 4, all families at seam cap 8, all
-    families at the budget's seam cap) share the rest of the budget in a
+    families at seam cap 64) share the rest of the budget in a
     second round-robin. The first certificate found is returned.
 
     A lane paused at any cap is a prefix of the same deterministic pass
@@ -217,18 +218,17 @@ def _certificate_search(w: Word, w2: Word, ctx: RuleContext,
     """
     pre = max(64, budget.max_steps // 256)
     scan = max(2, budget.max_steps // 32)
-    seam = min(2, budget.seam_cap)
     tight_lanes: list[tuple[tuple[str, ...] | None, int, int]] = [
-        (("M2", "M3"), seam, pre),
-        (("M4", "CARD"), seam, pre)]
+        (("M2", "M3"), 2, pre),
+        (("M4", "CARD"), 2, pre)]
     if ctx.relations:
-        tight_lanes.append((("REL", "CARD", "M1"), seam, scan))
-    tight_lanes.append((("M1",), seam, scan))
+        tight_lanes.append((("REL", "CARD", "M1"), 2, scan))
+    tight_lanes.append((("M1",), 2, scan))
     deep = budget.max_steps - sum(cap for _, _, cap in tight_lanes)
     deep_lanes = [
-        (("M1",), min(4, budget.seam_cap), max(2, deep // 3)),
-        (None, min(8, budget.seam_cap), max(2, deep // 3)),
-        (None, budget.seam_cap, max(2, deep - 2 * (deep // 3)))]
+        (("M1",), 4, max(2, deep // 3)),
+        (None, 8, max(2, deep // 3)),
+        (None, _SEAM_CAP, max(2, deep - 2 * (deep // 3)))]
     total = 0
     for group in (tight_lanes, deep_lanes):
         lanes = [_Lane(w, w2, ctx, budget, families, cap, seam_cap)
@@ -351,32 +351,21 @@ class _Lane:
 
 def _lane_bounds(w: Word, w2: Word, budget: SearchBudget, families,
                  seam_cap: int | None = None) -> RuleBounds:
-    """The rule bounds of a lane from w to w2, word length and width included."""
+    """The rule bounds of a lane from w to w2, word length and width included:
+    powers up to 3, pads up to w's arities (at least 2), and words at most
+    2 strands wider than the widest boundary of w and w2."""
     max_len = (budget.max_word_len if budget.max_word_len is not None
                else len(w) + len(w2) + 4)
-    pad_max = (budget.pad_max if budget.pad_max is not None
-               else max(2, w.src + w.tgt))
-    max_width = (budget.max_width if budget.max_width is not None
-                 else max(word_width(w), word_width(w2)) + 2)
-    return RuleBounds(a_max=budget.a_max, pad_max=pad_max,
-                      seam_cap=seam_cap or budget.seam_cap, families=families,
-                      max_len=max_len, max_width=max_width)
+    return RuleBounds(a_max=3, pad_max=max(2, w.src + w.tgt),
+                      seam_cap=seam_cap or _SEAM_CAP, families=families,
+                      max_len=max_len,
+                      max_width=max(word_width(w), word_width(w2)) + 2)
 
 
 def _meet_key(parents_l, parents_r):
     def key(node: Word):
-        length = 0
-        lines = []
-        for parents in (parents_l, parents_r):
-            cur = node
-            while True:
-                prev, step = parents[cur]
-                if prev is None:
-                    break
-                length += 1
-                lines.append(step_key(step))
-                cur = prev
-        return (length, tuple(sorted(lines)))
+        steps = _path(parents_l, node) + _path(parents_r, node)
+        return (len(steps), tuple(sorted(map(step_key, steps))))
     return key
 
 

@@ -221,6 +221,17 @@ def test_repeated_assignment_row_is_a_parse_error(tmp_path, capsys):
     assert err == "error: repeated row for input (0,): '0 -> 1'\n"
 
 
+@pytest.mark.parametrize("row", ["5 7 -> 1", "-1 0 -> 1"])
+def test_assignment_row_outside_the_carrier_is_a_parse_error(tmp_path, capsys,
+                                                             row):
+    path = tmp_path / "outside.assign"
+    path.write_text(XOR_ASSIGN.split("gen eta")[0] + row + "\n")
+    code, out = run(["eval", "--assign", str(path), "gen mu"])
+    assert (code, out) == (3, "")
+    err = capsys.readouterr().err
+    assert err == f"error: input outside carrier 2: {row!r}\n"
+
+
 class TestLemmas:
     def test_all_replay(self):
         code, out = run(["lemmas"])
@@ -265,15 +276,54 @@ def _limit_address_space():
 def test_oversized_assignment_table_is_refused(tmp_path, text, flags):
     path = tmp_path / "huge.assign"
     path.write_text(text)
-    env = dict(os.environ,
-               PYTHONPATH=str(Path(opwords.__file__).resolve().parents[1]))
     t0 = time.monotonic()
-    proc = subprocess.run(
-        [sys.executable, "-m", "opwords", "eval", *flags, "--assign",
-         str(path), "gen mu"], env=env, capture_output=True, timeout=60,
-        preexec_fn=_limit_address_space)
+    proc = run_process(["eval", *flags, "--assign", str(path), "gen mu"])
     assert proc.returncode == 3
     assert time.monotonic() - t0 < 10
+
+
+def run_process(argv):
+    """`python -m opwords argv` in a fresh process with a bounded address
+    space, so that a table too large to allocate fails fast."""
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(opwords.__file__).resolve().parents[1]))
+    return subprocess.run([sys.executable, "-m", "opwords", *argv], env=env,
+                          capture_output=True, text=True, timeout=60,
+                          preexec_fn=_limit_address_space)
+
+
+def _wide_presentation(tmp_path, m):
+    path = tmp_path / "wide.pres"
+    path.write_text(f"generator h 1 1\ngenerator g {m} 1\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("m", [24, 100_000_000])
+def test_probe_carriers_past_the_row_limit_are_skipped(tmp_path, m):
+    # no carrier fits g's table, so there are no probes and the search
+    # gives up
+    proc = run_process(["equiv", "--pres", _wide_presentation(tmp_path, m),
+                        "--max-steps", "2000", "gen h", "gen h . gen h"])
+    assert (proc.returncode, proc.stderr) == (2, "")
+    assert proc.stdout.startswith("unknown: ")
+
+
+def test_probes_keep_the_carriers_within_the_row_limit(tmp_path):
+    # 2^13 rows fit and 3^13 do not: carrier 2 alone still refutes
+    t0 = time.monotonic()
+    code, out = run(["equiv", "--pres", _wide_presentation(tmp_path, 13),
+                     "--max-steps", "2000", "gen h", "gen h . gen h"])
+    assert (code, out) == (
+        1, "disproved: carrier size 2, input (0,): (1,) != (0,)\n")
+    assert time.monotonic() - t0 < 5
+
+
+def test_generator_wider_than_max_strands_is_a_parse_error(tmp_path, capsys):
+    code, _ = run(["equiv", "--pres", _wide_presentation(tmp_path, 300),
+                   "gen g", "gen g"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 DEEP = "(" * 200 + "id(1)" + ")" * 200

@@ -1,14 +1,15 @@
 import itertools
+import re
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from opwords.endo import (Carrier, FinFunction, _braiding_sides,
+from opwords.endo import (MAX_ROWS, Carrier, FinFunction, _braiding_sides,
                           _branching_sides, check_braiding, check_branching,
-                          ff_compose, ff_identity, ff_tensor, ff_tensor_power,
-                          pullback, tabulate)
-from opwords.errors import ArityError
+                          coordinates, ff_compose, ff_identity, ff_tensor,
+                          ff_tensor_power, pullback, table_rows, tabulate)
+from opwords.errors import ArityError, EvaluationSizeError
 from opwords.finmap import (FinMap, braid, branch, compose, f2, identity,
                             tensor)
 
@@ -112,6 +113,28 @@ class TestTables:
             FinFunction(Z2, 1, 1, ((0,),))
         with pytest.raises(ArityError):
             FinFunction(Z2, 1, 1, ((0,), (2,)))
+
+    @pytest.mark.parametrize("tgt,xs", [(1, (0, 1)), (1, (-1,)), (0, (7,))],
+                             ids=["too-long", "negative", "no-outputs"])
+    def test_call_refuses_inputs_outside_the_domain(self, tgt, xs):
+        f = FinFunction(Z2, 1, tgt, ((0,) * tgt, (1,) * tgt))
+        message = re.escape(f"input {xs} is not in 2^1")
+        with pytest.raises(ArityError, match=f"^{message}$"):
+            f(xs)
+
+
+@pytest.mark.parametrize("n,m,rows", [
+    (0, 0, 1), (0, 10 ** 8, 0), (1, 10 ** 8, 1), (4, 10, MAX_ROWS),
+    (2, 21, None), (4, 11, None), (2, 10 ** 8, None), (10 ** 9, 2, None),
+])
+def test_table_rows_refuses_more_than_max_rows(n, m, rows):
+    if rows is None:
+        with pytest.raises(EvaluationSizeError, match="limit of 1048576$"):
+            table_rows(n, m)
+        with pytest.raises(EvaluationSizeError):
+            coordinates(n, m)
+    else:
+        assert table_rows(n, m) == rows
 
 
 class TestComposeTensor:

@@ -1,6 +1,7 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from opwords.endo import Carrier, tabulate
+from opwords.endo import Carrier, FinFunction, tabulate
 from opwords.errors import OpwordsError, UnknownGeneratorError
 from opwords.evaluate import GeneratorAssignment, eval_word
 from opwords.present import (ETA, MU, OMEGA,
@@ -122,6 +123,31 @@ class TestCheckAlgebraFailures:
     def test_group_from_algebra_rejects(self):
         with pytest.raises(OpwordsError):
             group_from_algebra(wrong_unit_z4())
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_failing_row_is_the_first_differing_row(self, data):
+        size = data.draw(st.integers(1, 3), label="carrier")
+        c = Carrier(size)
+        values = st.integers(0, size - 1)
+        functions = {
+            g: FinFunction(c, g.src, 1, tuple(
+                (data.draw(values, label=g.name),)
+                for _ in range(size ** g.src)))
+            for g in (MU, ETA, OMEGA)}
+        assignment = GeneratorAssignment(c, functions)
+        pres = builtin_group()
+        report = check_algebra(assignment, pres)
+        for check, (lhs, rhs) in zip(report.checks, pres.relations):
+            # oracle: the first row, in row order, where the sides differ
+            t1, t2 = eval_word(lhs, assignment), eval_word(rhs, assignment)
+            expected = next(
+                ((xs, t1(xs), t2(xs)) for xs in c.tuples(lhs.src)
+                 if t1(xs) != t2(xs)), None)
+            assert check.passed == (expected is None)
+            if expected is not None:
+                assert (check.input_tuple, check.lhs_out,
+                        check.rhs_out) == expected
 
 
 class TestEquivalentMod:
