@@ -82,7 +82,10 @@ _FIELD = re.compile(r'(\w+)=("([^"]*)"|\S+)')
 
 def _parse_step(line: str, alphabet: Alphabet) -> RewriteStep:
     fields: dict[str, str] = {}
-    for m in _FIELD.finditer(line.split(":", 1)[1]):
+    _, colon, body = line.partition(":")
+    if not colon:
+        raise ParseError(f"step line needs 'step N:': {line!r}")
+    for m in _FIELD.finditer(body):
         fields[m.group(1)] = m.group(3) if m.group(3) is not None else m.group(2)
 
     def word_field(key):

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import add
 
-from .alphabet import Alphabet, Generator
+from .alphabet import Generator
 # MAX_ROWS is endo's, kept importable from here
 from .endo import MAX_ROWS, Carrier, FinFunction, coordinates
 from .errors import AssignmentError
@@ -40,8 +40,8 @@ class GeneratorAssignment:
         except KeyError:
             raise AssignmentError(f"no function assigned to {g.name}") from None
 
-    def covers(self, alphabet: Alphabet) -> bool:
-        return all(g in self.functions for g in alphabet)
+    def covers(self, generators) -> bool:
+        return all(g in self.functions for g in generators)
 
 
 def eval_word(w: Word, assignment: GeneratorAssignment) -> FinFunction:

@@ -4,7 +4,7 @@ modulo relations, algebra checking, and the built-in group presentation."""
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .alphabet import Alphabet, Generator
 from .endo import Carrier, tabulate
@@ -13,7 +13,7 @@ from .evaluate import GeneratorAssignment
 from .finmap import f0, f2
 from .rules import RuleContext
 from .search import (Disproved, Proved, SearchBudget, equivalent,
-                     find_refutation, probe_assignments)
+                     find_refutation, probe_assignments, word_generators)
 from .words import (Word, compose_many, gen_word, identity_word, op_word,
                     tensor_words)
 
@@ -31,6 +31,12 @@ class Presentation:
 
     def context(self) -> RuleContext:
         return RuleContext(relations=self.relations, allow_card=True)
+
+    def used_generators(self, *words: Word) -> tuple[Generator, ...]:
+        """The generators of the relations and of words, in alphabet order."""
+        used = {g.name for g in word_generators(
+            *words, *(w for pair in self.relations for w in pair))}
+        return tuple(g for g in self.alphabet if g.name in used)
 
 
 # ---------------------------------------------------------------------------
@@ -95,8 +101,9 @@ class AlgebraReport:
 
 def check_algebra(assignment: GeneratorAssignment,
                   pres: Presentation) -> AlgebraReport:
-    if not assignment.covers(pres.alphabet):
-        raise AssignmentError("assignment does not cover the alphabet")
+    if not assignment.covers(pres.used_generators()):
+        raise AssignmentError(
+            "assignment does not cover the relations' generators")
     checks = []
     for i, (lhs, rhs) in enumerate(pres.relations):
         witness = find_refutation(lhs, rhs, [assignment])
@@ -193,10 +200,23 @@ def _group_shaped(alphabet: Alphabet):
     return by_arity[(2, 1)][0], by_arity[(0, 1)][0], by_arity[(1, 1)][0]
 
 
-def satisfying_probes(pres: Presentation,
-                      budget: SearchBudget) -> list[GeneratorAssignment]:
-    """Probe assignments that pass check_algebra, so refutation is sound."""
-    candidates = probe_assignments(tuple(pres.alphabet), budget)
+def satisfying_probes(pres: Presentation, budget: SearchBudget,
+                      words: tuple[Word, ...] | None = None
+                      ) -> list[GeneratorAssignment]:
+    """Probe assignments that pass check_algebra, so refutation is sound.
+
+    With words, only the generators of the words and of the relations get
+    tables: a generator used by neither cannot change a verdict, and a wide
+    one would empty the battery. Without words every generator gets one.
+    Carrier 0 is skipped when any generator of the alphabet has strands,
+    since a model needs a table for each.
+    """
+    gens = (tuple(pres.alphabet) if words is None
+            else pres.used_generators(*words))
+    if any(g.src > 0 or g.tgt > 0 for g in pres.alphabet):
+        budget = replace(budget, probe_carriers=tuple(
+            size for size in budget.probe_carriers if size != 0))
+    candidates = probe_assignments(gens, budget)
     roles = _group_shaped(pres.alphabet)
     if roles is not None:
         for size in sorted(set(budget.probe_carriers) | {1}):
@@ -284,7 +304,7 @@ def equivalent_mod(w: Word, w2: Word, pres: Presentation,
         if known is not None:
             known.replay(pres.context())
             return Proved(known)
-    probes = satisfying_probes(pres, budget)
+    probes = satisfying_probes(pres, budget, (w, w2))
     result = equivalent(w, w2, budget, ctx=pres.context(), probes=probes)
     if isinstance(result, Disproved) and result.witness.kind == "evaluation":
         if not check_algebra(result.witness.assignment, pres).passed:

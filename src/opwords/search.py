@@ -352,14 +352,17 @@ class _Lane:
 def _lane_bounds(w: Word, w2: Word, budget: SearchBudget, families,
                  seam_cap: int | None = None) -> RuleBounds:
     """The rule bounds of a lane from w to w2, word length and width included:
-    powers up to 3, pads up to w's arities (at least 2), and words at most
-    2 strands wider than the widest boundary of w and w2."""
+    powers up to 3; pads up to the larger of w's arities (src + tgt), the
+    widest boundary of w and of w2, and 2; and words at most 2 strands wider
+    than the widest boundary of w and w2. Pads follow the width because a
+    move inside a word that passes through k strands can pad by up to k,
+    whatever the word's outer arities."""
     max_len = (budget.max_word_len if budget.max_word_len is not None
                else len(w) + len(w2) + 4)
-    return RuleBounds(a_max=3, pad_max=max(2, w.src + w.tgt),
+    width = max(word_width(w), word_width(w2))
+    return RuleBounds(a_max=3, pad_max=max(2, w.src + w.tgt, width),
                       seam_cap=seam_cap or _SEAM_CAP, families=families,
-                      max_len=max_len,
-                      max_width=max(word_width(w), word_width(w2)) + 2)
+                      max_len=max_len, max_width=width + 2)
 
 
 def _meet_key(parents_l, parents_r):

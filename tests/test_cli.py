@@ -126,6 +126,16 @@ class TestCheckAlgebra:
         assert code == 1
         assert "FAIL at input" in out
 
+    def test_every_generator_needs_a_table(self, tmp_path, xor_file):
+        # the library checks the relations' generators; the command wants
+        # a table for the whole alphabet
+        pres = tmp_path / "extra.pres"
+        pres.write_text("generator mu 2 1\ngenerator u 1 1\n"
+                        "relation gen mu == gen mu\n")
+        code, out = run(["check-algebra", "--pres", str(pres),
+                         "--assign", xor_file])
+        assert (code, out) == (1, "fail: no table for generator u\n")
+
 
 class TestVerifyCert:
     def test_round_trip_and_corruption(self, tmp_path):
@@ -176,6 +186,9 @@ NON_INTEGER_FIELDS = [
      ["verify-cert", "--pres", "@group", "{path}"]),
     ("gen", "carrier 2\ngen\n0 -> 1\n",
      ["eval", "--assign", "{path}", "gen mu"]),
+    ("step", "start: gen omega\nend: gen omega\n"
+             "step rule=M2 dir=fwd split=0 a=0 q=0 p=0\n",
+     ["verify-cert", "--pres", "@group", "{path}"]),
 ]
 
 
@@ -292,13 +305,15 @@ def run_process(argv):
                           preexec_fn=_limit_address_space)
 
 
-def _wide_presentation(tmp_path, m):
+def _wide_presentation(tmp_path, m, used=True):
+    """h 1 -> 1 and a wide generator g, which a relation uses if `used`."""
     path = tmp_path / "wide.pres"
-    path.write_text(f"generator h 1 1\ngenerator g {m} 1\n")
+    relation = "relation gen g == gen g\n" if used else ""
+    path.write_text(f"generator h 1 1\ngenerator g {m} 1\n{relation}")
     return str(path)
 
 
-@pytest.mark.parametrize("m", [24, 100_000_000])
+@pytest.mark.parametrize("m", [24])
 def test_probe_carriers_past_the_row_limit_are_skipped(tmp_path, m):
     # no carrier fits g's table, so there are no probes and the search
     # gives up
@@ -318,8 +333,22 @@ def test_probes_keep_the_carriers_within_the_row_limit(tmp_path):
     assert time.monotonic() - t0 < 5
 
 
+@pytest.mark.parametrize("m", [24, 100_000_000])
+def test_unused_wide_generator_gets_no_probe_table(tmp_path, m):
+    # neither the query nor a relation uses g, so the probes leave it out
+    # and refute as they do without it
+    t0 = time.monotonic()
+    proc = run_process(["equiv", "--pres",
+                        _wide_presentation(tmp_path, m, used=False),
+                        "--max-steps", "2000", "gen h", "gen h . gen h"])
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        1, "disproved: carrier size 2, input (0,): (1,) != (0,)\n", "")
+    assert time.monotonic() - t0 < 5
+
+
 def test_generator_wider_than_max_strands_is_a_parse_error(tmp_path, capsys):
-    code, _ = run(["equiv", "--pres", _wide_presentation(tmp_path, 300),
+    code, _ = run(["equiv", "--pres",
+                   _wide_presentation(tmp_path, 300, used=False),
                    "gen g", "gen g"])
     assert code == 3
     err = capsys.readouterr().err

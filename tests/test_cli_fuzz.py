@@ -1,0 +1,120 @@
+"""Fuzz the command line's exit-code contract with mutated input text.
+
+Every run must end in 0 (proved/pass), 1 (disproved/fail), 2 (unknown) or
+3 (usage or parse error) with no exception escaping, and an exit 1 must
+come with the line that says what was refuted or what failed.
+"""
+
+import io
+import re
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from opwords.cli import main
+
+LEMMAS = Path(__file__).resolve().parents[1] / "src" / "opwords" / "lemmas"
+CERT = (LEMMAS / "omega-involution.cert").read_text()
+PRES = (LEMMAS / "omega-unique.pres").read_text()
+ASSIGN = """carrier 3
+gen mu
+0 0 -> 0
+0 1 -> 1
+0 2 -> 2
+1 0 -> 1
+1 1 -> 2
+1 2 -> 0
+2 0 -> 2
+2 1 -> 0
+2 2 -> 1
+gen eta
+-> 0
+gen omega
+0 -> 0
+1 -> 2
+2 -> 1
+"""
+EXPRS = (
+    "(gen mu * id(1)) . gen mu",
+    "(id(1) * gen mu) . gen mu",
+    "fm[2->1: 1,1] . pad(0, gen omega, 1) . gen mu",
+    "fm[0->1: ] . gen eta",
+    "gen omega . gen omega",
+    "id(1)",
+)
+
+# pieces of every input format, a few past its limits
+TOKENS = st.sampled_from((
+    "0", "1", "2", "7", "-1", "20", "300", "99999999999999999999", " ",
+    "\n", "(", ")", ",", ".", "*", "^", "->", "==", "gen ", "id(", "pad(",
+    "fm[", "]", ":", "=", '"', "mu", "eta", "omega", "omega2", "step 1:",
+    "rule=M2", "rule=REL:9", "dir=bwd", "split=", "carrier ", "generator ",
+    "relation ", "\x00", "é"))
+
+# a line that names what an exit 1 refuted or failed
+FAIL_LINE = re.compile(r"^(disproved: |certificate invalid: |"
+                       r"relation \d+: FAIL at input |"
+                       r"fail: no table for generator )", re.M)
+
+
+@st.composite
+def mutated(draw, text):
+    """text with one to three spans deleted, inserted or duplicated."""
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(text)))
+        j = draw(st.integers(i, min(len(text), i + 40)))
+        kind = draw(st.sampled_from(("delete", "insert", "duplicate")))
+        if kind == "delete":
+            text = text[:i] + text[j:]
+        elif kind == "insert":
+            text = text[:i] + draw(TOKENS) + text[i:]
+        else:
+            text = text[:j] + text[i:j] + text[j:]
+    return text
+
+
+def _expr(draw, label):
+    base = draw(st.sampled_from(EXPRS), label=label)
+    return draw(st.one_of(st.just(base), mutated(base)), label=label)
+
+
+@st.composite
+def invocations(draw):
+    """(argv, {file name: text}) for one command on mutated input."""
+    steps = str(draw(st.integers(0, 60), label="max steps"))
+    command = draw(st.sampled_from(
+        ("verify-cert", "equiv-pres", "equiv", "check-algebra", "eval")))
+    if command == "verify-cert":
+        return (["verify-cert", "--pres", "@group", "{f}"],
+                draw(mutated(CERT), label="certificate"))
+    if command == "equiv-pres":
+        pres = draw(st.one_of(st.just(PRES), mutated(PRES)),
+                    label="presentation")
+        return (["equiv", "--pres", "{f}", "--max-steps", steps,
+                 _expr(draw, "lhs"), _expr(draw, "rhs")], pres)
+    if command == "equiv":
+        return (["equiv", "--max-steps", steps, _expr(draw, "lhs"),
+                 _expr(draw, "rhs")], None)
+    assign = draw(st.one_of(st.just(ASSIGN), mutated(ASSIGN)),
+                  label="assignment")
+    if command == "check-algebra":
+        return ["check-algebra", "--pres", "@group", "--assign", "{f}"], assign
+    return ["eval", "--assign", "{f}", _expr(draw, "expr")], assign
+
+
+@settings(max_examples=120, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(invocations())
+def test_exit_code_contract_holds_on_mutated_input(tmp_path, invocation):
+    argv, text = invocation
+    path = tmp_path / "input"
+    if text is not None:
+        path.write_text(text, encoding="utf-8")
+    argv = [str(path) if arg == "{f}" else arg for arg in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3), (code, out.getvalue(), err.getvalue())
+    if code == 1:
+        assert FAIL_LINE.search(out.getvalue()), out.getvalue()

@@ -1,16 +1,21 @@
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from opwords.endo import Carrier, FinFunction, tabulate
-from opwords.errors import OpwordsError, UnknownGeneratorError
+from opwords.errors import (AssignmentError, OpwordsError,
+                            UnknownGeneratorError)
 from opwords.evaluate import GeneratorAssignment, eval_word
 from opwords.present import (ETA, MU, OMEGA,
                              algebra_from_group, builtin_group,
                              builtin_group_Z, check_algebra, cyclic_group,
                              equivalent_mod, group_from_algebra,
-                             parse_presentation, symmetric_group_3,
+                             load_presentation, parse_presentation,
+                             satisfying_probes, symmetric_group_3,
                              verify_group)
-from opwords.search import Disproved, Proved, SearchBudget
+from opwords.search import (Disproved, Proved, SearchBudget,
+                            probe_assignments)
 from opwords.words import gen_word, identity_word
 
 
@@ -148,6 +153,57 @@ class TestCheckAlgebraFailures:
             if expected is not None:
                 assert (check.input_tuple, check.lhs_out,
                         check.rhs_out) == expected
+
+
+OMEGA_UNIQUE = str(Path(__file__).resolve().parents[1] / "src" / "opwords"
+                   / "lemmas" / "omega-unique.pres")
+
+
+class TestSatisfyingProbes:
+    @pytest.mark.parametrize("source", ["@group", "@group-Z", OMEGA_UNIQUE])
+    def test_battery_is_unchanged_when_every_generator_is_used(self, source):
+        # the relations use every generator, so a query's battery is the
+        # whole alphabet's, table for table and draw for draw
+        pres = load_presentation(source)
+        budget = SearchBudget(probe_carriers=(0, 1, 2, 3), seed=7)
+        whole = [a for a in probe_assignments(tuple(pres.alphabet), budget)
+                 if check_algebra(a, pres).passed]
+        for words in ((gen_word(OMEGA), identity_word(1)), ()):
+            got = satisfying_probes(pres, budget, words)
+            assert got == satisfying_probes(pres, budget)
+            assert got[:len(whole)] == whole
+            assert {tuple(a.functions) for a in got} == {tuple(pres.alphabet)}
+
+    def test_unused_generators_get_no_table(self):
+        pres = parse_presentation("generator h 1 1\ngenerator u 2 1\n"
+                                  "generator g 30 1\n"
+                                  "relation gen u . gen h == gen u\n")
+        h = gen_word(pres.alphabet.lookup("h"))
+        probes = satisfying_probes(pres, SearchBudget(), (h, h))
+        assert probes
+        assert {tuple(g.name for g in a.functions) for a in probes} \
+            == {("h", "u")}
+
+    def test_carrier_0_is_skipped_for_the_whole_alphabet(self):
+        # e has no strands and h has one: no table sends carrier^0 into an
+        # empty carrier, so h has no model there though no query uses it
+        pres = parse_presentation("generator e 0 0\ngenerator h 0 1\n")
+        e = gen_word(pres.alphabet.lookup("e"))
+        budget = SearchBudget(probe_carriers=(0, 2))
+        assert {a.carrier.size for a in probe_assignments(
+            (pres.alphabet.lookup("e"),), budget)} == {0, 2}
+        assert {a.carrier.size for a in satisfying_probes(
+            pres, budget, (e, e))} == {2}
+
+    def test_check_algebra_needs_the_relations_generators_only(self):
+        pres = parse_presentation("generator m 2 1\ngenerator u 1 1\n"
+                                  "relation gen m == gen m\n")
+        c = Carrier(2)
+        m = pres.alphabet.lookup("m")
+        fm = tabulate(c, 2, 1, lambda xs: (xs[0],))
+        assert check_algebra(GeneratorAssignment(c, {m: fm}), pres).passed
+        with pytest.raises(AssignmentError):
+            check_algebra(GeneratorAssignment(c, {}), pres)
 
 
 class TestEquivalentMod:
