@@ -4,7 +4,7 @@ modulo relations, algebra checking, and the built-in group presentation."""
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .alphabet import Alphabet, Generator
 from .endo import Carrier, tabulate
@@ -90,10 +90,12 @@ class RelationCheck:
 @dataclass(frozen=True)
 class AlgebraReport:
     checks: tuple[RelationCheck, ...]
+    # generators with strands but no table, on the empty carrier
+    untabled: tuple[Generator, ...] = ()
 
     @property
     def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
+        return not self.untabled and all(c.passed for c in self.checks)
 
     def failures(self) -> list[RelationCheck]:
         return [c for c in self.checks if not c.passed]
@@ -104,13 +106,19 @@ def check_algebra(assignment: GeneratorAssignment,
     if not assignment.covers(pres.used_generators()):
         raise AssignmentError(
             "assignment does not cover the relations' generators")
+    # A generator without a table is one the relations do not use, and some
+    # table models it, except on the empty carrier; there, as in
+    # probe_assignments, any strand rules the carrier out.
+    untabled = () if assignment.carrier.size else tuple(
+        g for g in pres.alphabet
+        if (g.src or g.tgt) and g not in assignment.functions)
     checks = []
     for i, (lhs, rhs) in enumerate(pres.relations):
         witness = find_refutation(lhs, rhs, [assignment])
         checks.append(RelationCheck(i, True) if witness is None else
                       RelationCheck(i, False, witness.input_tuple,
                                     *witness.outputs))
-    return AlgebraReport(tuple(checks))
+    return AlgebraReport(tuple(checks), untabled)
 
 
 # ---------------------------------------------------------------------------
@@ -201,22 +209,15 @@ def _group_shaped(alphabet: Alphabet):
 
 
 def satisfying_probes(pres: Presentation, budget: SearchBudget,
-                      words: tuple[Word, ...] | None = None
+                      words: tuple[Word, ...] = ()
                       ) -> list[GeneratorAssignment]:
     """Probe assignments that pass check_algebra, so refutation is sound.
 
-    With words, only the generators of the words and of the relations get
-    tables: a generator used by neither cannot change a verdict, and a wide
-    one would empty the battery. Without words every generator gets one.
-    Carrier 0 is skipped when any generator of the alphabet has strands,
-    since a model needs a table for each.
+    Only the generators of words and of the relations get tables: a
+    generator used by neither cannot change a verdict, and a wide one would
+    empty the battery.
     """
-    gens = (tuple(pres.alphabet) if words is None
-            else pres.used_generators(*words))
-    if any(g.src > 0 or g.tgt > 0 for g in pres.alphabet):
-        budget = replace(budget, probe_carriers=tuple(
-            size for size in budget.probe_carriers if size != 0))
-    candidates = probe_assignments(gens, budget)
+    candidates = probe_assignments(pres.used_generators(*words), budget)
     roles = _group_shaped(pres.alphabet)
     if roles is not None:
         for size in sorted(set(budget.probe_carriers) | {1}):

@@ -168,11 +168,11 @@ class TestSatisfyingProbes:
         budget = SearchBudget(probe_carriers=(0, 1, 2, 3), seed=7)
         whole = [a for a in probe_assignments(tuple(pres.alphabet), budget)
                  if check_algebra(a, pres).passed]
-        for words in ((gen_word(OMEGA), identity_word(1)), ()):
-            got = satisfying_probes(pres, budget, words)
-            assert got == satisfying_probes(pres, budget)
-            assert got[:len(whole)] == whole
-            assert {tuple(a.functions) for a in got} == {tuple(pres.alphabet)}
+        got = satisfying_probes(pres, budget,
+                                (gen_word(OMEGA), identity_word(1)))
+        assert got == satisfying_probes(pres, budget)
+        assert got[:len(whole)] == whole
+        assert {tuple(a.functions) for a in got} == {tuple(pres.alphabet)}
 
     def test_unused_generators_get_no_table(self):
         pres = parse_presentation("generator h 1 1\ngenerator u 2 1\n"
@@ -194,6 +194,22 @@ class TestSatisfyingProbes:
             (pres.alphabet.lookup("e"),), budget)} == {0, 2}
         assert {a.carrier.size for a in satisfying_probes(
             pres, budget, (e, e))} == {2}
+
+    def test_check_algebra_fails_the_empty_carrier_for_untabled_strands(self):
+        pres = parse_presentation("generator e 0 0\ngenerator h 0 1\n"
+                                  "generator u 1 1\n")
+        e, h, u = (pres.alphabet.lookup(n) for n in "ehu")
+        c = Carrier(0)
+        fe = tabulate(c, 0, 0, lambda xs: ())
+        fu = tabulate(c, 1, 1, lambda xs: xs)
+        report = check_algebra(GeneratorAssignment(c, {e: fe}), pres)
+        assert not report.passed and report.untabled == (h, u)
+        # a table for every stranded generator leaves nothing to rule out
+        pres_u = parse_presentation("generator e 0 0\ngenerator u 1 1\n")
+        assert check_algebra(GeneratorAssignment(c, {e: fe, u: fu}),
+                             pres_u).passed
+        assert check_algebra(GeneratorAssignment(Carrier(2), {}),
+                             pres).passed
 
     def test_check_algebra_needs_the_relations_generators_only(self):
         pres = parse_presentation("generator m 2 1\ngenerator u 1 1\n"
