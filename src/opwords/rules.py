@@ -94,8 +94,12 @@ def build_m3(v: Word, a: int, q: int, p: int) -> tuple[Word, Word]:
 @lru_cache(maxsize=1 << 14)
 def build_m4(v: Word, a: int, q: int, p: int) -> tuple[Word, Word]:
     lhs = compose_words(op_word(branch(a, v.src)), tensor_power(v, a))
-    rhs = compose_words(v, op_word(branch(a, v.tgt)))
-    return whisker(q, lhs, p), whisker(q, rhs, p)
+    return whisker(q, lhs, p), _m4_rhs(v, a, q, p)
+
+
+def _m4_rhs(v: Word, a: int, q: int, p: int) -> Word:
+    """M4's one-letter side: v, then the fold of a copies of its target."""
+    return whisker(q, compose_words(v, op_word(branch(a, v.tgt))), p)
 
 
 def canonical_word(src: int, tgt: int) -> Word:
@@ -398,14 +402,18 @@ class _Cut:
         if length <= self.max_len and width <= self.max_width:
             return False
         if length != n or width != self.before[-1]:
-            count = _seam_count(w, s, pat, cap)
-        else:
+            self.count(s, pat, cap)
+        elif self.tally is not None:
             seams = _seams(w, s, pat, cap)
-            count = sum(succ != w for *_, succ in
-                        _substitutions(w, s, k, repl, seams))
-        if self.tally is not None:
-            self.tally.pruned += count
+            self.tally.pruned += sum(succ != w for *_, succ in
+                                     _substitutions(w, s, k, repl, seams))
         return True
+
+    def count(self, s: int, pat: Word, cap: int) -> None:
+        """Count the successors of pattern pat at letter s as pruned; all
+        of them differ from w, since their length or width does."""
+        if self.tally is not None:
+            self.tally.pruned += _seam_count(self.w, s, pat, cap)
 
 
 def _seam_adjacent(observed: FinMap | None, width: int, q: int, p: int):
@@ -496,6 +504,10 @@ def _m1_slide(w, s, ctx, bounds, cut):
                 if split is None:
                     continue
                 c, f = split if after else split[::-1]
+                # sliding an identity block changes nothing: pattern and
+                # replacement would be equal, and _emit would drop them
+                if f.is_identity:
+                    continue
                 for c_other in _seam_adjacent(other, sig if right else tau,
                                               *pads):
                     c0, c1 = (c_other, c) if right else (c, c_other)
@@ -617,9 +629,18 @@ def _m4_bwd(w, ctx, bounds, cut):
                         if (not c1.is_identity
                                 and compose(branch(a, vt), c1) == midr):
                             c1s.append(c1)
+                    # a duplication adds a - 1 letters; past the length
+                    # bound its successors are counted from the one-letter
+                    # pattern, before the a copies of the replacement exist
+                    longer = (a >= 2 and cut is not None
+                              and len(w) - 1 + a > cut.max_len)
                     for c0 in c0s:
                         for c1 in c1s:
                             v = _letter_factor(c0, (l, x, r), c1)
+                            if longer:
+                                cut.count(s, _m4_rhs(v, a, q, p),
+                                          bounds.seam_cap)
+                                continue
                             yield from _emit(w, s, "M4", "bwd", ctx, bounds,
                                              cut, v=v, a=a, q=q, p=p)
 

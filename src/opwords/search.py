@@ -205,9 +205,11 @@ def _certificate_search(w: Word, w2: Word, ctx: RuleContext,
     M1, each at seam cap 2. The tight lanes run in one round-robin, in
     that order: every lane runs to cap 16, then to 64, and so on (x4 per
     round) up to its final cap; a lane resumes where it paused. Then the
-    three deep lanes (M1 at seam cap 4, all families at seam cap 8, all
-    families at seam cap 64) share the rest of the budget in a
-    second round-robin. The first certificate found is returned.
+    two deep lanes (M1 at seam cap 4, all families at seam cap 64) share
+    the rest of the budget in a second round-robin. The first certificate
+    found is returned. There is no all-families lane at a lower seam cap:
+    seams are enumerated identity-first and a seam cap only truncates
+    each list, so every successor at a lower cap is also one at cap 64.
 
     A lane paused at any cap is a prefix of the same deterministic pass
     run at once to its final cap. So a query is Proved exactly when some
@@ -227,7 +229,6 @@ def _certificate_search(w: Word, w2: Word, ctx: RuleContext,
     deep = budget.max_steps - sum(cap for _, _, cap in tight_lanes)
     deep_lanes = [
         (("M1",), 4, max(2, deep // 3)),
-        (None, 8, max(2, deep // 3)),
         (None, _SEAM_CAP, max(2, deep - 2 * (deep // 3)))]
     total = 0
     for group in (tight_lanes, deep_lanes):

@@ -1,13 +1,15 @@
 """Fuzz the command line's exit-code contract with mutated input text.
 
 Every run must end in 0 (proved/pass), 1 (disproved/fail), 2 (unknown) or
-3 (usage or parse error) with no exception escaping, and an exit 1 must
-come with the line that says what was refuted or what failed.
+3 (usage or parse error) within RUN_SECONDS, with no exception escaping,
+and an exit 1 must come with the line that says what was refuted or what
+failed.
 """
 
 import io
 import re
-from contextlib import redirect_stderr, redirect_stdout
+import signal
+from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from pathlib import Path
 
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -56,6 +58,29 @@ TOKENS = st.sampled_from((
 FAIL_LINE = re.compile(r"^(disproved: |certificate invalid: |"
                        r"relation \d+: FAIL at input |"
                        r"fail: no table for generator )", re.M)
+
+
+# wall-clock seconds one run may take; the slowest examples take well
+# under a second, so only a hang comes near it
+RUN_SECONDS = 20
+
+
+class Hang(BaseException):
+    """A run past its time limit. Not an Exception, so no handler in the
+    program can turn it into an exit code."""
+
+
+@contextmanager
+def time_limit(seconds, what):
+    def expire(signum, frame):
+        raise Hang(f"{what} still running after {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @st.composite
@@ -113,7 +138,10 @@ def test_exit_code_contract_holds_on_mutated_input(tmp_path, invocation):
         path.write_text(text, encoding="utf-8")
     argv = [str(path) if arg == "{f}" else arg for arg in argv]
     out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
+    # Hypothesis does not shrink or print an example that raises Hang, so
+    # the message carries the input
+    with time_limit(RUN_SECONDS, f"{argv} on {text!r}"), \
+            redirect_stdout(out), redirect_stderr(err):
         code = main(argv)
     assert code in (0, 1, 2, 3), (code, out.getvalue(), err.getvalue())
     if code == 1:

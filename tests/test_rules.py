@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import random
 from dataclasses import replace
 
@@ -16,8 +17,8 @@ from opwords.rules import (RewriteStep, RuleBounds, RuleContext, Tally,
                            _seam_count, _seams, apply_step, build_m1,
                            build_m2, build_m3, build_m4, canonical_word,
                            moves, rule_instances_matching, step_sides)
-from opwords.search import (probe_assignments, SearchBudget, word_generators,
-                            word_width)
+from opwords.search import (_lane_bounds, probe_assignments, SearchBudget,
+                            word_generators, word_width)
 from opwords.words import (Word, compose_words, gen_word, identity_word,
                            op_word, tensor_words)
 
@@ -139,7 +140,9 @@ MOVES_STREAM = (
     "0055d2bd60d0cb365fabbefe262a2a4a04eecf13b113bc97813ae2a50bf5fa31", 70462)
 
 
-def test_moves_stream_digest():
+def _stream_corpus():
+    """(words, context) pairs of the moves() stream digest: free words,
+    then the ends of every shipped certificate under @group."""
     rng = random.Random(0)
     free = [random_word(rng) for _ in range(40)]
     for _ in range(4):
@@ -156,11 +159,24 @@ def test_moves_stream_digest():
         free.extend(build_m4(v, 3, 0, 0))
     lemmas = [w for fx in lemma_fixtures()
               for w in (fx.certificate.start, fx.certificate.end)]
+    return ((free, RuleContext()), (lemmas, builtin_group().context()))
+
+
+def _lemma_steps():
+    """(x, y, context) for each step x -> y of every shipped certificate."""
+    for fx in lemma_fixtures():
+        words = [fx.certificate.start]
+        for step in fx.certificate.steps:
+            words.append(apply_step(words[-1], step, fx.context))
+        for x, y in zip(words, words[1:]):
+            yield x, y, fx.context
+
+
+def test_moves_stream_digest():
     digest, count, rules = hashlib.sha256(), 0, set()
     for cap in (2, 64):
         bounds = RuleBounds(seam_cap=cap)
-        for corpus, ctx in ((free, RuleContext()),
-                            (lemmas, builtin_group().context())):
+        for corpus, ctx in _stream_corpus():
             for w in corpus:
                 for step, succ in moves(w, ctx, bounds):
                     digest.update(step_key(step).encode())
@@ -169,6 +185,67 @@ def test_moves_stream_digest():
                     rules.add(step.rule.split(":")[0])
     assert rules == {"M1", "M2", "M3", "M4", "REL", "CARD"}
     assert (digest.hexdigest(), count) == MOVES_STREAM
+
+
+def test_lower_seam_cap_moves_are_cap_64_moves():
+    """Seams are listed identity-first and a cap only truncates the lists,
+    so an all-families lane at seam cap 8 would visit nothing that the
+    cap-64 lane cannot reach in the same number of moves."""
+    cases = [(w, ctx, RuleBounds(seam_cap=8), RuleBounds(seam_cap=64))
+             for corpus, ctx in _stream_corpus() for w in corpus]
+    cases += [(x, ctx, _lane_bounds(x, y, SearchBudget(), None, 8),
+               _lane_bounds(x, y, SearchBudget(), None, 64))
+              for x, y, ctx in _lemma_steps()]
+    fewer = 0
+    for w, ctx, low, high in cases:
+        low_moves = set(moves(w, ctx, low))
+        high_moves = set(moves(w, ctx, high))
+        assert low_moves <= high_moves
+        fewer += len(low_moves) < len(high_moves)
+    assert fewer > 0
+
+
+def _walk_tallies(w, ctx, bounds, expand):
+    """(successors yielded, successors pruned) of each moves() call of a
+    breadth-first walk from w that expands `expand` words."""
+    seen, queue, tally, out = {w}, [w], Tally(), []
+    for node in itertools.islice(queue, expand):
+        n = 0
+        for _, succ in moves(node, ctx, bounds, tally):
+            n += 1
+            if succ not in seen:
+                seen.add(succ)
+                queue.append(succ)
+        out.append((n, tally.pruned))
+        tally.pruned = 0
+    return out
+
+
+# SHA-256 of the per-call (yielded, pruned) pairs of the walks below, with
+# the number of calls and the totals yielded and pruned. A lane counts both
+# as work, so its pause points, and with them which certificate comes back
+# and an Unknown's visited count, move if either does.
+PRUNED_TALLIES = (
+    "d109b30d334a57837d1902bdde05a6d64fcb3166edf9d59c6d81ff066c5a944c",
+    707, 36856, 189734)
+
+
+def test_pruned_tally_digest():
+    digest, calls, yielded, pruned = hashlib.sha256(), 0, 0, 0
+    lanes = ((("M4", "CARD"), 2), (None, 64))
+    for x, y, ctx in _lemma_steps():
+        # the default length bound, and one at the longer end's length,
+        # where every duplication breaks it
+        for budget in (SearchBudget(),
+                       SearchBudget(max_word_len=max(len(x), len(y)))):
+            for families, seam_cap in lanes:
+                bounds = _lane_bounds(x, y, budget, families, seam_cap)
+                for n, cut in _walk_tallies(x, ctx, bounds, 2):
+                    digest.update(f"{n} {cut}\n".encode())
+                    calls += 1
+                    yielded += n
+                    pruned += cut
+    assert (digest.hexdigest(), calls, yielded, pruned) == PRUNED_TALLIES
 
 
 def _drawn_words(data):
