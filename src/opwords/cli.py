@@ -106,6 +106,9 @@ def _assignment_alphabet(assignment: GeneratorAssignment) -> Alphabet:
 def _budget(args) -> SearchBudget:
     kwargs = {"seed": args.seed}
     if getattr(args, "max_steps", None) is not None:
+        if args.max_steps < 1:
+            raise OpwordsError(
+                f"--max-steps must be at least 1, found {args.max_steps}")
         kwargs["max_steps"] = args.max_steps
     return SearchBudget(**kwargs)
 
@@ -125,6 +128,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_equiv(args) -> int:
+    budget = _budget(args)
     if args.pres:
         pres = load_presentation(args.pres)
         alphabet = pres.alphabet
@@ -133,7 +137,6 @@ def cmd_equiv(args) -> int:
         alphabet = Alphabet(())
     w = parse_word(args.expr, alphabet)
     w2 = parse_word(args.expr2, alphabet)
-    budget = _budget(args)
     result = (equivalent_mod(w, w2, pres, budget) if pres is not None
               else equivalent(w, w2, budget))
     if isinstance(result, Proved):

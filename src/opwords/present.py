@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .alphabet import Alphabet, Generator
 from .endo import Carrier, tabulate
@@ -215,9 +216,22 @@ def satisfying_probes(pres: Presentation, budget: SearchBudget,
 
     Only the generators of words and of the relations get tables: a
     generator used by neither cannot change a verdict, and a wide one would
-    empty the battery.
+    empty the battery. The battery depends on nothing else of the query,
+    nor on the budget's step and length bounds, so it is built once per
+    presentation, generators and probe fields; each call gets its own list
+    of the shared, read-only assignments.
     """
-    candidates = probe_assignments(pres.used_generators(*words), budget)
+    probe_fields = SearchBudget(probe_carriers=tuple(budget.probe_carriers),
+                                probe_assignments=budget.probe_assignments,
+                                seed=budget.seed)
+    return list(_battery(pres, pres.used_generators(*words), probe_fields))
+
+
+# A battery's tables can reach MAX_ROWS rows each, so few are kept.
+@lru_cache(maxsize=16)
+def _battery(pres: Presentation, gens: tuple[Generator, ...],
+             budget: SearchBudget) -> tuple[GeneratorAssignment, ...]:
+    candidates = probe_assignments(gens, budget)
     roles = _group_shaped(pres.alphabet)
     if roles is not None:
         for size in sorted(set(budget.probe_carriers) | {1}):
@@ -225,7 +239,7 @@ def satisfying_probes(pres: Presentation, budget: SearchBudget,
                 candidates.append(
                     algebra_from_group(cyclic_group(size), roles))
         candidates.append(algebra_from_group(symmetric_group_3(), roles))
-    return [a for a in candidates if check_algebra(a, pres).passed]
+    return tuple(a for a in candidates if check_algebra(a, pres).passed)
 
 
 def _relation_instance(w: Word, w2: Word, pres: Presentation):

@@ -102,6 +102,12 @@ def _m4_rhs(v: Word, a: int, q: int, p: int) -> Word:
     return whisker(q, compose_words(v, op_word(branch(a, v.tgt))), p)
 
 
+@lru_cache(maxsize=1 << 12)
+def build_rel(rl: Word, rr: Word, q: int, p: int) -> tuple[Word, Word]:
+    """A relation pair whiskered by q strands on the left and p on the right."""
+    return whisker(q, rl, p), whisker(q, rr, p)
+
+
 def canonical_word(src: int, tgt: int) -> Word:
     if (src, tgt) == (0, 0):
         return identity_word(0)
@@ -132,8 +138,7 @@ def step_sides(step: RewriteStep, ctx: RuleContext) -> tuple[Word, Word]:
         idx = int(text) if text.isdecimal() else -1
         if not 0 <= idx < len(ctx.relations):
             raise ReplayError(f"relation index {text} out of range")
-        rl, rr = ctx.relations[idx]
-        lhs, rhs = whisker(step.q, rl, step.p), whisker(step.q, rr, step.p)
+        lhs, rhs = build_rel(*ctx.relations[idx], step.q, step.p)
     elif step.rule == "CARD":
         if not ctx.allow_card:
             raise ReplayError("CARD step not permitted in this context")
@@ -409,11 +414,24 @@ class _Cut:
                                      _substitutions(w, s, k, repl, seams))
         return True
 
+    def duplication_width(self, s: int, v: Word, a: int) -> int:
+        """The width of an M4 duplication's successors: letter s, as the
+        one letter of v, becomes a copies of it, copy j padded by j copies
+        of v's target and a - 1 - j of its source (see tensor_power)."""
+        lam, x, rho = self.w.letters[s]
+        width = lam + rho + max(x.src, x.tgt) + (a - 1) * max(v.src, v.tgt)
+        return max(self.before[s], self.after[s + 1], width)
+
     def count(self, s: int, pat: Word, cap: int) -> None:
         """Count the successors of pattern pat at letter s as pruned; all
         of them differ from w, since their length or width does."""
         if self.tally is not None:
             self.tally.pruned += _seam_count(self.w, s, pat, cap)
+
+
+def _reads(f: FinMap, lo: int, hi: int) -> bool:
+    """Whether some strand of f reads one of the strands lo+1..hi."""
+    return any(lo < i <= hi for i in f.table)
 
 
 def _seam_adjacent(observed: FinMap | None, width: int, q: int, p: int):
@@ -622,6 +640,11 @@ def _m4_bwd(w, ctx, bounds, cut):
                 c0s = list(_seam_adjacent(w.boundaries[s], sig, q, p))
                 midr = unpad(w.boundaries[s + 1], q, p)
                 for a in a_values:
+                    # a deletion's pattern ends in a map that reads none of
+                    # the letter's unpadded outputs: no right seam factors
+                    # a boundary that reads one
+                    if a == 0 and _reads(w.boundaries[s + 1], q, q + tau):
+                        continue
                     c1s = [identity(tau)]
                     if a >= 2 and midr is not None and midr.src % a == 0:
                         vt = midr.src // a
@@ -629,15 +652,16 @@ def _m4_bwd(w, ctx, bounds, cut):
                         if (not c1.is_identity
                                 and compose(branch(a, vt), c1) == midr):
                             c1s.append(c1)
-                    # a duplication adds a - 1 letters; past the length
-                    # bound its successors are counted from the one-letter
-                    # pattern, before the a copies of the replacement exist
-                    longer = (a >= 2 and cut is not None
-                              and len(w) - 1 + a > cut.max_len)
+                    # a duplication past the length or width bound has its
+                    # successors counted from the one-letter pattern, before
+                    # the a copies of the replacement exist
+                    bounded = a >= 2 and cut is not None
+                    longer = bounded and len(w) - 1 + a > cut.max_len
                     for c0 in c0s:
                         for c1 in c1s:
                             v = _letter_factor(c0, (l, x, r), c1)
-                            if longer:
+                            if bounded and (longer or cut.duplication_width(
+                                    s, v, a) > cut.max_width):
                                 cut.count(s, _m4_rhs(v, a, q, p),
                                           bounds.seam_cap)
                                 continue

@@ -225,6 +225,15 @@ def test_non_utf8_file_is_a_parse_error(tmp_path, capsys, suffix, data, argv):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("steps", ["0", "-5"])
+def test_max_steps_below_one_is_a_usage_error(capsys, steps):
+    code, out = run(["equiv", "--pres", "@group", "--max-steps", steps,
+                     "gen omega . gen omega", "id(1)"])
+    assert (code, out) == (3, "")
+    err = capsys.readouterr().err
+    assert err == f"error: --max-steps must be at least 1, found {steps}\n"
+
+
 def test_repeated_assignment_row_is_a_parse_error(tmp_path, capsys):
     path = tmp_path / "twice.assign"
     path.write_text("carrier 2\ngen f\n0 -> 0\n1 -> 0\n0 -> 1\n")

@@ -7,8 +7,8 @@ from opwords.endo import Carrier, FinFunction, tabulate
 from opwords.errors import (AssignmentError, OpwordsError,
                             UnknownGeneratorError)
 from opwords.evaluate import GeneratorAssignment, eval_word
-from opwords.present import (ETA, MU, OMEGA,
-                             algebra_from_group, builtin_group,
+from opwords.present import (ETA, GROUP_ALPHABET, MU, OMEGA, Presentation,
+                             _battery, algebra_from_group, builtin_group,
                              builtin_group_Z, check_algebra, cyclic_group,
                              equivalent_mod, group_from_algebra,
                              load_presentation, parse_presentation,
@@ -220,6 +220,72 @@ class TestSatisfyingProbes:
         assert check_algebra(GeneratorAssignment(c, {m: fm}), pres).passed
         with pytest.raises(AssignmentError):
             check_algebra(GeneratorAssignment(c, {}), pres)
+
+
+def _probe_fields(budget):
+    return SearchBudget(probe_carriers=budget.probe_carriers,
+                        probe_assignments=budget.probe_assignments,
+                        seed=budget.seed)
+
+
+def _fresh_battery(pres, budget, words=()):
+    """The battery built without the cache."""
+    return list(_battery.__wrapped__(pres, pres.used_generators(*words),
+                                     _probe_fields(budget)))
+
+
+class TestBatteryCache:
+    @pytest.mark.parametrize("source", ["@group", "@group-Z", OMEGA_UNIQUE])
+    def test_cached_battery_is_the_fresh_build(self, source):
+        pres = load_presentation(source)
+        budget = SearchBudget(probe_carriers=(0, 1, 2, 3), seed=5)
+        words = (gen_word(OMEGA), identity_word(1))
+        _battery.cache_clear()
+        first = satisfying_probes(pres, budget, words)
+        again = satisfying_probes(pres, budget, words)
+        assert _battery.cache_info()[:2] == (1, 1)   # hits, misses
+        assert first == again == _fresh_battery(pres, budget, words)
+
+    def test_only_the_probe_fields_key_the_battery(self):
+        # no relations: every random table survives, so seeds differ
+        pres = parse_presentation("generator h 1 1\n")
+        h = (gen_word(pres.alphabet.lookup("h")),)
+        _battery.cache_clear()
+        base = satisfying_probes(pres, SearchBudget(max_steps=10, seed=5), h)
+        same = satisfying_probes(pres, SearchBudget(max_steps=900,
+                                                    max_word_len=3, seed=5), h)
+        assert _battery.cache_info()[:2] == (1, 1)
+        assert same == base
+        other = satisfying_probes(pres, SearchBudget(max_steps=10, seed=6), h)
+        assert _battery.cache_info()[:2] == (1, 2)
+        assert other != base
+        assert other == _fresh_battery(pres, SearchBudget(seed=6), h)
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_presentations_on_one_alphabet_keep_their_own_battery(self,
+                                                                  reverse):
+        # associativity alone admits tables (mu = first input) that the
+        # group relations refute
+        assoc = Presentation(GROUP_ALPHABET, builtin_group().relations[:1])
+        order = [builtin_group(), builtin_group_Z(), assoc]
+        if reverse:
+            order.reverse()
+        budget = SearchBudget(probe_carriers=(1, 2, 3))
+        _battery.cache_clear()
+        got = [(pres, satisfying_probes(pres, budget)) for pres in order]
+        assert _battery.cache_info()[:2] == (0, 3)
+        for pres, probes in got:
+            assert probes == _fresh_battery(pres, budget)
+            assert all(check_algebra(a, pres).passed for a in probes)
+        by_count = {len(pres.relations): probes for pres, probes in got}
+        assert len(by_count[1]) > len(by_count[5])
+
+    def test_returned_list_is_the_callers_own(self):
+        pres, budget = builtin_group(), SearchBudget()
+        probes = satisfying_probes(pres, budget)
+        want = list(probes)
+        probes.clear()
+        assert satisfying_probes(pres, budget) == want != []
 
 
 class TestEquivalentMod:

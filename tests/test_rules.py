@@ -14,6 +14,7 @@ from opwords.finmap import FinMap, identity
 from opwords.fixtures import lemma_fixtures
 from opwords.present import builtin_group
 from opwords.rules import (RewriteStep, RuleBounds, RuleContext, Tally,
+                           _Cut, _m4_rhs, _reads, _seam_adjacent,
                            _seam_count, _seams, apply_step, build_m1,
                            build_m2, build_m3, build_m4, canonical_word,
                            moves, rule_instances_matching, step_sides)
@@ -203,6 +204,51 @@ def test_lower_seam_cap_moves_are_cap_64_moves():
         assert low_moves <= high_moves
         fewer += len(low_moves) < len(high_moves)
     assert fewer > 0
+
+
+def _m4_cases():
+    """(w, context, unbounded rule bounds) over the stream corpus and over
+    the lane bounds of every shipped certificate step."""
+    for corpus, ctx in _stream_corpus():
+        for w in corpus:
+            yield w, ctx, RuleBounds()
+    for x, y, ctx in _lemma_steps():
+        bounds = _lane_bounds(x, y, SearchBudget(), None)
+        yield x, ctx, replace(bounds, max_len=None, max_width=None)
+
+
+def test_m4_deletion_read_check_is_the_seam_count():
+    """_m4_bwd skips deleting letter s when the boundary after it reads an
+    unpadded output; that is exactly when the deletion has no seam."""
+    seen = set()
+    for w, _, bounds in _m4_cases():
+        for s, (lam, x, rho) in enumerate(w.letters):
+            for q in range(min(lam, bounds.pad_max) + 1):
+                for p in range(min(rho, bounds.pad_max) + 1):
+                    l, r = lam - q, rho - p
+                    sig, tau = l + x.src + r, l + x.tgt + r
+                    reads = _reads(w.boundaries[s + 1], q, q + tau)
+                    for c0 in _seam_adjacent(w.boundaries[s], sig, q, p):
+                        v = Word((c0, identity(tau)), ((l, x, r),))
+                        pat = _m4_rhs(v, 0, q, p)
+                        for cap in (1, 64):
+                            assert reads == (_seam_count(w, s, pat, cap) == 0)
+                        seen.add(reads)
+    assert seen == {True, False}
+
+
+def test_m4_duplication_width_is_the_built_width():
+    """The closed-form width that prunes a duplication before build_m4
+    equals the width of every successor it would have built."""
+    checked = 0
+    for w, ctx, bounds in _m4_cases():
+        cut = _Cut(w, bounds, None)
+        for step, succ in moves(w, ctx, replace(bounds, families=("M4",))):
+            if step.direction == "bwd" and step.a >= 2:
+                assert word_width(succ) == cut.duplication_width(
+                    step.split, step.v, step.a)
+                checked += 1
+    assert checked > 0
 
 
 def _walk_tallies(w, ctx, bounds, expand):
