@@ -2,24 +2,36 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .errors import ArityError, UnknownGeneratorError
+from .record import Record
 
 
-@dataclass(frozen=True, slots=True)
-class Generator:
+# Sets the slots past the frozen __setattr__.
+_setattr = object.__setattr__
+
+
+class Generator(Record):
+    # _hash is cached: every hash of a word hashes each of its letters'
+    # generators
+    __slots__ = ("name", "src", "tgt", "_hash")
     name: str
     src: int
     tgt: int
-    # cached: every hash of a word hashes each of its letters' generators
-    _hash: int = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        if self.src < 0 or self.tgt < 0:
-            raise ArityError(f"generator {self.name} has negative arity")
-        object.__setattr__(self, "_hash",
-                           hash((self.name, self.src, self.tgt)))
+    def __init__(self, name: str, src: int, tgt: int):
+        if src < 0 or tgt < 0:
+            raise ArityError(f"generator {name} has negative arity")
+        _setattr(self, "name", name)
+        _setattr(self, "src", src)
+        _setattr(self, "tgt", tgt)
+        _setattr(self, "_hash", hash((name, src, tgt)))
+
+    # written out: matching compares the generators of letters
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.name, self.src, self.tgt)
+                == (other.name, other.src, other.tgt))
 
     def __hash__(self):
         return self._hash

@@ -9,18 +9,17 @@ the expression grammar.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .alphabet import Alphabet
 from .dsl import map_expr, parse_word, print_expr, print_word
 from .errors import ParseError, ReplayError
 from .finmap import FinMap
+from .record import Record
 from .rules import RewriteStep, RuleContext, apply_step
 from .words import Word
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(Record):
     start: Word
     steps: tuple[RewriteStep, ...]
     end: Word

@@ -22,11 +22,11 @@ so parsing, elaboration and printing stay within Python's recursion limit.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .alphabet import Alphabet
 from .errors import ArityError, ParseError
 from .finmap import FinMap, braid, branch, f0, f2
+from .record import Record
 from .words import (Word, compose_many, gen_word, identity_word, op_word,
                     tensor_power, tensor_words, whisker)
 
@@ -43,66 +43,55 @@ MAX_STRANDS = 256
 MAX_NESTING = 100
 
 
-class Expr:
-    __slots__ = ()
+class Expr(Record):
+    """A node of a parsed expression."""
 
 
-@dataclass(frozen=True, slots=True)
 class EGen(Expr):
     name: str
 
 
-@dataclass(frozen=True, slots=True)
 class EId(Expr):
     n: int
 
 
-@dataclass(frozen=True, slots=True)
 class EMap(Expr):
     src: int
     tgt: int
     table: tuple[int, ...]
 
 
-@dataclass(frozen=True, slots=True)
 class EBraid(Expr):
     m: int
     m2: int
 
 
-@dataclass(frozen=True, slots=True)
 class EBranch(Expr):
     a: int
     m: int
 
 
-@dataclass(frozen=True, slots=True)
 class EDup(Expr):
     pass
 
 
-@dataclass(frozen=True, slots=True)
 class EDel(Expr):
     pass
 
 
-@dataclass(frozen=True, slots=True)
 class ECompose(Expr):
     parts: tuple[Expr, ...]
 
 
-@dataclass(frozen=True, slots=True)
 class ETensor(Expr):
     parts: tuple[Expr, ...]
 
 
-@dataclass(frozen=True, slots=True)
 class EPower(Expr):
     base: Expr
     k: int
 
 
-@dataclass(frozen=True, slots=True)
 class EPad(Expr):
     q: int
     body: Expr

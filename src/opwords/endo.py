@@ -10,13 +10,13 @@ braiding/branching axiom checks.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterator, Sequence
 
 from .alphabet import Generator
 from .errors import ArityError, EvaluationSizeError
 from .finmap import FinMap, braid, branch
+from .record import Record
 from .words import compose_words, gen_word, op_word, tensor_power, tensor_words
 
 
@@ -72,20 +72,30 @@ def coordinates(n: int, m: int) -> tuple[tuple[int, ...], ...]:
     return _coordinates(n, m)
 
 
-@dataclass(frozen=True, slots=True)
-class Carrier:
+class Carrier(Record):
+    __slots__ = ("size",)
     size: int
 
-    def __post_init__(self):
-        if self.size < 0:
+    def __init__(self, size: int):
+        if size < 0:
             raise ArityError("carrier size must be >= 0")
+        _set_size(self, size)
+
+    # == and hash are written out, here and in FinFunction: every probe
+    # assignment and axiom check compares carriers and tables
+    def __eq__(self, other):
+        if other.__class__ is not Carrier:
+            return NotImplemented
+        return self.size == other.size
+
+    def __hash__(self):
+        return hash((self.size,))
 
     def tuples(self, m: int):
         return itertools.product(range(self.size), repeat=m)
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class FinFunction:
+class FinFunction(Record):
     """A function M^src -> M^tgt, tabulated column by column.
 
     `columns` holds one tuple per output strand, each carrier^src long, with
@@ -93,6 +103,7 @@ class FinFunction:
     builds one from its row table; `table` gives that row table back.
     """
 
+    __slots__ = ("carrier", "src", "tgt", "columns")
     carrier: Carrier
     src: int
     tgt: int
@@ -112,6 +123,15 @@ class FinFunction:
                     raise ArityError(f"output value {v} outside carrier")
         _init(self, carrier, src, tgt,
               tuple(zip(*table)) if table else ((),) * tgt)
+
+    def __eq__(self, other):
+        if other.__class__ is not FinFunction:
+            return NotImplemented
+        return ((self.carrier, self.src, self.tgt, self.columns)
+                == (other.carrier, other.src, other.tgt, other.columns))
+
+    def __hash__(self):
+        return hash((self.carrier, self.src, self.tgt, self.columns))
 
     @classmethod
     def from_columns(cls, carrier: Carrier, src: int, tgt: int,
@@ -184,8 +204,9 @@ class FinFunction:
 
 # The slots' member descriptors set fields past the frozen __setattr__.
 _new = object.__new__
+_set_size = Carrier.__dict__["size"].__set__
 _setters = tuple(FinFunction.__dict__[name].__set__
-                 for name in ("carrier", "src", "tgt", "columns"))
+                 for name in FinFunction._fields)
 
 
 def _init(f: FinFunction, *fields) -> None:

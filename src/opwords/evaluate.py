@@ -8,31 +8,34 @@ values per strand, each as long as carrier^src, and no row is ever built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import add
 
 from .alphabet import Generator
 # MAX_ROWS is endo's, kept importable from here
 from .endo import MAX_ROWS, Carrier, FinFunction, coordinates
 from .errors import AssignmentError
+from .record import Record
 from .words import Word
 
 
-@dataclass(frozen=True)
-class GeneratorAssignment:
+class GeneratorAssignment(Record):
     """One function per generator, all over the same carrier."""
 
     carrier: Carrier
     functions: dict[Generator, FinFunction]
 
-    def __post_init__(self):
-        for g, fn in self.functions.items():
-            if fn.carrier != self.carrier:
+    def __init__(self, carrier: Carrier,
+                 functions: dict[Generator, FinFunction]):
+        for g, fn in functions.items():
+            if fn.carrier != carrier:
                 raise AssignmentError(f"{g.name}: carrier mismatch")
             if fn.src != g.src or fn.tgt != g.tgt:
                 raise AssignmentError(
                     f"{g.name}: assigned ({fn.src},{fn.tgt}), "
                     f"declared ({g.src},{g.tgt})")
+        # built for every probe and axiom check, so without the generic
+        # __init__'s argument binding
+        vars(self).update(carrier=carrier, functions=functions)
 
     def __getitem__(self, g: Generator) -> FinFunction:
         try:

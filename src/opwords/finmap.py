@@ -8,33 +8,35 @@ word layer is a calling convention, not a separate type.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from typing import Iterator
 
 from .errors import ArityError
+from .record import Record
 
 
-@dataclass(frozen=True, slots=True, eq=False)
-class FinMap:
+class FinMap(Record):
     """A total map [1,src] -> [1,tgt]; table[i-1] is the image of i."""
 
+    __slots__ = ("src", "tgt", "table", "_hash")
     src: int
     tgt: int
     table: tuple[int, ...]
-    _hash: int = field(init=False, repr=False)
 
-    def __post_init__(self):
-        if self.src < 0 or self.tgt < 0:
-            raise ArityError(f"negative arity in map ({self.src},{self.tgt})")
-        if len(self.table) != self.src:
+    def __init__(self, src: int, tgt: int, table: tuple[int, ...]):
+        if src < 0 or tgt < 0:
+            raise ArityError(f"negative arity in map ({src},{tgt})")
+        if len(table) != src:
             raise ArityError(
-                f"table length {len(self.table)} != source arity {self.src}")
-        if self.tgt == 0 and self.src > 0:
-            raise ArityError(f"no map [1,{self.src}] -> [1,0] exists")
-        for v in self.table:
-            if not 1 <= v <= self.tgt:
-                raise ArityError(f"entry {v} outside [1,{self.tgt}]")
-        object.__setattr__(self, "_hash", hash((self.tgt, self.table)))
+                f"table length {len(table)} != source arity {src}")
+        if tgt == 0 and src > 0:
+            raise ArityError(f"no map [1,{src}] -> [1,0] exists")
+        for v in table:
+            if not 1 <= v <= tgt:
+                raise ArityError(f"entry {v} outside [1,{tgt}]")
+        _set_src(self, src)
+        _set_tgt(self, tgt)
+        _set_table(self, table)
+        _set_hash(self, hash((tgt, table)))
 
     @staticmethod
     def _raw(src: int, tgt: int, table: tuple[int, ...]) -> "FinMap":

@@ -6,23 +6,24 @@ lemma, and are decoded and replayed under their context on first use, so a
 fixture that is returned has been validated. Conditional facts (uniqueness
 of the unit and of the inverse) extend the alphabet with a fresh symbol and
 add the hypothesis as an extra relation, which makes the statement
-replayable as stated; that context ships as a presentation file.
+replayable as stated; that context ships as a presentation file. When a
+certificate fails to replay, the ReplayError names its lemma.
 ``scripts/replay_lemmas.py`` regenerates the files.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from importlib.resources import files
 
 from .certificate import Certificate, decode
+from .errors import ReplayError
 from .present import GROUP_ALPHABET, load_presentation, parse_presentation
+from .record import Record
 from .rules import RuleContext
 
 
-@dataclass(frozen=True)
-class LemmaFixture:
+class LemmaFixture(Record):
     name: str
     certificate: Certificate
     context: RuleContext
@@ -69,6 +70,9 @@ def lemma_fixtures() -> tuple[LemmaFixture, ...]:
                     else parse_presentation(_read(source)))
             alphabet, ctx = pres.alphabet, pres.context()
         cert = decode(_read(f"{name}.cert"), alphabet)
-        cert.replay(ctx)
+        try:
+            cert.replay(ctx)
+        except ReplayError as exc:
+            raise ReplayError(f"lemma {name}: {exc}") from None
         out.append(LemmaFixture(name, cert, ctx, statement))
     return tuple(out)

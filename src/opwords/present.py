@@ -4,7 +4,6 @@ modulo relations, algebra checking, and the built-in group presentation."""
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .alphabet import Alphabet, Generator
@@ -12,6 +11,7 @@ from .endo import Carrier, tabulate
 from .errors import ArityError, AssignmentError, OpwordsError, ParseError
 from .evaluate import GeneratorAssignment
 from .finmap import f0, f2
+from .record import Record
 from .rules import RuleContext
 from .search import (Disproved, Proved, SearchBudget, equivalent,
                      find_refutation, probe_assignments, word_generators)
@@ -19,16 +19,17 @@ from .words import (Word, compose_many, gen_word, identity_word, op_word,
                     tensor_words)
 
 
-@dataclass(frozen=True)
-class Presentation:
+class Presentation(Record):
     alphabet: Alphabet
     relations: tuple[tuple[Word, Word], ...]
 
-    def __post_init__(self):
-        for i, (lhs, rhs) in enumerate(self.relations):
+    def __init__(self, alphabet: Alphabet,
+                 relations: tuple[tuple[Word, Word], ...]):
+        for i, (lhs, rhs) in enumerate(relations):
             if lhs.src != rhs.src or lhs.tgt != rhs.tgt:
                 raise ArityError(
                     f"relation {i}: ({lhs.src},{lhs.tgt}) vs ({rhs.src},{rhs.tgt})")
+        super().__init__(alphabet, relations)
 
     def context(self) -> RuleContext:
         return RuleContext(relations=self.relations, allow_card=True)
@@ -79,8 +80,7 @@ def builtin_group_Z() -> Presentation:
 # Algebra checking
 
 
-@dataclass(frozen=True)
-class RelationCheck:
+class RelationCheck(Record):
     index: int
     passed: bool
     input_tuple: tuple[int, ...] | None = None
@@ -88,8 +88,7 @@ class RelationCheck:
     rhs_out: tuple[int, ...] | None = None
 
 
-@dataclass(frozen=True)
-class AlgebraReport:
+class AlgebraReport(Record):
     checks: tuple[RelationCheck, ...]
     # generators with strands but no table, on the empty carrier
     untabled: tuple[Generator, ...] = ()
@@ -126,8 +125,7 @@ def check_algebra(assignment: GeneratorAssignment,
 # Groups as tables
 
 
-@dataclass(frozen=True)
-class GroupTables:
+class GroupTables(Record):
     size: int
     mult: tuple[tuple[int, ...], ...]
     unit: int
@@ -267,14 +265,12 @@ def _relation_instance(w: Word, w2: Word, pres: Presentation):
 def reindex_relations(cert, index_map: dict[int, int]):
     """Renumber REL steps, e.g. to lift a certificate into a superset
     presentation whose relation list orders the shared relations differently."""
-    from dataclasses import replace as _replace
-
     from .certificate import Certificate
     steps = []
     for step in cert.steps:
         if step.rule.startswith("REL:"):
-            steps.append(_replace(step,
-                                  rule=f"REL:{index_map[int(step.rule[4:])]}"))
+            steps.append(step.replace(
+                rule=f"REL:{index_map[int(step.rule[4:])]}"))
         else:
             steps.append(step)
     return Certificate(cert.start, tuple(steps), cert.end)

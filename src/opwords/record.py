@@ -1,0 +1,106 @@
+"""Immutable value classes from plain class statements.
+
+A subclass of `Record` names its fields by annotating them in its body,
+after those of its bases. From those names, read once when the class is
+made, it gets a field-wise ``__init__`` (positional or keyword arguments;
+a class attribute of the same name is the field's default), ``==`` between
+instances of the same class with equal fields, a hash of the field values,
+the repr ``Name(field=value, ...)`` and ``replace(**changes)``. A field
+cannot be assigned or deleted after construction. No code is generated, so
+a class costs no more to make than its class statement.
+
+The inherited ``__init__`` stores the fields in the instance ``__dict__``.
+A subclass that lists its fields in ``__slots__`` instead writes its own
+``__init__``, which sets them through the slots' member descriptors.
+"""
+
+from __future__ import annotations
+
+from operator import attrgetter
+
+
+def _getter(names: tuple[str, ...]):
+    """A function from an instance to the tuple of its values of names."""
+    if len(names) > 1:
+        return attrgetter(*names)
+    if names:
+        get = attrgetter(*names)
+        return lambda obj: (get(obj),)
+    return lambda obj: ()
+
+
+class Record:
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+    _defaults: dict[str, object] = {}
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        own = tuple(name for name in cls.__annotations__
+                    if name not in cls._fields)
+        cls._fields = cls._fields + own
+        # a slot's member descriptor is a class attribute, not a default
+        slots = vars(cls).get("__slots__", ())
+        cls._defaults = {**cls._defaults, **{
+            name: vars(cls)[name] for name in own
+            if name in vars(cls) and name not in slots}}
+        cls._values = staticmethod(_getter(cls._fields))
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if kwargs or len(args) != len(fields):
+            vars(self).update(self._bind(args, kwargs))
+        else:
+            vars(self).update(zip(fields, args))
+
+    @classmethod
+    def _bind(cls, args, kwargs) -> dict:
+        """Every field's value in a call with keywords or defaults;
+        TypeError, as for a function, when the call does not fit."""
+        names, defaults = cls._fields, cls._defaults
+        if len(args) > len(names):
+            raise TypeError(f"{cls.__qualname__}() takes {len(names)} "
+                            f"positional arguments but {len(args)} were given")
+        values = dict(zip(names, args))
+        for name, value in kwargs.items():
+            if name not in names:
+                raise TypeError(f"{cls.__qualname__}() got an unexpected "
+                                f"keyword argument {name!r}")
+            if name in values:
+                raise TypeError(f"{cls.__qualname__}() got multiple values "
+                                f"for argument {name!r}")
+            values[name] = value
+        missing = [name for name in names
+                   if name not in values and name not in defaults]
+        if missing:
+            raise TypeError(f"{cls.__qualname__}() missing required "
+                            f"arguments: {', '.join(map(repr, missing))}")
+        return {name: values[name] if name in values else defaults[name]
+                for name in names}
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == self._values(other)
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value
+                           in zip(self._fields, self._values(self)))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def replace(self, **changes):
+        """A copy with the named fields changed, built through __init__
+        (which refuses a name that is not a field)."""
+        values = dict(zip(self._fields, self._values(self)))
+        return type(self)(**{**values, **changes})

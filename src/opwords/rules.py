@@ -17,13 +17,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
 from functools import lru_cache
 
 from .errors import ArityError, ReplayError
 from .finmap import (FinMap, branch, braid, compose,
                      count_factorizations_from, count_factorizations_through,
                      factorizations_from, factorizations_through, identity)
+from .record import Record
 from .words import (Word, compose_words, identity_word, op_word, tensor_power,
                     whisker)
 
@@ -31,8 +31,7 @@ M_RULES = ("M1", "M2", "M3", "M4")
 _new = object.__new__
 
 
-@dataclass(frozen=True)
-class RuleBounds:
+class RuleBounds(Record):
     a_max: int = 3
     pad_max: int = 6
     seam_cap: int = 64
@@ -41,29 +40,38 @@ class RuleBounds:
     max_width: int | None = None   # None = no bound on successor width
 
 
-@dataclass(frozen=True)
-class RuleContext:
+class RuleContext(Record):
     """Rule environment: relation pairs (may be empty) and CARD availability."""
 
     relations: tuple[tuple[Word, Word], ...] = ()
     allow_card: bool = False
 
 
-@dataclass(frozen=True)
-class RewriteStep:
+class RewriteStep(Record):
     rule: str
     direction: str
     split: int
-    a: int = 0
-    q: int = 0
-    p: int = 0
-    v: Word | None = None
-    v2: Word | None = None
-    seam_left: FinMap | None = None
-    seam_right: FinMap | None = None
+    a: int
+    q: int
+    p: int
+    v: Word | None
+    v2: Word | None
+    seam_left: FinMap | None
+    seam_right: FinMap | None
+
+    # every emit builds one, and a signature binds the defaults faster
+    # than the generic __init__
+    def __init__(self, rule: str, direction: str, split: int, a: int = 0,
+                 q: int = 0, p: int = 0, v: Word | None = None,
+                 v2: Word | None = None, seam_left: FinMap | None = None,
+                 seam_right: FinMap | None = None):
+        vars(self).update(rule=rule, direction=direction, split=split, a=a,
+                          q=q, p=p, v=v, v2=v2, seam_left=seam_left,
+                          seam_right=seam_right)
 
     def inverted(self) -> "RewriteStep":
-        return replace(self, direction="bwd" if self.direction == "fwd" else "fwd")
+        return self.replace(
+            direction="bwd" if self.direction == "fwd" else "fwd")
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +297,7 @@ def _emit(w, s, rule, direction, ctx, bounds, cut, *, v, v2=None, a=0, q=0,
 
 
 def _with_seams(step: RewriteStep, g_u: FinMap, g_v: FinMap) -> RewriteStep:
-    """A copy of step with its seams set, without the dataclass __init__."""
+    """A copy of step with its seams set, without calling __init__."""
     out = _new(RewriteStep)
     vars(out).update(vars(step), seam_left=g_u, seam_right=g_v)
     return out
@@ -682,14 +690,23 @@ def _rel_moves(w: Word, ctx: RuleContext, bounds, cut):
 
 
 def _rel_spans(w, rule, direction, pat_side, ctx, bounds, cut):
+    """Emit the side at each span of w that matches it letter for letter.
+
+    The side's first letter fixes the pads q and p, and each later letter
+    of w must be the side's letter whiskered by q and p. _emit checks the
+    same, but only after it has built the whiskered sides.
+    """
     k = len(pat_side)
-    pl0, px0, pr0 = pat_side.letters[0]
+    (pl0, px0, pr0), *rest = pat_side.letters
     for s in range(len(w) - k + 1):
         lam, x, rho = w.letters[s]
         if x != px0:
             continue
         q, p = lam - pl0, rho - pr0
         if q < 0 or p < 0 or q > bounds.pad_max or p > bounds.pad_max:
+            continue
+        if any(w.letters[s + i] != (l + q, g, r + p)
+               for i, (l, g, r) in enumerate(rest, start=1)):
             continue
         yield from _emit(w, s, rule, direction, ctx, bounds, cut,
                          v=None, q=q, p=p)

@@ -10,7 +10,6 @@ every relation) before it is returned.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from itertools import compress, count, islice
 from operator import add, ne
 
@@ -19,12 +18,12 @@ from .certificate import Certificate, step_key
 from .endo import Carrier, FinFunction, coordinates, table_rows
 from .errors import EvaluationSizeError, OpwordsError
 from .evaluate import GeneratorAssignment, eval_word
+from .record import Record
 from .rules import RewriteStep, RuleBounds, RuleContext, Tally, moves
 from .words import Word
 
 
-@dataclass(frozen=True)
-class SearchBudget:
+class SearchBudget(Record):
     max_steps: int = 100_000
     max_word_len: int | None = None      # default: len(w) + len(w2) + 4
     probe_carriers: tuple[int, ...] = (2, 3)
@@ -36,8 +35,7 @@ def word_width(w: Word) -> int:
     return max(max(b.src, b.tgt) for b in w.boundaries)
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(Record):
     """Evidence that two words differ: an assignment and a separating input."""
 
     kind: str                            # "arity" or "evaluation"
@@ -46,18 +44,15 @@ class Witness:
     outputs: tuple[tuple[int, ...], tuple[int, ...]] | None = None
 
 
-@dataclass(frozen=True)
-class Proved:
+class Proved(Record):
     certificate: Certificate
 
 
-@dataclass(frozen=True)
-class Disproved:
+class Disproved(Record):
     witness: Witness
 
 
-@dataclass(frozen=True)
-class Unknown:
+class Unknown(Record):
     visited: int
 
 

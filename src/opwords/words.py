@@ -9,36 +9,37 @@ maps and structural equality absorbs the composition of opposite maps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .alphabet import Generator
 from .errors import ArityError
 from .finmap import FinMap, compose, identity, pad
+from .record import Record
 
 Letter = tuple[int, Generator, int]
 
 
-@dataclass(frozen=True, slots=True, eq=False)
-class Word:
+class Word(Record):
+    __slots__ = ("boundaries", "letters", "_hash")
     boundaries: tuple[FinMap, ...]
     letters: tuple[Letter, ...]
-    _hash: int = field(init=False, repr=False)
 
-    def __post_init__(self):
-        if len(self.boundaries) != len(self.letters) + 1:
+    def __init__(self, boundaries: tuple[FinMap, ...],
+                 letters: tuple[Letter, ...]):
+        if len(boundaries) != len(letters) + 1:
             raise ArityError("a word of length k needs k+1 boundary maps")
-        for i, (l, g, r) in enumerate(self.letters):
+        for i, (l, g, r) in enumerate(letters):
             if l < 0 or r < 0:
                 raise ArityError("negative letter pad")
-            if self.boundaries[i].src != l + g.src + r:
+            if boundaries[i].src != l + g.src + r:
                 raise ArityError(
-                    f"boundary {i} feeds {self.boundaries[i].src} strands into "
+                    f"boundary {i} feeds {boundaries[i].src} strands into "
                     f"letter {i} which takes {l + g.src + r}")
-            if self.boundaries[i + 1].tgt != l + g.tgt + r:
+            if boundaries[i + 1].tgt != l + g.tgt + r:
                 raise ArityError(
                     f"letter {i} emits {l + g.tgt + r} strands but boundary "
-                    f"{i + 1} consumes {self.boundaries[i + 1].tgt}")
-        object.__setattr__(self, "_hash", hash((self.boundaries, self.letters)))
+                    f"{i + 1} consumes {boundaries[i + 1].tgt}")
+        _set_boundaries(self, boundaries)
+        _set_letters(self, letters)
+        _set_hash(self, hash((boundaries, letters)))
 
     @staticmethod
     def _raw(boundaries: tuple[FinMap, ...],

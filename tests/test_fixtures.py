@@ -6,7 +6,8 @@ import pytest
 import opwords.fixtures
 import opwords.rules
 import opwords.search
-from opwords.certificate import decode, encode
+from opwords.certificate import Certificate, decode, encode
+from opwords.cli import main as cli_main
 from opwords.errors import ReplayError
 from opwords.evaluate import eval_word
 from opwords.fixtures import lemma_fixtures
@@ -133,10 +134,51 @@ def test_tampered_certificate_is_rejected(monkeypatch):
     monkeypatch.setattr(opwords.fixtures, "_read", tampered)
     lemma_fixtures.cache_clear()
     try:
-        with pytest.raises(ReplayError):
+        with pytest.raises(ReplayError,
+                           match=r"^lemma omega-involution: step 3: "):
             lemma_fixtures()
     finally:
         lemma_fixtures.cache_clear()
+
+
+def test_lemmas_command_names_a_tampered_lemma(monkeypatch, capsys):
+    read = opwords.fixtures._read
+
+    def tampered(name):
+        text = read(name)
+        if name == "omega-drop.cert":
+            text = text.replace("step 1: rule=M4 dir=bwd",
+                                "step 1: rule=M4 dir=fwd")
+            assert text != read(name)
+        return text
+
+    monkeypatch.setattr(opwords.fixtures, "_read", tampered)
+    lemma_fixtures.cache_clear()
+    try:
+        assert cli_main(["lemmas"]) == 3
+    finally:
+        lemma_fixtures.cache_clear()
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: lemma omega-drop: step 1: ")
+
+
+def test_lemmas_command_replays_each_certificate_once(monkeypatch, capsys):
+    fixtures = lemma_fixtures()
+    replayed = []
+    replay = Certificate.replay
+
+    def counted(cert, ctx=None):
+        replayed.append(cert)
+        return replay(cert, ctx)
+
+    monkeypatch.setattr(Certificate, "replay", counted)
+    assert cli_main(["lemmas"]) == 0
+    # only the reversed chains: lemma_fixtures() replayed them forward
+    assert replayed == [f.certificate.reversed() for f in fixtures]
+    out = capsys.readouterr().out.splitlines()
+    assert out == [f"{f.name}: ok ({len(f.certificate.steps)} steps)"
+                   for f in fixtures]
 
 
 def test_transport_whiskers_a_certificate():

@@ -1,11 +1,11 @@
 import hashlib
 import itertools
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import opwords.rules as rules_module
 from opwords.alphabet import Generator
 from opwords.certificate import step_key
 from opwords.errors import ArityError, ReplayError
@@ -99,7 +99,7 @@ class TestMatching:
             g = getattr(step, seam)
             wide = identity(max(g.src, g.tgt) + 1)
             with pytest.raises((ReplayError, ArityError)):
-                apply_step(w, replace(step, **{seam: wide}), ctx)
+                apply_step(w, step.replace(**{seam: wide}), ctx)
 
     def test_bad_replay_raises(self):
         w = tensor_words(gen_word(MU), gen_word(OMEGA))
@@ -188,6 +188,27 @@ def test_moves_stream_digest():
     assert (digest.hexdigest(), count) == MOVES_STREAM
 
 
+def test_rel_span_emits_match_every_letter(monkeypatch):
+    """A relation side's first letter fixes the pads q and p; _rel_spans
+    compares its later letters, whiskered by q and p, before it emits, so
+    every REL span that reaches _emit passes _emit's letter check."""
+    emit, checked = rules_module._emit, []
+
+    def spy(w, s, rule, direction, ctx, bounds, cut, **params):
+        if rule.startswith("REL:"):
+            step = RewriteStep(rule, direction, s, q=params["q"],
+                               p=params["p"])
+            pat, _ = step_sides(step, ctx)
+            if len(pat):
+                checked.append(w.letters[s:s + len(pat)] == pat.letters)
+        return emit(w, s, rule, direction, ctx, bounds, cut, **params)
+
+    monkeypatch.setattr(rules_module, "_emit", spy)
+    for x, _, ctx in _lemma_steps():
+        list(moves(x, ctx, RuleBounds()))
+    assert len(checked) > 100 and all(checked)
+
+
 def test_lower_seam_cap_moves_are_cap_64_moves():
     """Seams are listed identity-first and a cap only truncates the lists,
     so an all-families lane at seam cap 8 would visit nothing that the
@@ -214,7 +235,7 @@ def _m4_cases():
             yield w, ctx, RuleBounds()
     for x, y, ctx in _lemma_steps():
         bounds = _lane_bounds(x, y, SearchBudget(), None)
-        yield x, ctx, replace(bounds, max_len=None, max_width=None)
+        yield x, ctx, bounds.replace(max_len=None, max_width=None)
 
 
 def test_m4_deletion_read_check_is_the_seam_count():
@@ -243,7 +264,7 @@ def test_m4_duplication_width_is_the_built_width():
     checked = 0
     for w, ctx, bounds in _m4_cases():
         cut = _Cut(w, bounds, None)
-        for step, succ in moves(w, ctx, replace(bounds, families=("M4",))):
+        for step, succ in moves(w, ctx, bounds.replace(families=("M4",))):
             if step.direction == "bwd" and step.a >= 2:
                 assert word_width(succ) == cut.duplication_width(
                     step.split, step.v, step.a)
@@ -341,7 +362,7 @@ def test_pruned_stream_is_the_filtered_stream(data):
     for w in words:
         max_len = None if len_off is None else max(0, len(w) + len_off)
         max_width = None if width_off is None else word_width(w) + width_off
-        bounded = replace(full, max_len=max_len, max_width=max_width)
+        bounded = full.replace(max_len=max_len, max_width=max_width)
         stream = list(moves(w, ctx, full))
         kept = [(step, succ) for step, succ in stream
                 if (max_len is None or len(succ) <= max_len)

@@ -1,20 +1,27 @@
 """Value semantics of the package's immutable classes: equality and hash by
 value, the repr text, defaults and keywords, and no assignment to a field."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import opwords
 from opwords import dsl
 from opwords.alphabet import Alphabet, Generator
 from opwords.certificate import Certificate
 from opwords.endo import Carrier, FinFunction
+from opwords.errors import ArityError, AssignmentError
 from opwords.evaluate import GeneratorAssignment
 from opwords.finmap import FinMap, identity
 from opwords.fixtures import LemmaFixture
 from opwords.present import (AlgebraReport, GroupTables, Presentation,
                              RelationCheck)
-from opwords.rules import RewriteStep, RuleBounds, RuleContext
+from opwords.rules import RewriteStep, RuleBounds, RuleContext, _with_seams
 from opwords.search import Disproved, Proved, SearchBudget, Unknown, Witness
-from opwords.words import gen_word
+from opwords.words import gen_word, identity_word
 
 MU = Generator("mu", 2, 1)
 ALPHABET = Alphabet((MU,))
@@ -227,7 +234,6 @@ def test_nodes_of_different_types_never_compare_equal():
 
 
 def test_constructor_checks_keep_their_messages():
-    from opwords.errors import ArityError, AssignmentError
     with pytest.raises(ArityError, match=r"table length 1 != source arity 2"):
         FinMap(2, 1, (1,))
     with pytest.raises(ArityError, match="generator g has negative arity"):
@@ -243,3 +249,40 @@ def test_constructor_checks_keep_their_messages():
     with pytest.raises(AssignmentError, match="mu: carrier mismatch"):
         GeneratorAssignment(Carrier(3), {
             MU: FinFunction(Carrier(2), 2, 1, ((0,),) * 4)})
+
+
+def test_replace_changes_the_named_fields_only():
+    step = _step()
+    flipped = step.replace(direction="bwd")
+    assert flipped == _step(direction="bwd") and step == _step()
+    assert step.inverted() == flipped and flipped.inverted() == step
+    seamed = _with_seams(step, identity(1), identity(2))
+    assert seamed == step.replace(seam_left=identity(1),
+                                  seam_right=identity(2))
+    assert step.seam_right is None
+    assert RuleBounds().replace(max_len=4) == RuleBounds(max_len=4)
+    assert dsl.EPad(1, dsl.EDup(), 0).replace(p=2) == dsl.EPad(1, dsl.EDup(), 2)
+    with pytest.raises(TypeError):
+        RuleBounds().replace(max_length=4)
+    # replace builds through __init__, so the constructor's checks run
+    with pytest.raises(ArityError, match="relation 0"):
+        Presentation(ALPHABET, ()).replace(
+            relations=((_word(), identity_word(1)),))
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    """Building the value classes generates no code, so the CLI's import
+    pulls in neither the code generator nor what it imports."""
+    probe = ("import sys; print(sorted({'dataclasses', 'inspect'}"
+             " & set(sys.modules)))")
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(opwords.__file__).resolve().parents[1]))
+
+    def loaded(code):
+        return subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, check=True,
+                              timeout=60).stdout.strip()
+
+    if loaded(probe) != "[]":
+        pytest.skip("a bare interpreter here already loads them")
+    assert loaded("import opwords.cli; " + probe) == "[]"
