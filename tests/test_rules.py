@@ -188,6 +188,28 @@ def test_moves_stream_digest():
     assert (digest.hexdigest(), count) == MOVES_STREAM
 
 
+# MOVES_STREAM as it stood before interchange of whole words: the stream
+# above without the M1 steps whose two parameter words have 3 or more
+# letters between them.
+SINGLE_LETTER_STREAM = (
+    "0055d2bd60d0cb365fabbefe262a2a4a04eecf13b113bc97813ae2a50bf5fa31", 70462)
+
+
+def test_single_letter_moves_stream_digest():
+    digest, count = hashlib.sha256(), 0
+    for cap in (2, 64):
+        bounds = RuleBounds(seam_cap=cap)
+        for corpus, ctx in _stream_corpus():
+            for w in corpus:
+                for step, succ in moves(w, ctx, bounds):
+                    if step.rule == "M1" and len(step.v) + len(step.v2) >= 3:
+                        continue
+                    digest.update(step_key(step).encode())
+                    digest.update(repr(succ).encode())
+                    count += 1
+    assert (digest.hexdigest(), count) == SINGLE_LETTER_STREAM
+
+
 def test_rel_span_emits_match_every_letter(monkeypatch):
     """A relation side's first letter fixes the pads q and p; _rel_spans
     compares its later letters, whiskered by q and p, before it emits, so
