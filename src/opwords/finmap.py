@@ -8,6 +8,7 @@ word layer is a calling convention, not a separate type.
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 from typing import Iterator
 
 from .errors import ArityError
@@ -82,6 +83,8 @@ _set_src, _set_tgt, _set_table, _set_hash = (
     FinMap.__dict__[name].__set__ for name in ("src", "tgt", "table", "_hash"))
 
 
+# FinMap is immutable, so every caller can share one identity per width
+@lru_cache(maxsize=None)
 def identity(m: int) -> FinMap:
     return FinMap._raw(m, m, tuple(range(1, m + 1)))
 

@@ -27,6 +27,10 @@ class TestConstructors:
         assert identity(3).table == (1, 2, 3)
         assert identity(0) == FinMap(0, 0, ())
 
+    def test_identity_is_shared(self):
+        assert identity(3) is identity(3)
+        assert identity(3) == FinMap(3, 3, (1, 2, 3))
+
     def test_f2_f0(self):
         assert f2() == FinMap(2, 1, (1, 1))
         assert f0() == FinMap(0, 1, ())
