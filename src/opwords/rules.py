@@ -457,13 +457,19 @@ def _seam_adjacent(observed: FinMap | None, width: int, q: int, p: int):
 
 def _m1_moves(w: Word, ctx, bounds, cut):
     n = len(w)
-    for s in range(n - 1):
-        yield from _m1_two(w, s, ctx, bounds, cut)
+    # whole-word halves need 3 letters or more: with 2, they are the
+    # single-letter swap
+    mins = _pad_minima(w) if n >= 3 else None
+    for m in range(1, n):
+        yield from _m1_two(w, m - 1, ctx, bounds, cut)
+        if mins is not None:
+            yield from _m1_halves(w, m, mins, ctx, bounds, cut)
     for s in range(n):
         yield from _m1_slide(w, s, ctx, bounds, cut)
 
 
 def _m1_two(w, s, ctx, bounds, cut):
+    """Interchange of letters s and s + 1, each one parameter word."""
     (l1, x1, r1), (l2, x2, r2) = w.letters[s], w.letters[s + 1]
     pm = bounds.pad_max
     mid = w.boundaries[s + 1]
@@ -499,6 +505,87 @@ def _m1_two(w, s, ctx, bounds, cut):
                     v = _letter_factor(c0, (l, x2, r), c1)
                     v2 = _letter_factor(c20, (ll, x1, rr), c21)
                     yield from _emit(w, s, "M1", "bwd", ctx, bounds, cut,
+                                     v=v, v2=v2)
+
+
+def _pad_minima(w: Word):
+    """Per boundary m: the least left and right pads of the letters before
+    m and of the letters from m on (index m of each list, m = 1..n-1)."""
+    lefts = [l for l, _, _ in w.letters]
+    rights = [r for _, _, r in w.letters]
+
+    def before(pads):
+        return [None] + list(itertools.accumulate(pads, min))
+
+    def after(pads):
+        return list(itertools.accumulate(reversed(pads), min))[::-1]
+
+    return before(lefts), before(rights), after(lefts), after(rights)
+
+
+def _halves(maps, letters, most: int, pm: int, left: bool):
+    """(pad, interior maps, letters) of one half of a whole-word swap, for
+    each pad 0..min(most, pm) that all of its interior maps carry: on the
+    left of every map and letter if left is true, else on the right."""
+    out = []
+    for k in range(min(most, pm) + 1):
+        q, p = (k, 0) if left else (0, k)
+        inner = tuple(unpad(f, q, p) for f in maps)
+        if None not in inner:
+            out.append((k, inner,
+                        tuple((l - q, x, r - p) for l, x, r in letters)))
+    return out
+
+
+def _m1_halves(w, m, mins, ctx, bounds, cut):
+    """Interchange of the whole word's two halves at interior boundary m.
+
+    One parameter word is every letter before m, the other every letter
+    from m on, so the pattern is w itself (split 0). Going forward the
+    letters before m make v, padded on the right by v2's source, and the
+    rest make v2, padded on the left by v's target; going backward the
+    letters before m make v2, padded on the left by v's source, and the
+    rest make v, padded on the right by v2's target. Each half's interior
+    boundaries are w's with that pad stripped, boundary m splits into the
+    two halves' seam maps, and the end seams are the identity /
+    block-split candidate pair. A swap of blocks inside a word needs no
+    enumerator of its own: single-letter swaps reach it.
+    """
+    n, pm = len(w), bounds.pad_max
+    bs, before, after = w.boundaries, w.letters[:m], w.letters[m:]
+    first, mid, last = bs[0], bs[m], bs[n]
+    min_l_before, min_r_before, min_l_after, min_r_after = mins
+    # forward: pattern (v |> v2.src) . (v.tgt <| v2)
+    v2_halves = _halves(bs[m + 1:n], after, min_l_after[m], pm, True)
+    v_halves = (_halves(bs[1:m], before, min_r_before[m], pm, False)
+                if v2_halves else [])
+    for v2s, inner_v, v_letters in v_halves:
+        for vt, inner_v2, v2_letters in v2_halves:
+            split = untensor(mid, vt, mid.tgt - v2s)
+            if split is None:
+                continue
+            c1, c20 = split
+            for c0 in _seam_adjacent(first, first.src - v2s, 0, v2s):
+                v = Word((c0, *inner_v, c1), v_letters)
+                for c21 in _seam_adjacent(last, last.tgt - vt, vt, 0):
+                    v2 = Word((c20, *inner_v2, c21), v2_letters)
+                    yield from _emit(w, 0, "M1", "fwd", ctx, bounds, cut,
+                                     v=v, v2=v2)
+    # backward: pattern (v.src <| v2) . (v |> v2.tgt)
+    v_halves = _halves(bs[m + 1:n], after, min_r_after[m], pm, False)
+    v2_halves = (_halves(bs[1:m], before, min_l_before[m], pm, True)
+                 if v_halves else [])
+    for vs, inner_v2, v2_letters in v2_halves:
+        for v2t, inner_v, v_letters in v_halves:
+            split = untensor(mid, mid.src - v2t, vs)
+            if split is None:
+                continue
+            c0, c21 = split
+            for c20 in _seam_adjacent(first, first.src - vs, vs, 0):
+                v2 = Word((c20, *inner_v2, c21), v2_letters)
+                for c1 in _seam_adjacent(last, last.tgt - v2t, 0, v2t):
+                    v = Word((c0, *inner_v, c1), v_letters)
+                    yield from _emit(w, 0, "M1", "bwd", ctx, bounds, cut,
                                      v=v, v2=v2)
 
 

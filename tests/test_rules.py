@@ -18,8 +18,9 @@ from opwords.rules import (RewriteStep, RuleBounds, RuleContext, Tally,
                            _seam_count, _seams, apply_step, build_m1,
                            build_m2, build_m3, build_m4, canonical_word,
                            moves, rule_instances_matching, step_sides)
-from opwords.search import (_lane_bounds, probe_assignments, SearchBudget,
-                            word_generators, word_width)
+from opwords.search import (Proved, _lane_bounds, equivalent,
+                            probe_assignments, SearchBudget, word_generators,
+                            word_width)
 from opwords.words import (Word, compose_words, gen_word, identity_word,
                            op_word, tensor_words)
 
@@ -138,7 +139,7 @@ class TestCanonicalWord:
 # Any change to which moves are generated, their parameters or their order
 # changes it; a refactor of rules.py must keep it.
 MOVES_STREAM = (
-    "0055d2bd60d0cb365fabbefe262a2a4a04eecf13b113bc97813ae2a50bf5fa31", 70462)
+    "2cfdd112a5ebc5f4fa720ff205e90c348346ff2e8c1b63967d59e01bcb584f4d", 70648)
 
 
 def _stream_corpus():
@@ -315,8 +316,8 @@ def _walk_tallies(w, ctx, bounds, expand):
 # as work, so its pause points, and with them which certificate comes back
 # and an Unknown's visited count, move if either does.
 PRUNED_TALLIES = (
-    "d109b30d334a57837d1902bdde05a6d64fcb3166edf9d59c6d81ff066c5a944c",
-    707, 36856, 189734)
+    "8c0fbcc9cfebe4ea5e8f68c0c78e57621eb3d80a0b733646c9fe677d34bbd896",
+    707, 36864, 189734)
 
 
 def test_pruned_tally_digest():
@@ -418,3 +419,51 @@ def test_seam_counts_match_the_solvers(rng):
                     checked.add((k == 0, n > 0))
     assert checked == {(True, True), (True, False), (False, True),
                        (False, False)}
+
+
+def _is_whole_word_step(step):
+    return step.rule == "M1" and len(step.v) + len(step.v2) >= 3
+
+
+def test_interchange_of_lettered_words_is_one_move():
+    """Criterion 4's pairs whose two words both have letters: the two sides
+    are one M1 move apart, and the search returns a one-step certificate."""
+    rng, checked = random.Random(4), 0
+    while checked < 100:
+        w, w2 = random_word(rng, max_len=2), random_word(rng, max_len=2)
+        if len(w) == 0 or len(w2) == 0:
+            continue
+        lhs, rhs = build_m1(w, w2)
+        bounds = _lane_bounds(lhs, rhs, SearchBudget(), None)
+        assert lhs == rhs or any(
+            succ == rhs for _, succ in moves(lhs, RuleContext(), bounds))
+        res = equivalent(lhs, rhs)
+        assert isinstance(res, Proved) and len(res.certificate.steps) <= 1
+        checked += 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_whole_word_steps_replay(data):
+    """Every M1 step with 3 or more letters in its parameter words matches
+    all of w (split 0, every letter and interior boundary), and replays;
+    the interchange of two words with letters is among them."""
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+    v, v2 = random_word(rng, max_len=3), random_word(rng, max_len=3)
+    lhs, rhs = build_m1(v, v2)
+    ctx = RuleContext()
+    for w, other in ((lhs, rhs), (rhs, lhs), (random_word(rng, 4), None)):
+        found = False
+        for step, succ in moves(w, ctx, RuleBounds(families=("M1",),
+                                              seam_cap=8)):
+            if not _is_whole_word_step(step):
+                continue
+            pat, _ = step_sides(step, ctx)
+            assert step.split == 0 and pat.letters == w.letters
+            assert pat.boundaries[1:-1] == w.boundaries[1:-1]
+            assert apply_step(w, step, ctx) == succ
+            assert apply_step(succ, step.inverted(), ctx) == w
+            found = found or succ == other
+        if (other is not None and len(v) and len(v2)
+                and len(v) + len(v2) >= 3 and lhs != rhs):
+            assert found
