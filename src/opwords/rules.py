@@ -6,6 +6,14 @@ Four schema families act on words: interchange of two independent layers
 pairs, whiskered on both sides, and a cardinality move (CARD) that collapses
 any factor of type (1,0) or (0,0) to the canonical one.
 
+M1 instances come from three generators: the single swap of two adjacent
+letters, one per parameter word; the slide of a boundary map block past
+one letter, where one parameter word has no letters; and, in words of 3
+letters or more, the swap of the whole word's two halves at an interior
+boundary, every letter before it against every letter from it on. So the
+two sides of an interchange of lettered words are one move apart, however
+many letters each has.
+
 Every move rewrites a factor in context: the matched span's outer boundary
 maps split into a pattern part and a context part. Matching enumerates
 candidate instances, rebuilds both schema sides from the candidate
@@ -523,18 +531,17 @@ def _pad_minima(w: Word):
     return before(lefts), before(rights), after(lefts), after(rights)
 
 
-def _halves(maps, letters, most: int, pm: int, left: bool):
-    """(pad, interior maps, letters) of one half of a whole-word swap, for
-    each pad 0..min(most, pm) that all of its interior maps carry: on the
-    left of every map and letter if left is true, else on the right."""
-    out = []
-    for k in range(min(most, pm) + 1):
-        q, p = (k, 0) if left else (0, k)
-        inner = tuple(unpad(f, q, p) for f in maps)
-        if None not in inner:
-            out.append((k, inner,
-                        tuple((l - q, x, r - p) for l, x, r in letters)))
-    return out
+def _half(maps, letters, k: int, left: bool):
+    """One half of a whole-word swap padded by k strands, on the left of
+    every interior map and letter if left is true, else on the right:
+    (interior maps, letters) with the pad stripped, or None."""
+    if k == 0:
+        return maps, letters
+    q, p = (k, 0) if left else (0, k)
+    inner = tuple([unpad(f, q, p) for f in maps])
+    if None in inner:
+        return None
+    return inner, tuple([(l - q, x, r - p) for l, x, r in letters])
 
 
 def _m1_halves(w, m, mins, ctx, bounds, cut):
@@ -545,48 +552,53 @@ def _m1_halves(w, m, mins, ctx, bounds, cut):
     letters before m make v, padded on the right by v2's source, and the
     rest make v2, padded on the left by v's target; going backward the
     letters before m make v2, padded on the left by v's source, and the
-    rest make v, padded on the right by v2's target. Each half's interior
-    boundaries are w's with that pad stripped, boundary m splits into the
-    two halves' seam maps, and the end seams are the identity /
-    block-split candidate pair. A swap of blocks inside a word needs no
-    enumerator of its own: single-letter swaps reach it.
+    rest make v, padded on the right by v2's target. Boundary m splits into
+    the two halves' seam maps, each half's interior boundaries are w's with
+    its pad stripped, and the end seams are the identity / block-split
+    candidate pair. A swap of blocks inside a word needs no enumerator of
+    its own: single-letter swaps reach it.
     """
     n, pm = len(w), bounds.pad_max
-    bs, before, after = w.boundaries, w.letters[:m], w.letters[m:]
+    bs = w.boundaries
     first, mid, last = bs[0], bs[m], bs[n]
+    before, after = (bs[1:m], w.letters[:m]), (bs[m + 1:n], w.letters[m:])
     min_l_before, min_r_before, min_l_after, min_r_after = mins
     # forward: pattern (v |> v2.src) . (v.tgt <| v2)
-    v2_halves = _halves(bs[m + 1:n], after, min_l_after[m], pm, True)
-    v_halves = (_halves(bs[1:m], before, min_r_before[m], pm, False)
-                if v2_halves else [])
-    for v2s, inner_v, v_letters in v_halves:
-        for vt, inner_v2, v2_letters in v2_halves:
-            split = untensor(mid, vt, mid.tgt - v2s)
-            if split is None:
-                continue
-            c1, c20 = split
-            for c0 in _seam_adjacent(first, first.src - v2s, 0, v2s):
-                v = Word((c0, *inner_v, c1), v_letters)
-                for c21 in _seam_adjacent(last, last.tgt - vt, vt, 0):
-                    v2 = Word((c20, *inner_v2, c21), v2_letters)
-                    yield from _emit(w, 0, "M1", "fwd", ctx, bounds, cut,
-                                     v=v, v2=v2)
-    # backward: pattern (v.src <| v2) . (v |> v2.tgt)
-    v_halves = _halves(bs[m + 1:n], after, min_r_after[m], pm, False)
-    v2_halves = (_halves(bs[1:m], before, min_l_before[m], pm, True)
-                 if v_halves else [])
-    for vs, inner_v2, v2_letters in v2_halves:
-        for v2t, inner_v, v_letters in v_halves:
-            split = untensor(mid, mid.src - v2t, vs)
-            if split is None:
-                continue
-            c0, c21 = split
-            for c20 in _seam_adjacent(first, first.src - vs, vs, 0):
+    splits = [(v2s, vt, split)
+              for v2s in range(min(min_r_before[m], pm) + 1)
+              for vt in range(min(min_l_after[m], pm) + 1)
+              if (split := untensor(mid, vt, mid.tgt - v2s)) is not None]
+    v_halves = {k: _half(*before, k, False) for k in {k for k, _, _ in splits}}
+    v2_halves = {k: _half(*after, k, True) for k in {k for _, k, _ in splits}}
+    for v2s, vt, (c1, c20) in splits:
+        v_half, v2_half = v_halves[v2s], v2_halves[vt]
+        if v_half is None or v2_half is None:
+            continue
+        (inner_v, v_letters), (inner_v2, v2_letters) = v_half, v2_half
+        for c0 in _seam_adjacent(first, first.src - v2s, 0, v2s):
+            v = Word((c0, *inner_v, c1), v_letters)
+            for c21 in _seam_adjacent(last, last.tgt - vt, vt, 0):
                 v2 = Word((c20, *inner_v2, c21), v2_letters)
-                for c1 in _seam_adjacent(last, last.tgt - v2t, 0, v2t):
-                    v = Word((c0, *inner_v, c1), v_letters)
-                    yield from _emit(w, 0, "M1", "bwd", ctx, bounds, cut,
-                                     v=v, v2=v2)
+                yield from _emit(w, 0, "M1", "fwd", ctx, bounds, cut,
+                                 v=v, v2=v2)
+    # backward: pattern (v.src <| v2) . (v |> v2.tgt)
+    splits = [(vs, v2t, split)
+              for vs in range(min(min_l_before[m], pm) + 1)
+              for v2t in range(min(min_r_after[m], pm) + 1)
+              if (split := untensor(mid, mid.src - v2t, vs)) is not None]
+    v2_halves = {k: _half(*before, k, True) for k in {k for k, _, _ in splits}}
+    v_halves = {k: _half(*after, k, False) for k in {k for _, k, _ in splits}}
+    for vs, v2t, (c0, c21) in splits:
+        v2_half, v_half = v2_halves[vs], v_halves[v2t]
+        if v_half is None or v2_half is None:
+            continue
+        (inner_v2, v2_letters), (inner_v, v_letters) = v2_half, v_half
+        for c20 in _seam_adjacent(first, first.src - vs, vs, 0):
+            v2 = Word((c20, *inner_v2, c21), v2_letters)
+            for c1 in _seam_adjacent(last, last.tgt - v2t, 0, v2t):
+                v = Word((c0, *inner_v, c1), v_letters)
+                yield from _emit(w, 0, "M1", "bwd", ctx, bounds, cut,
+                                 v=v, v2=v2)
 
 
 def _m1_slide(w, s, ctx, bounds, cut):
