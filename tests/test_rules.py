@@ -196,6 +196,10 @@ SINGLE_LETTER_STREAM = (
     "0055d2bd60d0cb365fabbefe262a2a4a04eecf13b113bc97813ae2a50bf5fa31", 70462)
 
 
+def _is_whole_word_step(step):
+    return step.rule == "M1" and len(step.v) + len(step.v2) >= 3
+
+
 def test_single_letter_moves_stream_digest():
     digest, count = hashlib.sha256(), 0
     for cap in (2, 64):
@@ -203,7 +207,7 @@ def test_single_letter_moves_stream_digest():
         for corpus, ctx in _stream_corpus():
             for w in corpus:
                 for step, succ in moves(w, ctx, bounds):
-                    if step.rule == "M1" and len(step.v) + len(step.v2) >= 3:
+                    if _is_whole_word_step(step):
                         continue
                     digest.update(step_key(step).encode())
                     digest.update(repr(succ).encode())
@@ -421,10 +425,6 @@ def test_seam_counts_match_the_solvers(rng):
                        (False, False)}
 
 
-def _is_whole_word_step(step):
-    return step.rule == "M1" and len(step.v) + len(step.v2) >= 3
-
-
 def test_interchange_of_lettered_words_is_one_move():
     """Criterion 4's pairs whose two words both have letters: the two sides
     are one M1 move apart, and the search returns a one-step certificate."""
@@ -451,11 +451,10 @@ def test_whole_word_steps_replay(data):
     rng = random.Random(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
     v, v2 = random_word(rng, max_len=3), random_word(rng, max_len=3)
     lhs, rhs = build_m1(v, v2)
-    ctx = RuleContext()
+    ctx, bounds = RuleContext(), RuleBounds(families=("M1",), seam_cap=8)
     for w, other in ((lhs, rhs), (rhs, lhs), (random_word(rng, 4), None)):
         found = False
-        for step, succ in moves(w, ctx, RuleBounds(families=("M1",),
-                                              seam_cap=8)):
+        for step, succ in moves(w, ctx, bounds):
             if not _is_whole_word_step(step):
                 continue
             pat, _ = step_sides(step, ctx)
