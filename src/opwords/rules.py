@@ -10,7 +10,8 @@ M1 instances come from three generators: the single swap of two adjacent
 letters, one per parameter word; the slide of a boundary map block past
 one letter, where one parameter word has no letters; and, in words of 3
 letters or more, the swap of the whole word's two halves at an interior
-boundary, every letter before it against every letter from it on. So the
+boundary, every letter before it against every letter from it on. The
+first and the third are one block swap, run on different blocks. So the
 two sides of an interchange of lettered words are one move apart, however
 many letters each has.
 
@@ -465,60 +466,21 @@ def _seam_adjacent(observed: FinMap | None, width: int, q: int, p: int):
 
 def _m1_moves(w: Word, ctx, bounds, cut):
     n = len(w)
-    # whole-word halves need 3 letters or more: with 2, they are the
-    # single-letter swap
-    mins = _pad_minima(w) if n >= 3 else None
+    # the halves of a 2-letter word are its two letters
+    halves = _pad_minima(w) if n >= 3 else None
     for m in range(1, n):
-        yield from _m1_two(w, m - 1, ctx, bounds, cut)
-        if mins is not None:
-            yield from _m1_halves(w, m, mins, ctx, bounds, cut)
+        (l1, _, r1), (l2, _, r2) = w.letters[m - 1], w.letters[m]
+        yield from _m1_swap(w, m - 1, m, m + 1, (l1, r1, l2, r2), ctx,
+                            bounds, cut)
+        if halves is not None:
+            yield from _m1_swap(w, 0, m, n, halves[m], ctx, bounds, cut)
     for s in range(n):
         yield from _m1_slide(w, s, ctx, bounds, cut)
 
 
-def _m1_two(w, s, ctx, bounds, cut):
-    """Interchange of letters s and s + 1, each one parameter word."""
-    (l1, x1, r1), (l2, x2, r2) = w.letters[s], w.letters[s + 1]
-    pm = bounds.pad_max
-    mid = w.boundaries[s + 1]
-    # forward: pattern (v |> v2.src) . (v.tgt <| v2)
-    for v2s in range(min(r1, pm) + 1):
-        for vt in range(min(l2, pm) + 1):
-            l, r = l1, r1 - v2s
-            ll, rr = l2 - vt, r2
-            split = untensor(mid, vt, l + x1.tgt + r)
-            if split is None:
-                continue
-            c1, c20 = split
-            for c0 in _seam_adjacent(w.boundaries[s], l + x1.src + r, 0, v2s):
-                for c21 in _seam_adjacent(w.boundaries[s + 2],
-                                          ll + x2.tgt + rr, vt, 0):
-                    v = _letter_factor(c0, (l, x1, r), c1)
-                    v2 = _letter_factor(c20, (ll, x2, rr), c21)
-                    yield from _emit(w, s, "M1", "fwd", ctx, bounds, cut,
-                                     v=v, v2=v2)
-    # backward: pattern (v.src <| v2) . (v |> v2.tgt)
-    for vs in range(min(l1, pm) + 1):
-        for v2t in range(min(r2, pm) + 1):
-            ll, rr = l1 - vs, r1
-            l, r = l2, r2 - v2t
-            split = untensor(mid, l + x2.src + r, vs)
-            if split is None:
-                continue
-            c0, c21 = split
-            for c20 in _seam_adjacent(w.boundaries[s], ll + x1.src + rr,
-                                      vs, 0):
-                for c1 in _seam_adjacent(w.boundaries[s + 2],
-                                         l + x2.tgt + r, 0, v2t):
-                    v = _letter_factor(c0, (l, x2, r), c1)
-                    v2 = _letter_factor(c20, (ll, x1, rr), c21)
-                    yield from _emit(w, s, "M1", "bwd", ctx, bounds, cut,
-                                     v=v, v2=v2)
-
-
 def _pad_minima(w: Word):
-    """Per boundary m: the least left and right pads of the letters before
-    m and of the letters from m on (index m of each list, m = 1..n-1)."""
+    """Per interior boundary m: the least left and right pads of the
+    letters before m, then of the letters from m on (entry m, m = 1..n-1)."""
     lefts = [l for l, _, _ in w.letters]
     rights = [r for _, _, r in w.letters]
 
@@ -528,76 +490,81 @@ def _pad_minima(w: Word):
     def after(pads):
         return list(itertools.accumulate(reversed(pads), min))[::-1]
 
-    return before(lefts), before(rights), after(lefts), after(rights)
+    return list(zip(before(lefts), before(rights), after(lefts),
+                    after(rights)))
 
 
-def _half(maps, letters, k: int, left: bool):
-    """One half of a whole-word swap padded by k strands, on the left of
-    every interior map and letter if left is true, else on the right:
-    (interior maps, letters) with the pad stripped, or None."""
-    if k == 0:
-        return maps, letters
-    q, p = (k, 0) if left else (0, k)
-    inner = tuple([unpad(f, q, p) for f in maps])
-    if None in inner:
-        return None
-    return inner, tuple([(l - q, x, r - p) for l, x, r in letters])
+def _unpadded(block, pads, left: bool):
+    """Per k in pads: the block's (interior maps, letters) with k strands of
+    pad stripped, on the left of each if left is true, else on the right;
+    None where some interior map lacks the pad."""
+    maps, letters = block
+    out = {}
+    for k in pads:
+        if k == 0:
+            out[k] = block
+            continue
+        q, p = (k, 0) if left else (0, k)
+        inner = tuple([unpad(f, q, p) for f in maps])
+        out[k] = None if None in inner else (
+            inner, tuple([(l - q, x, r - p) for l, x, r in letters]))
+    return out
 
 
-def _m1_halves(w, m, mins, ctx, bounds, cut):
-    """Interchange of the whole word's two halves at interior boundary m.
+def _m1_swap(w, s, m, e, pads, ctx, bounds, cut):
+    """Interchange of the blocks of letters s..m-1 and m..e-1, each one
+    parameter word; pads holds the least left and right pads of the
+    letters in the first block, then in the second.
 
-    One parameter word is every letter before m, the other every letter
-    from m on, so the pattern is w itself (split 0). Going forward the
-    letters before m make v, padded on the right by v2's source, and the
-    rest make v2, padded on the left by v's target; going backward the
-    letters before m make v2, padded on the left by v's source, and the
-    rest make v, padded on the right by v2's target. Boundary m splits into
-    the two halves' seam maps, each half's interior boundaries are w's with
-    its pad stripped, and the end seams are the identity / block-split
-    candidate pair. A swap of blocks inside a word needs no enumerator of
-    its own: single-letter swaps reach it.
+    Going forward the first block makes v, padded on the right by v2's
+    source, and the second makes v2, padded on the left by v's target;
+    going backward the first block makes v2, padded on the left by v's
+    source, and the second makes v, padded on the right by v2's target.
+    Boundary m splits into the two blocks' seam maps, each block's interior
+    boundaries are w's with its pad stripped, and the end seams at
+    boundaries s and e are the identity / block-split candidate pair.
     """
-    n, pm = len(w), bounds.pad_max
+    pm = bounds.pad_max
     bs = w.boundaries
-    first, mid, last = bs[0], bs[m], bs[n]
-    before, after = (bs[1:m], w.letters[:m]), (bs[m + 1:n], w.letters[m:])
-    min_l_before, min_r_before, min_l_after, min_r_after = mins
+    first, mid, last = bs[s], bs[m], bs[e]
+    before = (bs[s + 1:m], w.letters[s:m])
+    after = (bs[m + 1:e], w.letters[m:e])
+    min_l_before, min_r_before, min_l_after, min_r_after = pads
     # forward: pattern (v |> v2.src) . (v.tgt <| v2)
     splits = [(v2s, vt, split)
-              for v2s in range(min(min_r_before[m], pm) + 1)
-              for vt in range(min(min_l_after[m], pm) + 1)
+              for v2s in range(min(min_r_before, pm) + 1)
+              for vt in range(min(min_l_after, pm) + 1)
               if (split := untensor(mid, vt, mid.tgt - v2s)) is not None]
-    v_halves = {k: _half(*before, k, False) for k in {k for k, _, _ in splits}}
-    v2_halves = {k: _half(*after, k, True) for k in {k for _, k, _ in splits}}
+    v_blocks = _unpadded(before, {k for k, _, _ in splits}, False)
+    v2_blocks = _unpadded(after, {k for _, k, _ in splits}, True)
     for v2s, vt, (c1, c20) in splits:
-        v_half, v2_half = v_halves[v2s], v2_halves[vt]
-        if v_half is None or v2_half is None:
+        v_block, v2_block = v_blocks[v2s], v2_blocks[vt]
+        if v_block is None or v2_block is None:
             continue
-        (inner_v, v_letters), (inner_v2, v2_letters) = v_half, v2_half
+        (inner_v, v_letters), (inner_v2, v2_letters) = v_block, v2_block
         for c0 in _seam_adjacent(first, first.src - v2s, 0, v2s):
             v = Word((c0, *inner_v, c1), v_letters)
             for c21 in _seam_adjacent(last, last.tgt - vt, vt, 0):
                 v2 = Word((c20, *inner_v2, c21), v2_letters)
-                yield from _emit(w, 0, "M1", "fwd", ctx, bounds, cut,
+                yield from _emit(w, s, "M1", "fwd", ctx, bounds, cut,
                                  v=v, v2=v2)
     # backward: pattern (v.src <| v2) . (v |> v2.tgt)
     splits = [(vs, v2t, split)
-              for vs in range(min(min_l_before[m], pm) + 1)
-              for v2t in range(min(min_r_after[m], pm) + 1)
+              for vs in range(min(min_l_before, pm) + 1)
+              for v2t in range(min(min_r_after, pm) + 1)
               if (split := untensor(mid, mid.src - v2t, vs)) is not None]
-    v2_halves = {k: _half(*before, k, True) for k in {k for k, _, _ in splits}}
-    v_halves = {k: _half(*after, k, False) for k in {k for _, k, _ in splits}}
+    v2_blocks = _unpadded(before, {k for k, _, _ in splits}, True)
+    v_blocks = _unpadded(after, {k for _, k, _ in splits}, False)
     for vs, v2t, (c0, c21) in splits:
-        v2_half, v_half = v2_halves[vs], v_halves[v2t]
-        if v_half is None or v2_half is None:
+        v2_block, v_block = v2_blocks[vs], v_blocks[v2t]
+        if v_block is None or v2_block is None:
             continue
-        (inner_v2, v2_letters), (inner_v, v_letters) = v2_half, v_half
+        (inner_v2, v2_letters), (inner_v, v_letters) = v2_block, v_block
         for c20 in _seam_adjacent(first, first.src - vs, vs, 0):
             v2 = Word((c20, *inner_v2, c21), v2_letters)
             for c1 in _seam_adjacent(last, last.tgt - v2t, 0, v2t):
                 v = Word((c0, *inner_v, c1), v_letters)
-                yield from _emit(w, 0, "M1", "bwd", ctx, bounds, cut,
+                yield from _emit(w, s, "M1", "bwd", ctx, bounds, cut,
                                  v=v, v2=v2)
 
 
