@@ -215,6 +215,34 @@ def test_single_letter_moves_stream_digest():
     assert (digest.hexdigest(), count) == SINGLE_LETTER_STREAM
 
 
+# The two streams above with collapse moves in every context and each CARD
+# step written as the M4 deletion (bwd, a = 0) with the same v and seams.
+FOLDED_STREAMS = (
+    ("188f41d0f412d4d25461ed817844d1e92b5db62a5c26212c3ec7629e09ec5878", 70658),
+    ("b7161f9beaf1f392640684b201731856351d3f97c2f690037be24b8d412873c7", 70472))
+
+
+def test_card_folded_streams_digest():
+    full, single = hashlib.sha256(), hashlib.sha256()
+    n_full = n_single = 0
+    for cap in (2, 64):
+        bounds = RuleBounds(seam_cap=cap)
+        for corpus, ctx in _stream_corpus():
+            ctx = RuleContext(ctx.relations, True)
+            for w in corpus:
+                for step, succ in moves(w, ctx, bounds):
+                    if step.rule == "CARD":
+                        step = step.replace(rule="M4", direction="bwd")
+                    data = step_key(step).encode() + repr(succ).encode()
+                    full.update(data)
+                    n_full += 1
+                    if not _is_whole_word_step(step):
+                        single.update(data)
+                        n_single += 1
+    assert ((full.hexdigest(), n_full),
+            (single.hexdigest(), n_single)) == FOLDED_STREAMS
+
+
 def test_rel_span_emits_match_every_letter(monkeypatch):
     """A relation side's first letter fixes the pads q and p; _rel_spans
     compares its later letters, whiskered by q and p, before it emits, so
