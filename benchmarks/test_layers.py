@@ -32,7 +32,7 @@ from opwords.words import Word, gen_word, whisker
 
 F = FinMap(8, 6, (1, 2, 3, 3, 4, 5, 6, 6))
 G = FinMap(6, 8, (2, 1, 4, 3, 8, 7))
-FAMILIES = ("M1", "M2", "M3", "M4", "REL", "CARD")
+FAMILIES = ("M1", "M2", "M3", "M4", "REL")
 
 
 @lru_cache(maxsize=1)

@@ -81,8 +81,6 @@ def transport(cert: Certificate, q: int, p: int, left: Word, right: Word,
             new = RewriteStep("M1", st.direction, st.split + len(left),
                               v=whisker(q, st.v, 0), v2=whisker(0, st.v2, p),
                               seam_left=g_u, seam_right=g_v)
-        elif st.rule == "CARD":
-            raise OpwordsError("CARD steps do not transport through whiskering")
         else:
             new = RewriteStep(st.rule, st.direction, st.split + len(left),
                               a=st.a, q=st.q + q, p=st.p + p, v=st.v,
@@ -98,7 +96,7 @@ def transport(cert: Certificate, q: int, p: int, left: Word, right: Word,
 # The chains. Waypoints follow the equational proofs line by line; lines that
 # are equal as words collapse to zero-step hops. Each builder appends
 # (name, certificate, presentation), where the presentation is None for the
-# free calculus with collapse moves.
+# free calculus.
 
 C = compose_many
 T = tensor_many_words
@@ -110,7 +108,7 @@ def _vocab():
 
 
 def _context(pres):
-    return pres.context() if pres is not None else RuleContext(allow_card=True)
+    return pres.context() if pres is not None else RuleContext()
 
 
 def _map_identities(out):

@@ -26,7 +26,7 @@ class Certificate(Record):
 
     def replay(self, ctx: RuleContext | None = None) -> Word:
         """Run every step from start; raises ReplayError naming the culprit."""
-        ctx = ctx if ctx is not None else RuleContext(allow_card=True)
+        ctx = ctx if ctx is not None else RuleContext()
         w = self.start
         for n, step in enumerate(self.steps, start=1):
             try:

@@ -7,7 +7,7 @@ fixture that is returned has been validated. Conditional facts (uniqueness
 of the unit and of the inverse) extend the alphabet with a fresh symbol and
 add the hypothesis as an extra relation, which makes the statement
 replayable as stated; that context ships as a presentation file. When a
-certificate fails to replay, the ReplayError names its lemma.
+certificate fails to decode or to replay, the error names its lemma.
 ``scripts/replay_lemmas.py`` regenerates the files.
 """
 
@@ -17,7 +17,7 @@ from functools import lru_cache
 from importlib.resources import files
 
 from .certificate import Certificate, decode
-from .errors import ReplayError
+from .errors import OpwordsError
 from .present import GROUP_ALPHABET, load_presentation, parse_presentation
 from .record import Record
 from .rules import RuleContext
@@ -30,9 +30,9 @@ class LemmaFixture(Record):
     statement: str
 
 
-# (name, context, statement). The context is None for the free calculus with
-# collapse moves, @group or @group-Z for a built-in presentation, or the name
-# of a presentation file in lemmas/.
+# (name, context, statement). The context is None for the free calculus,
+# @group or @group-Z for a built-in presentation, or the name of a
+# presentation file in lemmas/.
 LEMMAS = (
     ("dup-assoc", None, "splitting twice associates either way"),
     ("dup-assoc-square", None,
@@ -59,20 +59,26 @@ def _read(name: str) -> str:
     return (files(__package__) / "lemmas" / name).read_text(encoding="utf-8")
 
 
+def load_lemma(name: str, source: str | None,
+               statement: str) -> LemmaFixture:
+    """Decode one lemma's certificate and replay it under its context."""
+    if source is None:
+        alphabet, ctx = GROUP_ALPHABET, RuleContext()
+    else:
+        pres = (load_presentation(source) if source.startswith("@")
+                else parse_presentation(_read(source)))
+        alphabet, ctx = pres.alphabet, pres.context()
+    cert = decode(_read(f"{name}.cert"), alphabet)
+    cert.replay(ctx)
+    return LemmaFixture(name, cert, ctx, statement)
+
+
 @lru_cache(maxsize=1)
 def lemma_fixtures() -> tuple[LemmaFixture, ...]:
     out = []
-    for name, source, statement in LEMMAS:
-        if source is None:
-            alphabet, ctx = GROUP_ALPHABET, RuleContext(allow_card=True)
-        else:
-            pres = (load_presentation(source) if source.startswith("@")
-                    else parse_presentation(_read(source)))
-            alphabet, ctx = pres.alphabet, pres.context()
-        cert = decode(_read(f"{name}.cert"), alphabet)
+    for entry in LEMMAS:
         try:
-            cert.replay(ctx)
-        except ReplayError as exc:
-            raise ReplayError(f"lemma {name}: {exc}") from None
-        out.append(LemmaFixture(name, cert, ctx, statement))
+            out.append(load_lemma(*entry))
+        except OpwordsError as exc:
+            raise type(exc)(f"lemma {entry[0]}: {exc}") from None
     return tuple(out)

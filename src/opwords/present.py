@@ -32,7 +32,7 @@ class Presentation(Record):
         super().__init__(alphabet, relations)
 
     def context(self) -> RuleContext:
-        return RuleContext(relations=self.relations, allow_card=True)
+        return RuleContext(self.relations)
 
     def used_generators(self, *words: Word) -> tuple[Generator, ...]:
         """The generators of the relations and of words, in alphabet order."""

@@ -3,8 +3,13 @@
 Four schema families act on words: interchange of two independent layers
 (M1), the two block-swap naturality forms (M2, M3), and fold naturality
 (M4, which merges or duplicates a layer). Presentations add their relation
-pairs, whiskered on both sides, and a cardinality move (CARD) that collapses
-any factor of type (1,0) or (0,0) to the canonical one.
+pairs, whiskered on both sides.
+
+All finite-set maps belong to the free structure, so a fold of no copies
+(M4 with a = 0) is the naturality of deletion: it rewrites any factor of
+type (1,0) to the deletion map and any factor of type (0,0) to the empty
+word. Besides deleting single letters, M4 collapses whole factors of those
+two types, which may span several letters.
 
 M1 instances come from three generators: the single swap of two adjacent
 letters, one per parameter word; the slide of a boundary map block past
@@ -33,8 +38,7 @@ from .finmap import (FinMap, branch, braid, compose,
                      count_factorizations_from, count_factorizations_through,
                      factorizations_from, factorizations_through, identity)
 from .record import Record
-from .words import (Word, compose_words, identity_word, op_word, tensor_power,
-                    whisker)
+from .words import Word, compose_words, op_word, tensor_power, whisker
 
 M_RULES = ("M1", "M2", "M3", "M4")
 _new = object.__new__
@@ -50,10 +54,9 @@ class RuleBounds(Record):
 
 
 class RuleContext(Record):
-    """Rule environment: relation pairs (may be empty) and CARD availability."""
+    """Rule environment: the relation pairs (may be empty)."""
 
     relations: tuple[tuple[Word, Word], ...] = ()
-    allow_card: bool = False
 
 
 class RewriteStep(Record):
@@ -125,20 +128,12 @@ def build_rel(rl: Word, rr: Word, q: int, p: int) -> tuple[Word, Word]:
     return whisker(q, rl, p), whisker(q, rr, p)
 
 
-def canonical_word(src: int, tgt: int) -> Word:
-    if (src, tgt) == (0, 0):
-        return identity_word(0)
-    if (src, tgt) == (1, 0):
-        return op_word(FinMap(0, 1, ()))
-    raise ArityError(f"no canonical word for type ({src},{tgt})")
-
-
 def step_sides(step: RewriteStep, ctx: RuleContext) -> tuple[Word, Word]:
     """(pattern, replacement) for a step, rebuilt from its parameters."""
     if step.direction not in ("fwd", "bwd"):
         raise ReplayError(f"direction must be fwd or bwd, found "
                           f"{step.direction!r}")
-    if step.v is None and step.rule in ("M1", "M2", "M3", "M4", "CARD"):
+    if step.v is None and step.rule in M_RULES:
         raise ReplayError(f"{step.rule} step needs v=")
     if step.rule == "M1":
         if step.v2 is None:
@@ -156,10 +151,6 @@ def step_sides(step: RewriteStep, ctx: RuleContext) -> tuple[Word, Word]:
         if not 0 <= idx < len(ctx.relations):
             raise ReplayError(f"relation index {text} out of range")
         lhs, rhs = build_rel(*ctx.relations[idx], step.q, step.p)
-    elif step.rule == "CARD":
-        if not ctx.allow_card:
-            raise ReplayError("CARD step not permitted in this context")
-        lhs, rhs = step.v, canonical_word(step.v.src, step.v.tgt)
     else:
         raise ReplayError(f"unknown rule {step.rule!r}")
     return (lhs, rhs) if step.direction == "fwd" else (rhs, lhs)
@@ -795,8 +786,13 @@ def _rel_insertions(w, rule, direction, pat_side, ctx, bounds, cut):
 
 
 def _card_moves(w: Word, ctx, bounds, cut):
-    """Collapse whole-boundary factors of type (0,0) or (1,0)."""
+    """M4 deletions (a = 0) of whole-boundary factors of type (0,0) or (1,0).
+
+    Named for the cardinality rule it replaces: perfbench's tracer wraps it.
+    """
     n = len(w)
+    # a factor's source is its first boundary map's target, and its
+    # target is its last map's source
     for i in range(n):
         if w.boundaries[i].tgt > 1:
             continue
@@ -804,7 +800,7 @@ def _card_moves(w: Word, ctx, bounds, cut):
             if w.boundaries[j].src != 0:
                 continue
             sub = Word(w.boundaries[i:j + 1], w.letters[i:j])
-            yield from _emit(w, i, "CARD", "fwd", ctx, bounds, cut, v=sub)
+            yield from _emit(w, i, "M4", "bwd", ctx, bounds, cut, v=sub)
 
 
 def moves(w: Word, ctx: RuleContext, bounds: RuleBounds,
@@ -828,7 +824,7 @@ def moves(w: Word, ctx: RuleContext, bounds: RuleBounds,
         yield from _m4_moves(w, ctx, bounds, cut)
     if ctx.relations and (fams is None or "REL" in fams):
         yield from _rel_moves(w, ctx, bounds, cut)
-    if ctx.allow_card and (fams is None or "CARD" in fams):
+    if fams is None or "M4" in fams:
         yield from _card_moves(w, ctx, bounds, cut)
 
 

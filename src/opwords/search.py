@@ -196,8 +196,8 @@ def _certificate_search(w: Word, w2: Word, ctx: RuleContext,
     A lane is a bidirectional pass with a set of rule families, a seam cap
     and a final cap on visited words. A shortest chain for one lemma
     family usually stays inside that family, so the tight lanes restrict
-    the branching: M2/M3, M4/CARD, REL/CARD/M1 (with relations only) and
-    M1, each at seam cap 2. The tight lanes run in one round-robin, in
+    the branching: M2/M3, M4, REL/M1 (with relations only) and M1, each
+    at seam cap 2. The tight lanes run in one round-robin, in
     that order: every lane runs to cap 16, then to 64, and so on (x4 per
     round) up to its final cap; a lane resumes where it paused. Then the
     two deep lanes (M1 at seam cap 4, all families at seam cap 64) share
@@ -217,9 +217,9 @@ def _certificate_search(w: Word, w2: Word, ctx: RuleContext,
     scan = max(2, budget.max_steps // 32)
     tight_lanes: list[tuple[tuple[str, ...] | None, int, int]] = [
         (("M2", "M3"), 2, pre),
-        (("M4", "CARD"), 2, pre)]
+        (("M4",), 2, pre)]
     if ctx.relations:
-        tight_lanes.append((("REL", "CARD", "M1"), 2, scan))
+        tight_lanes.append((("REL", "M1"), 2, scan))
     tight_lanes.append((("M1",), 2, scan))
     deep = budget.max_steps - sum(cap for _, _, cap in tight_lanes)
     deep_lanes = [

@@ -174,6 +174,20 @@ class TestVerifyCert:
         assert code == 1
         assert out.startswith("certificate invalid: step 1: ")
 
+    @pytest.mark.parametrize("context", [["--alphabet", "@group"],
+                                         ["--pres", "@group"]],
+                             ids=["free", "group"])
+    def test_card_step_is_refused(self, tmp_path, context):
+        # the collapse is an M4 deletion now; CARD is no rule of its own
+        path = tmp_path / "card.cert"
+        path.write_text(
+            "start: gen eta . del\nend: id(0)\n"
+            'step 1: rule=CARD dir=fwd split=0 a=0 q=0 p=0 '
+            'v="gen eta . del" seamL="id(0)" seamR="id(0)"\n')
+        code, out = run(["verify-cert", *context, str(path)])
+        assert (code, out) == (
+            1, "certificate invalid: step 1: unknown rule 'CARD'\n")
+
 
 NON_INTEGER_FIELDS = [
     ("pres", "generator mu two 1\n",

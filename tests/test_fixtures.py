@@ -8,7 +8,7 @@ import opwords.rules
 import opwords.search
 from opwords.certificate import Certificate, decode, encode
 from opwords.cli import main as cli_main
-from opwords.errors import ReplayError
+from opwords.errors import ParseError, ReplayError
 from opwords.evaluate import eval_word
 from opwords.fixtures import lemma_fixtures
 from opwords.present import (algebra_from_group, builtin_group,
@@ -155,12 +155,36 @@ def test_lemmas_command_names_a_tampered_lemma(monkeypatch, capsys):
     monkeypatch.setattr(opwords.fixtures, "_read", tampered)
     lemma_fixtures.cache_clear()
     try:
-        assert cli_main(["lemmas"]) == 3
+        assert cli_main(["lemmas"]) == 1
     finally:
         lemma_fixtures.cache_clear()
     out, err = capsys.readouterr()
-    assert out == ""
-    assert err.startswith("error: lemma omega-drop: step 1: ")
+    assert err == ""
+    failed = [line for line in out.splitlines() if ": ok (" not in line]
+    assert len(failed) == 1
+    assert failed[0].startswith("omega-drop: FAIL (step 1: ")
+    assert len(out.splitlines()) == len(EXPECTED)
+
+
+def test_undecodable_certificate_is_named(monkeypatch, capsys):
+    read = opwords.fixtures._read
+
+    def garbled(name):
+        text = read(name)
+        return text + "garbage\n" if name == "dup-counit.cert" else text
+
+    monkeypatch.setattr(opwords.fixtures, "_read", garbled)
+    lemma_fixtures.cache_clear()
+    try:
+        with pytest.raises(ParseError, match=r"^lemma dup-counit: "
+                                             r"unrecognized certificate"):
+            lemma_fixtures()
+        assert cli_main(["lemmas"]) == 1
+    finally:
+        lemma_fixtures.cache_clear()
+    out = capsys.readouterr().out.splitlines()
+    assert [line for line in out if ": ok (" not in line] == [
+        "dup-counit: FAIL (unrecognized certificate line: 'garbage')"]
 
 
 def test_lemmas_command_replays_each_certificate_once(monkeypatch, capsys):

@@ -54,7 +54,7 @@ VALUES = {
                     lambda: FinFunction(Carrier(2), 1, 1, ((0,), (1,)))),
     "RewriteStep": (_step, lambda: _step(direction="bwd")),
     "RuleBounds": (lambda: RuleBounds(max_len=4), lambda: RuleBounds()),
-    "RuleContext": (lambda: RuleContext(allow_card=True),
+    "RuleContext": (lambda: RuleContext(((_word(), _word()),)),
                     lambda: RuleContext()),
     "SearchBudget": (lambda: SearchBudget(seed=1), lambda: SearchBudget()),
     "Witness": (lambda: Witness("arity"), lambda: Witness("evaluation")),
@@ -127,7 +127,7 @@ def test_assignment_compares_by_value_and_has_no_hash():
      "families=None, max_len=None, max_width=None)"),
     (RuleBounds(max_len=4), "RuleBounds(a_max=3, pad_max=6, seam_cap=64, "
      "families=None, max_len=4, max_width=None)"),
-    (RuleContext(), "RuleContext(relations=(), allow_card=False)"),
+    (RuleContext(), "RuleContext(relations=())"),
     (SearchBudget(), "SearchBudget(max_steps=100000, max_word_len=None, "
      "probe_carriers=(2, 3), probe_assignments=5, seed=0)"),
     (Witness("arity"), "Witness(kind='arity', assignment=None, "
@@ -148,7 +148,7 @@ def test_assignment_compares_by_value_and_has_no_hash():
     (LemmaFixture("x", Certificate(_word(), (), _word()), RuleContext(), "s"),
      "LemmaFixture(name='x', certificate=Certificate(start=Word[fm[2->2: 1,2] "
      "(0,mu,0) fm[1->1: 1]], steps=(), end=Word[fm[2->2: 1,2] (0,mu,0) "
-     "fm[1->1: 1]]), context=RuleContext(relations=(), allow_card=False), "
+     "fm[1->1: 1]]), context=RuleContext(relations=()), "
      "statement='s')"),
     (Presentation(ALPHABET, ()),
      "Presentation(alphabet=Alphabet(mu:2->1), relations=())"),
@@ -201,7 +201,9 @@ def test_defaults_and_keywords():
                                        input_tuple=None, outputs=None)
     assert SearchBudget() == SearchBudget(100_000, None, (2, 3), 5, 0)
     assert SearchBudget(seed=3).seed == 3
-    assert RuleContext() == RuleContext((), False)
+    assert RuleContext() == RuleContext(())
+    assert (RuleContext(relations=((_word(), _word()),))
+            == RuleContext(((_word(), _word()),)))
     assert AlgebraReport(()).untabled == ()
     assert RelationCheck(index=1, passed=True) == RelationCheck(1, True)
     step = RewriteStep("M1", "fwd", 2)
