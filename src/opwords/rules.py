@@ -824,6 +824,8 @@ def moves(w: Word, ctx: RuleContext, bounds: RuleBounds,
         yield from _m4_moves(w, ctx, bounds, cut)
     if ctx.relations and (fams is None or "REL" in fams):
         yield from _rel_moves(w, ctx, bounds, cut)
+    # the collapses come last: moving them would reorder the stream, and
+    # with it the certificates the search returns
     if fams is None or "M4" in fams:
         yield from _card_moves(w, ctx, bounds, cut)
 

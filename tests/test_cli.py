@@ -178,7 +178,7 @@ class TestVerifyCert:
                                          ["--pres", "@group"]],
                              ids=["free", "group"])
     def test_card_step_is_refused(self, tmp_path, context):
-        # the collapse is an M4 deletion now; CARD is no rule of its own
+        # a collapse is an M4 deletion (a = 0); CARD is no rule
         path = tmp_path / "card.cert"
         path.write_text(
             "start: gen eta . del\nend: id(0)\n"
