@@ -143,7 +143,7 @@ class TestUnknown:
                                              probe_carriers=(),
                                              probe_assignments=0))
         assert isinstance(res, Unknown)
-        # the M2/M3 and M4/CARD lanes' floor of 64 visited words can
+        # the M2/M3 and M4 lanes' floor of 64 visited words can
         # overshoot a tiny budget slightly
         assert res.visited < 200
 
@@ -151,7 +151,7 @@ class TestUnknown:
 # ---------------------------------------------------------------------------
 # The search schedule: resumable lanes and schedule-independent outcomes
 
-LANES = (("M2", "M3"), ("M4", "CARD"), ("REL", "CARD", "M1"), ("M1",), None)
+LANES = (("M2", "M3"), ("M4",), ("REL", "M1"), ("M1",), None)
 
 
 def _walk(rng, w, ctx, steps):
