@@ -28,6 +28,7 @@ from opwords.rules import RuleBounds, Tally, apply_step, build_m1, moves
 from opwords.search import (SearchBudget, _Lane, _lane_bounds,
                             find_refutation, probe_assignments,
                             word_generators)
+from opwords.terms import word_terms
 from opwords.words import Word, gen_word, whisker
 
 F = FinMap(8, 6, (1, 2, 3, 3, 4, 5, 6, 6))
@@ -75,6 +76,13 @@ def test_word_construction(benchmark):
 
 def test_word_whisker(benchmark):
     benchmark(whisker, 2, longest_word(), 3)
+
+
+def test_word_terms(benchmark):
+    # a fresh table each round, so every term is interned anew
+    w = longest_word()
+    terms = benchmark(lambda: word_terms(w, {}))
+    assert len(terms) == w.tgt
 
 
 @pytest.mark.parametrize("family", FAMILIES)

@@ -151,7 +151,9 @@ def cmd_equiv(args) -> int:
                   f"input {wit.input_tuple}: "
                   f"{wit.outputs[0]} != {wit.outputs[1]}")
         return EXIT_FAIL
-    print(f"unknown: budget exhausted after visiting {result.visited} words")
+    # no lane may have run at all, so this does not say the budget ran out
+    print(f"unknown: no certificate found after visiting {result.visited} "
+          "words")
     return EXIT_UNKNOWN
 
 

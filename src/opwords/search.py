@@ -10,6 +10,7 @@ every relation) before it is returned.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from itertools import compress, count, islice
 from operator import add, ne
 
@@ -20,6 +21,7 @@ from .errors import EvaluationSizeError, OpwordsError
 from .evaluate import GeneratorAssignment, eval_word
 from .record import Record
 from .rules import RewriteStep, RuleBounds, RuleContext, Tally, moves
+from .terms import same_terms
 from .words import Word
 
 
@@ -188,9 +190,44 @@ _CAP_GROWTH = 4
 # The seam cap of the widest lane, and of a lane given none.
 _SEAM_CAP = 64
 
+# What every move of a rule family keeps of a word: M2 and M3 move strands
+# past a letter, M1 interchanges letters, M4 copies or deletes them, and all
+# four keep the free terms (terms.py). A relation step keeps none of these.
+_KEEPS = {"M1": {"multiset", "terms"},
+          "M2": {"sequence", "multiset", "terms"},
+          "M3": {"sequence", "multiset", "terms"},
+          "M4": {"terms"},
+          "REL": set()}
+
+
+def _differences(w: Word, w2: Word) -> set[str]:
+    """The invariants of _KEEPS on which w and w2 differ."""
+    seq = tuple(g for _, g, _ in w.letters)
+    seq2 = tuple(g for _, g, _ in w2.letters)
+    differ = set()
+    if seq != seq2:
+        differ.add("sequence")
+        if Counter(seq) != Counter(seq2):
+            differ.add("multiset")
+    if not same_terms(w, w2):
+        differ.add("terms")
+    return differ
+
+
+def _may_connect(families, ctx: RuleContext, differ: set[str]) -> bool:
+    """Whether a lane's moves can join two words that differ in `differ`:
+    not when every family keeps one of those invariants. Without relations
+    REL makes no move, so it keeps every invariant."""
+    kept = {"sequence", "multiset", "terms"}
+    for family in families or _KEEPS:
+        if ctx.relations or family != "REL":
+            kept &= _KEEPS[family]
+    return not kept & differ
+
 
 def _certificate_search(w: Word, w2: Word, ctx: RuleContext,
-                        budget: SearchBudget):
+                        budget: SearchBudget,
+                        differ: set[str] | None = None):
     """Search in lanes, round-robin: (certificate or None, visited).
 
     A lane is a bidirectional pass with a set of rule families, a seam cap
@@ -206,13 +243,20 @@ def _certificate_search(w: Word, w2: Word, ctx: RuleContext,
     seams are enumerated identity-first and a seam cap only truncates
     each list, so every successor at a lower cap is also one at cap 64.
 
+    A lane runs only if its families may connect w and w2: every lane
+    whose families all keep an invariant on which the two differ (differ,
+    computed here when not given) is skipped, as it could never find a
+    chain. The caps are those of the full lane list all the same.
+
     A lane paused at any cap is a prefix of the same deterministic pass
     run at once to its final cap. So a query is Proved exactly when some
     lane run alone to its final cap finds a chain, and an Unknown's
-    visited count is the sum of every lane's count at its final cap: both
-    do not depend on the schedule. Only which certificate is returned, and
-    the visited count that comes with it, do.
+    visited count is the sum of the counts at their final caps of the
+    lanes that run: both do not depend on the schedule. Only which
+    certificate is returned, and the visited count that comes with it, do.
     """
+    if differ is None:
+        differ = _differences(w, w2)
     pre = max(64, budget.max_steps // 256)
     scan = max(2, budget.max_steps // 32)
     tight_lanes: list[tuple[tuple[str, ...] | None, int, int]] = [
@@ -228,7 +272,8 @@ def _certificate_search(w: Word, w2: Word, ctx: RuleContext,
     total = 0
     for group in (tight_lanes, deep_lanes):
         lanes = [_Lane(w, w2, ctx, budget, families, cap, seam_cap)
-                 for families, seam_cap, cap in group]
+                 for families, seam_cap, cap in group
+                 if _may_connect(families, ctx, differ)]
         cert = _round_robin(lanes)
         total += sum(lane.visited for lane in lanes)
         if cert is not None:
@@ -382,17 +427,21 @@ def equivalent(w: Word, w2: Word, budget: SearchBudget | None = None, *,
         return Disproved(Witness("arity"))
     if w == w2:
         return Proved(Certificate(w, (), w2))
-    if probes is None:
-        # with relations in play only assignments satisfying them may refute;
-        # the caller must supply those (equivalent_mod does)
-        probes = ([] if ctx.relations
-                  else probe_assignments(word_generators(w, w2), budget))
-    witness = find_refutation(w, w2, probes)
-    if witness is not None:
-        if not validate_witness(w, w2, witness):
-            raise OpwordsError("refutation witness failed re-validation")
-        return Disproved(witness)
-    cert, visited = _certificate_search(w, w2, ctx, budget)
+    differ = _differences(w, w2)
+    # equal terms evaluate alike under every assignment, so no probe can
+    # separate them
+    if "terms" in differ:
+        if probes is None:
+            # with relations in play only assignments satisfying them may
+            # refute; the caller must supply those (equivalent_mod does)
+            probes = ([] if ctx.relations
+                      else probe_assignments(word_generators(w, w2), budget))
+        witness = find_refutation(w, w2, probes)
+        if witness is not None:
+            if not validate_witness(w, w2, witness):
+                raise OpwordsError("refutation witness failed re-validation")
+            return Disproved(witness)
+    cert, visited = _certificate_search(w, w2, ctx, budget, differ)
     if cert is not None:
         return Proved(cert)
     return Unknown(visited)

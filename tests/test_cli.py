@@ -109,6 +109,17 @@ class TestEquiv:
             assert out.startswith("unknown")
 
 
+    def test_unknown_without_a_lane(self, tmp_path):
+        # no relations and different terms: no lane can connect the words,
+        # and no carrier fits a probe table for g
+        path = tmp_path / "wide.pres"
+        path.write_text("generator g 24 1\n")
+        code, out = run(["equiv", "--pres", str(path), "gen g",
+                         "(braid(1,1) * id(22)) . gen g"])
+        assert (code, out) == (
+            2, "unknown: no certificate found after visiting 0 words\n")
+
+
 class TestCheckAlgebra:
     def test_xor_passes(self, xor_file):
         code, out = run(["check-algebra", "--pres", "@group",

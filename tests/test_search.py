@@ -4,8 +4,9 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from opwords.alphabet import Generator
+from opwords.alphabet import Alphabet, Generator
 from opwords.certificate import encode
+from opwords.dsl import parse_word
 from opwords.endo import Carrier, tabulate
 from opwords.evaluate import eval_word
 from opwords.finmap import braid, branch
@@ -133,8 +134,27 @@ class TestProved:
 
 class TestUnknown:
     def test_budget_exhaustion_is_honest(self):
-        # distinct generators that no probe separates within a tiny budget,
-        # and no chain connects: a free generator vs an unrelated compound
+        # equal terms, so every lane may run, but merging the three copied
+        # letters takes three M4 steps, more than a budget of 50 reaches
+        a, b, c = (Generator("a", 2, 1), Generator("b", 1, 1),
+                   Generator("c", 1, 1))
+        alphabet = Alphabet((a, b, c))
+        w = parse_word("dup . (gen c * gen c) . (gen b * gen b) "
+                       ". (gen c * gen c) . gen a", alphabet)
+        w2 = parse_word("gen c . gen b . gen c . dup . gen a", alphabet)
+        res = equivalent(w, w2, SearchBudget(max_steps=50,
+                                             probe_carriers=(),
+                                             probe_assignments=0))
+        assert isinstance(res, Unknown)
+        # the M2/M3 and M4 lanes' floor of 64 visited words can
+        # overshoot a tiny budget slightly
+        assert 0 < res.visited < 200
+        assert isinstance(equivalent(w, w2, SearchBudget(max_steps=5000)),
+                          Proved)
+
+    def test_different_terms_run_no_lane(self):
+        # a free generator vs an unrelated compound: their terms differ,
+        # so no lane can connect them, and with no probe nothing refutes
         a = Generator("a", 1, 1)
         b = Generator("b", 1, 1)
         w = gen_word(a)
@@ -142,10 +162,7 @@ class TestUnknown:
         res = equivalent(w, w2, SearchBudget(max_steps=50,
                                              probe_carriers=(),
                                              probe_assignments=0))
-        assert isinstance(res, Unknown)
-        # the M2/M3 and M4 lanes' floor of 64 visited words can
-        # overshoot a tiny budget slightly
-        assert res.visited < 200
+        assert res == Unknown(0)
 
 
 # ---------------------------------------------------------------------------
