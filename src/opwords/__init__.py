@@ -19,7 +19,6 @@ from .rules import (RewriteStep, RuleBounds, RuleContext, apply_step,
                     rule_instances_matching)
 from .search import (Disproved, Proved, SearchBudget, Unknown, Witness,
                      equivalent)
-from .terms import same_terms, word_terms
 from .words import (Word, compose_words, gen_word, identity_word, letter_word,
                     op_word, standard_decomposition, tensor_power,
                     tensor_words, whisker)

@@ -14,7 +14,7 @@ from __future__ import annotations
 from .words import Word
 
 
-def word_terms(w: Word, table: dict | None = None) -> tuple[int, ...]:
+def word_terms(w: Word, table: dict) -> tuple[int, ...]:
     """The ids of w's output terms, pushed through the word like eval_word.
 
     The terms are hash-consed in table: variable x_j is the key j, and
@@ -23,8 +23,6 @@ def word_terms(w: Word, table: dict | None = None) -> tuple[int, ...]:
     terms come from one table have equal terms exactly when their id
     tuples are equal.
     """
-    if table is None:
-        table = {}
     ids = table.setdefault
     terms = [ids(v - 1, len(table)) for v in w.boundaries[0].table]
     for (l, g, r), b in zip(w.letters, w.boundaries[1:]):

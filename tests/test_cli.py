@@ -108,7 +108,6 @@ class TestEquiv:
         if code == 2:
             assert out.startswith("unknown")
 
-
     def test_unknown_without_a_lane(self, tmp_path):
         # no relations and different terms: no lane can connect the words,
         # and no carrier fits a probe table for g
