@@ -274,9 +274,17 @@ def test_every_certificate_step_is_one_lane_move():
 OUTCOMES = ("a1dcd7d489c52a295fda25da956d9371b5690805f8e36294de9692fa91bfcb15",
             325, {"Proved": 325})
 
+# SHA-256 of the encoded certificates of the Proved queries above, with
+# their count and total steps. A change that only skips search work must
+# keep it; a change to which certificate comes back changes it.
+CERTIFICATES = (
+    "00e95866a98e8bdcf86ce08f145087d5aefab3e0bb1ba30c6e37ab4fe8046df0",
+    325, 217)
+
 
 def test_outcome_digest():
     digest, count, classes = hashlib.sha256(), 0, {}
+    certs, proved, steps = hashlib.sha256(), 0, 0
     for lhs, rhs, ctx, budget in _outcome_corpus():
         res = equivalent(lhs, rhs, budget, ctx=ctx)
         name = type(res).__name__
@@ -284,4 +292,9 @@ def test_outcome_digest():
         digest.update(f"{name} {visited}\n".encode())
         count += 1
         classes[name] = classes.get(name, 0) + 1
+        if isinstance(res, Proved):
+            certs.update(encode(res.certificate).encode())
+            proved += 1
+            steps += len(res.certificate.steps)
     assert (digest.hexdigest(), count, classes) == OUTCOMES
+    assert (certs.hexdigest(), proved, steps) == CERTIFICATES
