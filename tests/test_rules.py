@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 import random
@@ -168,19 +169,33 @@ def _lemma_steps():
             yield x, y, fx.context
 
 
-def test_moves_stream_digest():
+@functools.cache
+def _stream_digests():
+    """One enumeration of the corpus's moves() stream at seam caps 2 and
+    64, read by both stream digest tests: the rule families seen, then
+    (SHA-256, count) of the whole stream and of its single-letter part."""
     digest, count, rules = hashlib.sha256(), 0, set()
+    single, single_count = hashlib.sha256(), 0
     for cap in (2, 64):
         bounds = RuleBounds(seam_cap=cap)
         for corpus, ctx in _stream_corpus():
             for w in corpus:
                 for step, succ in moves(w, ctx, bounds):
-                    digest.update(step_key(step).encode())
-                    digest.update(repr(succ).encode())
+                    key = (step_key(step) + repr(succ)).encode()
+                    digest.update(key)
                     count += 1
                     rules.add(step.rule.split(":")[0])
+                    if not _is_whole_word_step(step):
+                        single.update(key)
+                        single_count += 1
+    return (rules, (digest.hexdigest(), count),
+            (single.hexdigest(), single_count))
+
+
+def test_moves_stream_digest():
+    rules, stream, _ = _stream_digests()
     assert rules == {"M1", "M2", "M3", "M4", "REL"}
-    assert (digest.hexdigest(), count) == MOVES_STREAM
+    assert stream == MOVES_STREAM
 
 
 # MOVES_STREAM as it stood before interchange of whole words: the stream
@@ -195,18 +210,7 @@ def _is_whole_word_step(step):
 
 
 def test_single_letter_moves_stream_digest():
-    digest, count = hashlib.sha256(), 0
-    for cap in (2, 64):
-        bounds = RuleBounds(seam_cap=cap)
-        for corpus, ctx in _stream_corpus():
-            for w in corpus:
-                for step, succ in moves(w, ctx, bounds):
-                    if _is_whole_word_step(step):
-                        continue
-                    digest.update(step_key(step).encode())
-                    digest.update(repr(succ).encode())
-                    count += 1
-    assert (digest.hexdigest(), count) == SINGLE_LETTER_STREAM
+    assert _stream_digests()[2] == SINGLE_LETTER_STREAM
 
 
 def test_rel_span_emits_match_every_letter(monkeypatch):
