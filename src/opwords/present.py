@@ -36,9 +36,9 @@ class Presentation(Record):
 
     def used_generators(self, *words: Word) -> tuple[Generator, ...]:
         """The generators of the relations and of words, in alphabet order."""
-        used = {g.name for g in word_generators(
-            *words, *(w for pair in self.relations for w in pair))}
-        return tuple(g for g in self.alphabet if g.name in used)
+        used = set(word_generators(
+            *words, *(w for pair in self.relations for w in pair)))
+        return tuple(g for g in self.alphabet if g in used)
 
 
 # ---------------------------------------------------------------------------

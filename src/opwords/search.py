@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from itertools import compress, count, islice
-from operator import add, ne
+from operator import add, attrgetter, ne
 
 from .alphabet import Generator
 from .certificate import Certificate, step_key
@@ -21,7 +21,7 @@ from .errors import EvaluationSizeError, OpwordsError
 from .evaluate import GeneratorAssignment, eval_word
 from .record import Record
 from .rules import RewriteStep, RuleBounds, RuleContext, Tally, moves
-from .terms import same_terms
+from .terms import read_word
 from .words import Word
 
 
@@ -59,11 +59,10 @@ class Unknown(Record):
 
 
 def word_generators(*ws: Word) -> tuple[Generator, ...]:
-    seen: dict[str, Generator] = {}
-    for w in ws:
-        for _, g, _ in w.letters:
-            seen.setdefault(g.name, g)
-    return tuple(seen[name] for name in sorted(seen))
+    """The distinct generators of ws' letters, by name, then src and tgt:
+    two generators that share a name are two generators."""
+    seen = {g for w in ws for _, g, _ in w.letters}
+    return tuple(sorted(seen, key=attrgetter("name", "src", "tgt")))
 
 
 # ---------------------------------------------------------------------------
@@ -191,8 +190,11 @@ _CAP_GROWTH = 4
 _SEAM_CAP = 64
 
 # What every move of a rule family keeps of a word: M2 and M3 move strands
-# past a letter, M1 interchanges letters, M4 copies or deletes them, and all
-# four keep the free terms (terms.py). A relation step keeps none of these.
+# past a letter, so they keep its place, its generator, its number of
+# passing strands and its argument terms ("sequence"); M1 interchanges
+# letters, so it keeps the multiset of their generators with their argument
+# terms ("multiset"); M4 copies or deletes letters; and all four keep the
+# free terms (terms.py). A relation step keeps none of these.
 _KEEPS = {"M1": {"multiset", "terms"},
           "M2": {"sequence", "multiset", "terms"},
           "M3": {"sequence", "multiset", "terms"},
@@ -201,15 +203,24 @@ _KEEPS = {"M1": {"multiset", "terms"},
 
 
 def _differences(w: Word, w2: Word) -> set[str]:
-    """The invariants of _KEEPS on which w and w2 differ."""
-    seq = tuple(g for _, g, _ in w.letters)
-    seq2 = tuple(g for _, g, _ in w2.letters)
+    """The invariants of _KEEPS on which w and w2 differ.
+
+    One terms.read_word pass per word, over one table, gives both words'
+    terms and each letter's key (generator, argument term ids). The
+    sequence is the letters' keys in order, each with its passing strands
+    l + r; the multiset is that of the keys alone.
+    """
+    table: dict = {}
+    terms, keys = read_word(w, table)
+    terms2, keys2 = read_word(w2, table)
+    seq = [(key, l + r) for key, (l, _, r) in zip(keys, w.letters)]
+    seq2 = [(key, l + r) for key, (l, _, r) in zip(keys2, w2.letters)]
     differ = set()
     if seq != seq2:
         differ.add("sequence")
-        if Counter(seq) != Counter(seq2):
+        if Counter(keys) != Counter(keys2):
             differ.add("multiset")
-    if not same_terms(w, w2):
+    if terms != terms2:
         differ.add("terms")
     return differ
 
@@ -246,7 +257,12 @@ def _certificate_search(w: Word, w2: Word, ctx: RuleContext,
     A lane runs only if its families may connect w and w2: every lane
     whose families all keep an invariant on which the two differ (differ,
     computed here when not given) is skipped, as it could never find a
-    chain. The caps are those of the full lane list all the same.
+    chain. The invariants read each letter's generator and argument terms,
+    and for M2/M3 its place and passing strands, so the M2/M3 lane runs
+    only where the letters line up one to one. The caps are those of the
+    full lane list all the same. Within a lane, a node stops generating
+    successors once it reaches the other word itself (_Lane), which saves
+    work and changes no certificate.
 
     A lane paused at any cap is a prefix of the same deterministic pass
     run at once to its final cap. So a query is Proved exactly when some
@@ -302,7 +318,10 @@ class _Lane:
     """One bidirectional pass that pauses at a cap and resumes at a larger one.
 
     The pass expands the smaller frontier one level at a time and stops at
-    the first level that meets the other side. It checks its cap before
+    the first node that meets the other side. A node stops generating
+    successors once one is the other side's root: every other meet of the
+    node is deeper on that side, so the certificate is the same as if the
+    node were expanded in full. It checks its cap before
     each level and after each expanded node; there `advance(cap)` pauses
     it, and the next `advance` resumes it with the next node of the same
     frontier. The lane is done once it has found a certificate, exhausted
@@ -361,6 +380,8 @@ class _Lane:
             frontier = frontier_l if expand_left else frontier_r
             own = parents_l if expand_left else parents_r
             other = parents_r if expand_left else parents_l
+            # the other side's root: a meet there is the shortest of its node
+            root = w2 if expand_left else w
             next_frontier: list[Word] = []
             meets: list[Word] = []
             for node in frontier:
@@ -373,6 +394,8 @@ class _Lane:
                     self.visited += 1
                     if succ in other:
                         meets.append(succ)
+                        if succ == root:
+                            break
                 self.work += tally.pruned
                 tally.pruned = 0
                 if meets:

@@ -73,6 +73,18 @@ class TestDisproved:
         t1, t2 = eval_word(mu, wit.assignment), eval_word(swapped, wit.assignment)
         assert t1(wit.input_tuple) != t2(wit.input_tuple)
 
+    def test_generators_that_share_a_name(self):
+        # g : 1 -> 1 against the first output of another g : 1 -> 2: each
+        # gets its own probe table
+        w = parse_word("gen g", Alphabet((Generator("g", 1, 1),)))
+        w2 = parse_word("gen g . (id(1) * del)",
+                        Alphabet((Generator("g", 1, 2),)))
+        assert word_generators(w2, w) == (Generator("g", 1, 1),
+                                          Generator("g", 1, 2))
+        res = equivalent(w, w2)
+        assert isinstance(res, Disproved)
+        assert validate_witness(w, w2, res.witness)
+
     def test_witness_is_first_differing_row(self, rng):
         refuted = 0
         for _ in range(300):
@@ -146,8 +158,9 @@ class TestUnknown:
                                              probe_carriers=(),
                                              probe_assignments=0))
         assert isinstance(res, Unknown)
-        # the M2/M3 and M4 lanes' floor of 64 visited words can
-        # overshoot a tiny budget slightly
+        # the letters differ in generators, so only the M4 and
+        # all-families lanes run, and the M4 lane's floor of 64 visited
+        # words can overshoot a tiny budget slightly
         assert 0 < res.visited < 200
         assert isinstance(equivalent(w, w2, SearchBudget(max_steps=5000)),
                           Proved)
@@ -219,6 +232,17 @@ def test_lane_checks_its_cap_before_the_first_level():
     assert lane.advance(100) is not None
     assert _search_pass(lhs, rhs, RuleContext(), SearchBudget(), None, 2) \
         == (None, 2)
+
+
+def test_lane_stops_a_node_at_the_other_root():
+    # the right word is one M1 move from the left one; the pass stops
+    # generating the left word's successors once it reaches it, instead of
+    # visiting all 17 of them
+    lhs, rhs = build_m1(gen_word(MU), gen_word(MU))
+    lane = _Lane(lhs, rhs, RuleContext(), SearchBudget(), None, 100)
+    cert = lane.advance(100)
+    assert [step.rule for step in cert.steps] == ["M1"]
+    assert (cert.start, cert.end, lane.visited) == (lhs, rhs, 3)
 
 
 def _outcome_corpus():

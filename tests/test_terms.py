@@ -73,7 +73,8 @@ CONTEXTS = {
 @pytest.mark.parametrize("name", CONTEXTS)
 def test_every_move_keeps_what_its_family_keeps(name):
     # every step of M1-M4 keeps the free terms, M1 the multiset of the
-    # letters' generators and M2/M3 their sequence; a relation step keeps
+    # letters' generators with their argument terms, and M2/M3 the letters
+    # in order, each with its passing strands too; a relation step keeps
     # none of these, and changes the terms often
     ctx, gens = CONTEXTS[name]
     bounds = RuleBounds(a_max=2, pad_max=2, seam_cap=4, max_len=5,
@@ -111,6 +112,25 @@ def test_lane_filter_reads_the_families():
                for families in (("M2", "M3"), ("M4",), ("REL", "M1"),
                                 ("M1",), None)
                for ctx in (free, group))
+
+
+@pytest.mark.parametrize("lhs, rhs, alphabet", [
+    # one letter c, passed by 2 strands on the left and by 3 on the right
+    ("fm[4->3: 2,1,1,3] . pad(1, gen c, 2) . fm[4->4: 3,2,4,4]",
+     "fm[5->3: 2,1,1,3,3] . pad(1, gen c, 3) . fm[4->5: 3,2,4,5]",
+     Alphabet(GENS)),
+    # omega, omega in both, but the first letter applies to x_0 on the
+    # left and to x_1 on the right
+    ("(gen omega * id(1)) . (id(1) * gen omega)",
+     "(id(1) * gen omega) . (gen omega * id(1))", GROUP_ALPHABET),
+])
+def test_braid_lane_reads_widths_and_arguments(lhs, rhs, alphabet):
+    # the same generators in the same order, yet no M2/M3 move keeps the
+    # letters' passing strands or argument terms apart, while interchange
+    # may still connect the two
+    differ = _differences(parse_word(lhs, alphabet), parse_word(rhs, alphabet))
+    assert not _may_connect(("M2", "M3"), RuleContext(), differ)
+    assert _may_connect(("M1",), RuleContext(), differ)
 
 
 def test_different_free_terms_run_no_lane():
