@@ -321,12 +321,12 @@ class _Lane:
     the first node that meets the other side. A node stops generating
     successors once one is the other side's root: every other meet of the
     node is deeper on that side, so the certificate is the same as if the
-    node were expanded in full. It checks its cap before
-    each level and after each expanded node; there `advance(cap)` pauses
-    it, and the next `advance` resumes it with the next node of the same
-    frontier. The lane is done once it has found a certificate, exhausted
-    both frontiers (no chain within the bounds) or paused at its final cap.
-    A done lane drops its frontiers and visited words.
+    node were expanded in full. The pass checks its cap before each level
+    and after each expanded node; there `advance(cap)` pauses it, and the
+    next `advance` resumes it with the next node of the same frontier. The
+    lane is done once it has found a certificate, exhausted both frontiers
+    (no chain within the bounds) or paused at its final cap. A done lane
+    drops its frontiers and visited words.
     """
 
     def __init__(self, w: Word, w2: Word, ctx: RuleContext,

@@ -19,7 +19,7 @@ from __future__ import annotations
 from .words import Word
 
 
-def read_word(w: Word, table: dict):
+def read_word(w: Word, table: dict) -> tuple[tuple[int, ...], list]:
     """w's output term ids and its letters' keys, pushed through the word
     like eval_word.
 
