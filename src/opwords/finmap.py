@@ -72,10 +72,6 @@ class FinMap(Record):
         return self.src == self.tgt and all(
             v == i for i, v in enumerate(self.table, start=1))
 
-    @property
-    def is_bijective(self) -> bool:
-        return self.src == self.tgt and len(set(self.table)) == self.src
-
 
 # The slots' member descriptors set fields past the frozen __setattr__.
 _new = object.__new__
@@ -134,15 +130,6 @@ def f2() -> FinMap:
 def f0() -> FinMap:
     """The unique map (0,1)."""
     return FinMap(0, 1, ())
-
-
-def inverse(f: FinMap) -> FinMap:
-    if not f.is_bijective:
-        raise ArityError(f"{f!r} is not bijective")
-    table = [0] * f.src
-    for i, v in enumerate(f.table, start=1):
-        table[v - 1] = i
-    return FinMap(f.tgt, f.src, tuple(table))
 
 
 def all_maps(src: int, tgt: int) -> Iterator[FinMap]:

@@ -245,14 +245,15 @@ def _certificate_search(w: Word, w2: Word, ctx: RuleContext,
     and a final cap on visited words. A shortest chain for one lemma
     family usually stays inside that family, so the tight lanes restrict
     the branching: M2/M3, M4, REL/M1 (with relations only) and M1, each
-    at seam cap 2. The tight lanes run in one round-robin, in
-    that order: every lane runs to cap 16, then to 64, and so on (x4 per
-    round) up to its final cap; a lane resumes where it paused. Then the
-    two deep lanes (M1 at seam cap 4, all families at seam cap 64) share
-    the rest of the budget in a second round-robin. The first certificate
-    found is returned. There is no all-families lane at a lower seam cap:
-    seams are enumerated identity-first and a seam cap only truncates
-    each list, so every successor at a lower cap is also one at cap 64.
+    at seam cap 2. The search has two stages. First the tight lanes run
+    in one round-robin, in that order: every lane runs to cap 16, then to
+    64, and so on (x4 per round) up to its final cap; a lane resumes where
+    it paused. Then one final lane, all families at seam cap 64, runs
+    alone, capped at about a third of the budget the tight lanes leave.
+    The first certificate found is returned. There is no all-families
+    lane at a lower seam cap: seams are enumerated identity-first and a
+    seam cap only truncates each list, so every successor at a lower cap
+    is also one at cap 64.
 
     A lane runs only if its families may connect w and w2: every lane
     whose families all keep an invariant on which the two differ (differ,
@@ -282,11 +283,9 @@ def _certificate_search(w: Word, w2: Word, ctx: RuleContext,
         tight_lanes.append((("REL", "M1"), 2, scan))
     tight_lanes.append((("M1",), 2, scan))
     deep = budget.max_steps - sum(cap for _, _, cap in tight_lanes)
-    deep_lanes = [
-        (("M1",), 4, max(2, deep // 3)),
-        (None, _SEAM_CAP, max(2, deep - 2 * (deep // 3)))]
+    final_lane = [(None, _SEAM_CAP, max(2, deep // 3 + deep % 3))]
     total = 0
-    for group in (tight_lanes, deep_lanes):
+    for group in (tight_lanes, final_lane):
         lanes = [_Lane(w, w2, ctx, budget, families, cap, seam_cap)
                  for families, seam_cap, cap in group
                  if _may_connect(families, ctx, differ)]

@@ -8,7 +8,7 @@ from opwords.finmap import (FinMap, all_maps, braid, branch, compose,
                             count_factorizations_from,
                             count_factorizations_through, f0, f2,
                             factorizations_from, factorizations_through,
-                            identity, inverse, pad, tensor)
+                            identity, pad, tensor)
 
 from conftest import all_maps_upto, brute_force_left_factors
 
@@ -81,13 +81,6 @@ class TestComposeTensor:
     def test_compose_mismatch(self):
         with pytest.raises(ArityError):
             compose(f2(), f2())
-
-    def test_inverse(self):
-        for m, n in [(0, 0), (1, 2), (2, 2), (3, 1)]:
-            b = braid(m, n)
-            assert compose(b, inverse(b)) == identity(m + n)
-        with pytest.raises(ArityError):
-            inverse(f2())
 
 
 class TestLawsExhaustive:

@@ -245,6 +245,24 @@ def test_lane_stops_a_node_at_the_other_root():
     assert (cert.start, cert.end, lane.visited) == (lhs, rhs, 3)
 
 
+def test_schedule_is_tight_lanes_then_one_final_lane(monkeypatch):
+    # at 50 steps no lane certifies this M1 pair: the M4 and M1 lanes run,
+    # the M2/M3 lane is skipped, and the final all-families lane runs alone
+    built = []
+    init = _Lane.__init__
+
+    def recording(self, w, w2, ctx, budget, families, final_cap,
+                  seam_cap=None):
+        built.append((families, seam_cap, final_cap))
+        init(self, w, w2, ctx, budget, families, final_cap, seam_cap)
+
+    monkeypatch.setattr(_Lane, "__init__", recording)
+    lhs, rhs = build_m1(gen_word(MU), gen_word(MU))
+    outcome = equivalent(lhs, rhs, budget=SearchBudget(max_steps=50))
+    assert built == [(("M4",), 2, 64), (("M1",), 2, 2), (None, 64, 2)]
+    assert outcome == Unknown(59)
+
+
 def _outcome_corpus():
     """Criterion 4's and 5's query generators, then every lemma step."""
     free = RuleContext()
