@@ -282,8 +282,8 @@ def _certificate_search(w: Word, w2: Word, ctx: RuleContext,
     if ctx.relations:
         tight_lanes.append((("REL", "M1"), 2, scan))
     tight_lanes.append((("M1",), 2, scan))
-    deep = budget.max_steps - sum(cap for _, _, cap in tight_lanes)
-    final_lane = [(None, _SEAM_CAP, max(2, deep // 3 + deep % 3))]
+    rest = budget.max_steps - sum(cap for _, _, cap in tight_lanes)
+    final_lane = [(None, _SEAM_CAP, max(2, rest // 3 + rest % 3))]
     total = 0
     for group in (tight_lanes, final_lane):
         lanes = [_Lane(w, w2, ctx, budget, families, cap, seam_cap)

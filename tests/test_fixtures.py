@@ -205,12 +205,17 @@ def test_lemmas_command_replays_each_certificate_once(monkeypatch, capsys):
                    for f in fixtures]
 
 
-def test_transport_whiskers_a_certificate():
+@pytest.fixture(scope="module")
+def script():
+    spec = importlib.util.spec_from_file_location("replay_lemmas", REGENERATOR)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_transport_whiskers_a_certificate(script):
     from opwords.finmap import f2
     from opwords.words import op_word, whisker
-    spec = importlib.util.spec_from_file_location("replay_lemmas", REGENERATOR)
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
     ctx = builtin_group().context()
     lhs, rhs = builtin_group().relations[1]
     cert = script.connect(lhs, rhs, ctx)
@@ -220,10 +225,7 @@ def test_transport_whiskers_a_certificate():
     assert moved.end == compose_many(dup, whisker(0, rhs, 1), mu)
 
 
-def test_regenerator_rebuilds_the_shipped_lemmas():
-    spec = importlib.util.spec_from_file_location("replay_lemmas", REGENERATOR)
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
+def test_regenerator_rebuilds_the_shipped_lemmas(script):
     for name, cert, _ in script.build_lemmas():
         shipped = (script.LEMMA_DIR / f"{name}.cert").read_text()
         assert encode(cert) == shipped, name
