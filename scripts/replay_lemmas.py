@@ -1,13 +1,16 @@
 #!/usr/bin/env python3
 """Regenerate the built-in lemma certificates shipped in src/opwords/lemmas.
 
-Each chain follows an equational proof line by line: its waypoint words are
-connected by small bounded searches, so the certificates depend on the
-search. Every certificate is replayed forwards and backwards and decoded
-back from its text before it is written as <name>.cert. The conditional
-lemmas (uniqueness of the unit and of the inverse) extend the alphabet with
-a fresh symbol and add the hypothesis as relation 5; that context is written
-as <name>.pres in the presentation file format.
+Each certificate chains small bounded searches between waypoint words taken
+from an equational proof of the lemma, so the certificates depend on the
+search. The waypoints mark only the proof lines that the search does not
+bridge by itself: without them it finds no chain, another chain, or the same
+chain only after visiting many more words. Every certificate is replayed
+forwards and backwards and decoded back from its text before it is written
+as <name>.cert. The conditional lemmas (uniqueness of the unit and of the
+inverse) extend the alphabet with a fresh symbol and add the hypothesis as
+relation 5; that context is written as <name>.pres in the presentation file
+format.
 
 Usage (from the repository root):
     PYTHONPATH=src python scripts/replay_lemmas.py [outdir]
@@ -23,7 +26,7 @@ from opwords.alphabet import Generator
 from opwords.certificate import Certificate, decode, encode
 from opwords.dsl import print_word
 from opwords.errors import OpwordsError
-from opwords.finmap import compose, f0, f2, identity, pad, tensor
+from opwords.finmap import compose, f0, f2, pad
 from opwords.fixtures import LEMMAS
 from opwords.present import (ETA, GROUP_ALPHABET, MU, OMEGA, Presentation,
                              builtin_group, builtin_group_Z, group_relations,
@@ -93,37 +96,19 @@ def transport(cert: Certificate, q: int, p: int, left: Word, right: Word,
 
 
 # ---------------------------------------------------------------------------
-# The chains. Waypoints follow the equational proofs line by line; lines that
-# are equal as words collapse to zero-step hops. Each builder appends
-# (name, certificate, presentation), where the presentation is None for the
-# free calculus.
+# The chains: one row (name, presentation, waypoints) per chain, in the order
+# of opwords.fixtures.LEMMAS; the presentation is None for the free calculus.
+# A proof line is left out where the search bridges its neighbours by itself
+# with the same bytes at about the same cost. ZG-claim2 is two rows, its head
+# and its tail, which build_lemmas() joins through ZG-claim1 whiskered by dup
+# and mu.
 
 C = compose_many
 T = tensor_many_words
 
 
-def _vocab():
-    return (gen_word(MU), gen_word(ETA), gen_word(OMEGA), identity_word(1),
-            op_word(f2()), op_word(f0()))
-
-
 def _context(pres):
     return pres.context() if pres is not None else RuleContext()
-
-
-def _map_identities(out):
-    mu, eta, om, i1, dup, drop = _vocab()
-    ctx = _context(None)
-    pairs = [
-        ("dup-assoc", C(dup, T(dup, i1)), C(dup, T(i1, dup))),
-        ("dup-assoc-square",
-         C(dup, T(dup, dup)), C(dup, T(dup, i1), T(i1, dup, i1))),
-        ("dup-counit", C(dup, T(drop, i1)), C(dup, T(i1, drop))),
-        ("omega-split-dup", C(dup, T(om, om)), C(om, dup)),
-        ("omega-drop", C(om, drop), drop),
-    ]
-    for name, lhs, rhs in pairs:
-        out.append((name, chain([lhs, rhs], ctx, name), None))
 
 
 def _hypothesis(symbol: Generator, lhs: Word, rhs: Word) -> Presentation:
@@ -131,137 +116,75 @@ def _hypothesis(symbol: Generator, lhs: Word, rhs: Word) -> Presentation:
                         group_relations() + ((lhs, rhs),))
 
 
-def _eta_unique(out):
-    mu, eta, om, i1, dup, drop = _vocab()
-    eta2_g = Generator("eta2", 0, 1)
-    eta2 = gen_word(eta2_g)
-    pres = _hypothesis(eta2_g, C(T(eta2, i1), mu), i1)
-    waypoints = [
-        eta2,
-        C(eta2, T(i1, eta), mu),
-        C(eta, T(eta2, i1), mu),
-        eta,
-    ]
-    out.append(("eta-unique",
-                chain(waypoints, pres.context(), "eta-unique"), pres))
-
-
-def _omega_unique(out):
-    mu, eta, om, i1, dup, drop = _vocab()
-    om2_g = Generator("omega2", 1, 1)
-    om2 = gen_word(om2_g)
-    pres = _hypothesis(om2_g, C(dup, T(om2, i1), mu), C(drop, eta))
-    b_inner = C(dup, T(i1, om), mu)
-    waypoints = [
-        om2,
-        C(dup, T(om2, drop)),
-        C(dup, T(om2, drop), T(i1, eta), mu),
-        C(dup, T(om2, i1), T(i1, b_inner), mu),
-        C(dup, op_word(tensor(identity(1), f2())), T(om2, i1, om),
-          T(i1, mu), mu),
-        C(dup, op_word(tensor(f2(), identity(1))), T(om2, i1, om),
-          T(mu, i1), mu),
-        C(dup, T(C(dup, T(om2, i1), mu), om), mu),
-        C(dup, T(C(drop, eta), om), mu),
-        C(om, T(eta, i1), mu),
-        om,
-    ]
-    out.append(("omega-unique",
-                chain(waypoints, pres.context(), "omega-unique"), pres))
-
-
-def _eta_omega(out):
-    mu, eta, om, i1, dup, drop = _vocab()
-    pres = builtin_group()
-    waypoints = [
-        C(eta, om),
-        C(eta, om, T(i1, eta), mu),
-        C(T(eta, eta), T(om, i1), mu),
-        C(eta, dup, T(om, i1), mu),
-        C(eta, drop, eta),
-        eta,
-    ]
-    out.append(("eta-omega", chain(waypoints, pres.context(), "eta-omega"),
-                pres))
-
-
-def _omega_involution(out):
-    mu, eta, om, i1, dup, drop = _vocab()
-    pres = builtin_group()
-    waypoints = [
-        C(om, om),
-        C(om, om, T(i1, eta), mu),
-        C(dup, op_word(tensor(identity(1), f2())), T(C(om, om), om, i1),
-          T(i1, mu), mu),
-        C(dup, op_word(tensor(f2(), identity(1))), T(C(om, om), om, i1),
-          T(mu, i1), mu),
-        C(dup, op_word(tensor(f2(), identity(1))), T(om, om, i1),
-          T(om, i1, i1), T(mu, i1), mu),
-        C(dup, T(C(om, dup), i1), T(om, i1, i1), T(mu, i1), mu),
-        C(dup, T(om, i1), T(C(dup, T(om, i1), mu), i1), mu),
-        C(dup, T(om, i1), T(C(drop, eta), i1), mu),
-        C(T(eta, i1), mu),
-        i1,
-    ]
-    out.append(("omega-involution",
-                chain(waypoints, pres.context(), "omega-involution"), pres))
-
-
-def _zg_claims(out):
-    mu, eta, om, i1, dup, drop = _vocab()
-    pres = builtin_group_Z()
-    ctx = pres.context()
+def _chains():
+    mu, eta, om = gen_word(MU), gen_word(ETA), gen_word(OMEGA)
+    i1, dup, drop = identity_word(1), op_word(f2()), op_word(f0())
+    eta2_g, om2_g = Generator("eta2", 0, 1), Generator("omega2", 1, 1)
+    eta2, om2 = gen_word(eta2_g), gen_word(om2_g)
+    group, group_z = builtin_group(), builtin_group_Z()
     b5 = C(dup, T(i1, om))
-    claim1_waypoints = [
-        C(dup, T(i1, om), mu),
-        C(dup, op_word(tensor(f0(), f2())), T(C(T(eta, i1), mu), om), mu),
-        C(dup, op_word(tensor(f0(), f2())), T(eta, i1, om), T(mu, i1), mu),
-        C(dup, T(C(drop, eta), b5), T(mu, i1), mu),
-        C(dup, T(C(om, drop, eta), b5), T(mu, i1), mu),
-        C(dup, T(C(om, dup, T(om, i1), mu), b5), T(mu, i1), mu),
-        C(dup, T(C(dup, T(om, om), T(om, i1), mu), b5), T(mu, i1), mu),
-        C(dup, T(C(dup, T(C(om, om), om), mu), b5), T(mu, i1), mu),
-        C(dup, op_word(tensor(f2(), f2())), T(C(om, om), om, i1, om),
-          T(C(T(mu, i1), mu), i1), mu),
-        C(dup, op_word(tensor(f2(), f2())), T(C(om, om), om, i1, om),
-          T(C(T(i1, mu), mu), i1), mu),
-        C(dup, op_word(tensor(f2(), identity(1))),
-          T(C(om, om), C(dup, T(om, i1), mu), om), T(mu, i1), mu),
-        C(dup, op_word(tensor(f2(), identity(1))),
-          T(C(om, om), C(drop, eta), om), T(mu, i1), mu),
-        C(dup, op_word(tensor(f2(), identity(1))),
-          T(C(om, om), C(drop, eta), om), T(i1, mu), mu),
-        C(dup, op_word(tensor(f2(), identity(1))), T(C(om, om), drop, om),
-          mu),
-        C(dup, T(C(om, om), om), mu),
-        C(dup, T(om, om), T(om, i1), mu),
-        C(om, dup, T(om, i1), mu),
-        C(om, drop, eta),
-        C(drop, eta),
+    return [
+        ("dup-assoc", None, [C(dup, T(dup, i1)), C(dup, T(i1, dup))]),
+        ("dup-assoc-square", None,
+         [C(dup, T(dup, dup)), C(dup, T(dup, i1), T(i1, dup, i1))]),
+        ("dup-counit", None, [C(dup, T(drop, i1)), C(dup, T(i1, drop))]),
+        ("omega-split-dup", None, [C(dup, T(om, om)), C(om, dup)]),
+        ("omega-drop", None, [C(om, drop), drop]),
+        ("eta-unique", _hypothesis(eta2_g, C(T(eta2, i1), mu), i1),
+         [eta2, eta]),
+        ("omega-unique",
+         _hypothesis(om2_g, C(dup, T(om2, i1), mu), C(drop, eta)), [
+             om2,
+             C(dup, T(om2, drop)),
+             C(dup, T(om2, i1), T(i1, C(dup, T(i1, om), mu)), mu),
+             C(dup, T(C(dup, T(om2, i1), mu), om), mu),
+             om,
+         ]),
+        ("eta-omega", group, [C(eta, om), C(eta, drop, eta), eta]),
+        ("omega-involution", group, [
+            C(om, om),
+            C(dup, T(i1, dup), T(i1, om, i1), T(C(om, om), i1, i1),
+              T(i1, mu), mu),
+            C(dup, T(i1, dup), T(C(om, om), om, i1), T(i1, mu), mu),
+            C(dup, T(dup, i1), T(om, om, i1), T(om, i1, i1), T(mu, i1), mu),
+            C(dup, T(om, i1), T(C(drop, eta), i1), mu),
+            i1,
+        ]),
+        ("ZG-claim1", group_z, [
+            C(dup, T(i1, om), mu),
+            C(dup, T(drop, dup), T(eta, i1, om), T(mu, i1), mu),
+            C(dup, T(C(om, drop, eta), b5), T(mu, i1), mu),
+            C(dup, T(C(dup, T(C(om, om), om), mu), b5), T(mu, i1), mu),
+            C(dup, T(dup, dup), T(C(om, om), om, i1, om),
+              T(C(T(mu, i1), mu), i1), mu),
+            C(dup, T(dup, dup), T(C(om, om), om, i1, om),
+              T(C(T(i1, mu), mu), i1), mu),
+            C(dup, T(dup, i1), T(C(om, om), C(dup, T(om, i1), mu), om),
+              T(mu, i1), mu),
+            C(dup, T(dup, i1), T(C(om, om), C(drop, eta), om), T(i1, mu), mu),
+            C(dup, T(dup, i1), T(C(om, om), drop, om), mu),
+            C(dup, T(C(om, om), om), mu),
+            C(om, drop, eta),
+            C(drop, eta),
+        ]),
+        ("ZG-claim2-head", group_z, [
+            C(T(i1, eta), mu),
+            C(dup, whisker(0, C(dup, T(i1, om), mu), 1), mu),
+        ]),
+        ("ZG-claim2-tail", group_z,
+         [C(dup, whisker(0, C(drop, eta), 1), mu), i1]),
     ]
-    claim1 = chain(claim1_waypoints, ctx, "ZG-claim1")
-    out.append(("ZG-claim1", claim1, pres))
-
-    t_start = C(dup, whisker(0, claim1.start, 1), mu)
-    t_end = C(dup, whisker(0, claim1.end, 1), mu)
-    head = chain([
-        C(T(i1, eta), mu),
-        C(dup, T(i1, C(dup, T(om, i1), mu)), mu),
-        t_start,
-    ], ctx, "ZG-claim2-head")
-    middle = transport(claim1, 0, 1, dup, mu, ctx)
-    tail = chain([t_end, i1], ctx, "ZG-claim2-tail")
-    claim2 = head.then(middle).then(tail)
-    claim2.replay(ctx)
-    out.append(("ZG-claim2", claim2, pres))
 
 
 def build_lemmas():
-    out = []
-    for build in (_map_identities, _eta_unique, _omega_unique, _eta_omega,
-                  _omega_involution, _zg_claims):
-        build(out)
-    return out
+    built = [(name, chain(waypoints, _context(pres), name), pres)
+             for name, pres, waypoints in _chains()]
+    (_, claim1, pres), (_, head, _), (_, tail, _) = built[-3:]
+    ctx = pres.context()
+    middle = transport(claim1, 0, 1, op_word(f2()), gen_word(MU), ctx)
+    claim2 = head.then(middle).then(tail)
+    claim2.replay(ctx)
+    return built[:-2] + [("ZG-claim2", claim2, pres)]
 
 
 def presentation_text(pres: Presentation) -> str:

@@ -13,7 +13,7 @@ import sys
 
 from .alphabet import Alphabet, Generator
 from .certificate import decode, encode
-from .dsl import parse_word
+from .dsl import check_generator_name, parse_word
 from .endo import Carrier, FinFunction, table_rows
 from .errors import OpwordsError, ParseError, ReplayError
 from .evaluate import GeneratorAssignment, eval_word
@@ -61,7 +61,8 @@ def _parse_rows(lines, m, carrier_size):
 
 def load_assignment(path: str, carrier_size: int | None):
     """Assignment file: optional ``carrier N`` line, then gen blocks."""
-    blocks: list[tuple[str, list[str]]] = []
+    blocks: dict[str, list[str]] = {}
+    rows = None
     for raw in read_text(path).split("\n"):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -76,13 +77,17 @@ def load_assignment(path: str, carrier_size: int | None):
             fields = line.split()
             if len(fields) < 2:
                 raise ParseError(f"gen line without a name: {line!r}")
-            blocks.append((fields[1], []))
+            name = fields[1]
+            check_generator_name(name, line)
+            if name in blocks:
+                raise ParseError(f"second gen block for {name!r}: {line!r}")
+            rows = blocks[name] = []
         else:
-            if not blocks:
+            if rows is None:
                 raise OpwordsError(f"table row before any gen line: {line!r}")
-            blocks[-1][1].append(line)
+            rows.append(line)
     if carrier_size is None:
-        for name, lines in blocks:
+        for lines in blocks.values():
             if lines:
                 m = len(lines[0].partition("->")[0].split())
                 if m == 1:
@@ -91,7 +96,7 @@ def load_assignment(path: str, carrier_size: int | None):
         else:
             raise OpwordsError("carrier size not given and not inferable")
     functions = {}
-    for name, lines in blocks:
+    for name, lines in blocks.items():
         m = len(lines[0].partition("->")[0].split()) if lines else 0
         fn = _parse_rows(lines, m, carrier_size)
         functions[Generator(name, fn.src, fn.tgt)] = fn

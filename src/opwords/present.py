@@ -328,7 +328,7 @@ def equivalent_mod(w: Word, w2: Word, pres: Presentation,
 
 
 def parse_presentation(text: str) -> Presentation:
-    from .dsl import parse_word
+    from .dsl import check_generator_name, parse_word
 
     gens: list[Generator] = []
     relation_lines: list[tuple[str, str]] = []
@@ -345,6 +345,7 @@ def parse_presentation(text: str) -> Presentation:
             except ValueError:
                 raise ParseError(
                     f"generator arities must be integers: {line!r}") from None
+            check_generator_name(parts[1], line)
             gens.append(Generator(parts[1], src, tgt))
         elif parts[0] == "relation":
             body = line[len("relation"):].strip()

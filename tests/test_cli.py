@@ -267,6 +267,41 @@ def test_repeated_assignment_row_is_a_parse_error(tmp_path, capsys):
     assert err == "error: repeated row for input (0,): '0 -> 1'\n"
 
 
+def test_repeated_gen_block_is_a_parse_error(tmp_path, capsys):
+    # a Z2 group, then a second omega table that would silently replace the
+    # first and make check-algebra report a failure of a valid algebra
+    path = tmp_path / "twice.assign"
+    path.write_text(XOR_ASSIGN + "gen omega\n0 -> 1\n1 -> 0\n")
+    code, out = run(["check-algebra", "--pres", "@group",
+                     "--assign", str(path)])
+    assert (code, out) == (3, "")
+    err = capsys.readouterr().err
+    assert err == "error: second gen block for 'omega': 'gen omega'\n"
+
+
+UNWRITABLE_FILES = {
+    "pres": ("generator mu 2 1\ngenerator {name} 1 1\n",
+             "generator {name} 1 1",
+             ["equiv", "--pres", "{path}", "gen mu", "gen mu"]),
+    "assign": ("carrier 2\ngen {name}\n0 -> 0\n1 -> 1\n", "gen {name}",
+               ["eval", "--assign", "{path}", "id(1)"]),
+}
+
+
+@pytest.mark.parametrize("name", ["id", "gen", "a-b", "1x"])
+@pytest.mark.parametrize("suffix", sorted(UNWRITABLE_FILES))
+def test_unwritable_generator_name_is_a_parse_error(tmp_path, capsys, suffix,
+                                                   name):
+    text, line, argv = UNWRITABLE_FILES[suffix]
+    path = tmp_path / f"bad.{suffix}"
+    path.write_text(text.format(name=name))
+    code, out = run([a.format(path=path) for a in argv])
+    assert (code, out) == (3, "")
+    err = capsys.readouterr().err
+    assert err == (f"error: {name!r} cannot be written after 'gen': "
+                   f"{line.format(name=name)!r}\n")
+
+
 @pytest.mark.parametrize("row", ["5 7 -> 1", "-1 0 -> 1"])
 def test_assignment_row_outside_the_carrier_is_a_parse_error(tmp_path, capsys,
                                                              row):

@@ -6,8 +6,9 @@ import pytest
 
 from opwords.alphabet import Alphabet, Generator
 from opwords.dsl import (MAX_STRANDS, EBraid, EBranch, ECompose, EDel, EDup,
-                         EGen, EId, EMap, EPad, EPower, ETensor, elaborate,
-                         parse, parse_word, print_expr, print_word)
+                         EGen, EId, EMap, EPad, EPower, ETensor,
+                         check_generator_name, elaborate, parse, parse_word,
+                         print_expr, print_word)
 from opwords.errors import ArityError, ParseError
 from opwords.words import compose_words
 from conftest import random_word
@@ -35,6 +36,19 @@ class TestParse:
     def test_power_and_pad(self):
         assert parse("gen omega^2") == EPower(EGen("omega"), 2)
         assert parse("pad(1, gen mu, 2)") == EPad(1, EGen("mu"), 2)
+
+    @pytest.mark.parametrize("name", ["e", "eta", "eta2", "g", "h", "m", "mu",
+                                      "omega", "omega2", "u"])
+    def test_generator_names_that_gen_can_write(self, name):
+        check_generator_name(name, f"generator {name} 1 1")
+        assert parse(f"gen {name}") == EGen(name)
+
+    @pytest.mark.parametrize("name", ["id", "gen", "pad", "a-b", "1x", "é"])
+    def test_generator_names_that_gen_cannot_write(self, name):
+        with pytest.raises(ParseError, match="cannot be written after 'gen'"):
+            check_generator_name(name, f"generator {name} 1 1")
+        with pytest.raises(ParseError):
+            parse(f"gen {name}")
 
     def test_unicode_aliases(self):
         assert parse("gen mu ⊠ id(1)") == parse("gen mu * id(1)")

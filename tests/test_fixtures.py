@@ -226,6 +226,14 @@ def test_transport_whiskers_a_certificate(script):
 
 
 def test_regenerator_rebuilds_the_shipped_lemmas(script):
-    for name, cert, _ in script.build_lemmas():
+    sources = {name: source for name, source, _ in opwords.fixtures.LEMMAS}
+    written = 0
+    for name, cert, pres in script.build_lemmas():
         shipped = (script.LEMMA_DIR / f"{name}.cert").read_text()
         assert encode(cert) == shipped, name
+        source = sources[name]
+        if source is not None and not source.startswith("@"):
+            shipped = (script.LEMMA_DIR / source).read_text()
+            assert script.presentation_text(pres) == shipped, source
+            written += 1
+    assert written == 2  # eta-unique.pres and omega-unique.pres
