@@ -24,7 +24,8 @@ from opwords.evaluate import eval_word
 from opwords.finmap import FinMap, compose, pad, tensor
 from opwords.fixtures import lemma_fixtures
 from opwords.present import GROUP_ALPHABET
-from opwords.rules import RuleBounds, Tally, apply_step, build_m1, moves
+from opwords.rules import (Memo, RuleBounds, Tally, apply_step, build_m1,
+                           moves)
 from opwords.search import (SearchBudget, _Lane, _lane_bounds,
                             find_refutation, probe_assignments,
                             word_generators)
@@ -94,6 +95,25 @@ def test_moves(benchmark, family):
         return sum(1 for w, ctx in cases for _ in moves(w, ctx, bounds))
 
     assert benchmark(successors) > 0
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_moves_along_a_chain(benchmark, family):
+    """test_moves with one memo shared along each lemma's chain, as a
+    search shares one per query; each round starts from empty memos."""
+    bounds = RuleBounds(seam_cap=8, families=(family,))
+    chains = lemma_chains()
+    cold = sum(1 for w, ctx in lemma_words() for _ in moves(w, ctx, bounds))
+
+    def successors():
+        n = 0
+        for fx, words in chains:
+            memo = Memo()
+            n += sum(1 for w in words
+                     for _ in moves(w, fx.context, bounds, memo=memo))
+        return n
+
+    assert benchmark(successors) == cold
 
 
 @pytest.mark.parametrize("family", FAMILIES)

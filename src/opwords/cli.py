@@ -67,14 +67,16 @@ def load_assignment(path: str, carrier_size: int | None):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if line.startswith("carrier"):
+        # keywords are whole fields: "generous mu" or "carrier2" is no
+        # keyword line, so it must parse as a table row
+        fields = line.split()
+        if fields[0] == "carrier":
             declared = _int(line[len("carrier"):].strip(), line)
             if carrier_size is not None and carrier_size != declared:
                 raise OpwordsError(
                     f"carrier {declared} in file, {carrier_size} on the command line")
             carrier_size = declared
-        elif line.startswith("gen"):
-            fields = line.split()
+        elif fields[0] == "gen":
             if len(fields) < 2:
                 raise ParseError(f"gen line without a name: {line!r}")
             name = fields[1]

@@ -140,10 +140,6 @@ def all_maps(src: int, tgt: int) -> Iterator[FinMap]:
         yield FinMap(src, tgt, table)
 
 
-def _capped(n: int, cap: int | None) -> int:
-    return n if cap is None else min(n, max(cap, 1))
-
-
 def factorizations_through(h: FinMap, g: FinMap,
                            cap: int | None = None) -> list[FinMap]:
     """All u with compose(u, g) = h, solved fiberwise, identity-like first.
@@ -170,17 +166,6 @@ def factorizations_through(h: FinMap, g: FinMap,
     if cap is not None:
         choices = itertools.islice(choices, max(cap, 1))
     return [FinMap._raw(h.src, g.src, choice) for choice in choices]
-
-
-def count_factorizations_through(h: FinMap, g: FinMap,
-                                 cap: int | None = None) -> int:
-    """len(factorizations_through(h, g, cap)), from the fiber sizes alone."""
-    if h.tgt != g.tgt:
-        raise ArityError("factorization targets differ")
-    n = 1
-    for v in h.table:
-        n *= g.table.count(v)
-    return _capped(n, cap)
 
 
 def _forced(h: FinMap, f: FinMap) -> dict[int, int] | None:
@@ -221,15 +206,3 @@ def factorizations_from(h: FinMap, f: FinMap) -> Iterator[FinMap]:
     for filling in itertools.product(range(1, h.tgt + 1), repeat=len(free)):
         if filling != natural:
             yield build(filling)
-
-
-def count_factorizations_from(h: FinMap, f: FinMap,
-                              cap: int | None = None) -> int:
-    """How many maps factorizations_from(h, f) yields, at most max(cap, 1).
-
-    Every filling of the free points is one: h.tgt ** (number free).
-    """
-    forced = _forced(h, f)
-    if forced is None:
-        return 0
-    return _capped(h.tgt ** (f.tgt - len(forced)), cap)

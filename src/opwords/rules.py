@@ -34,9 +34,8 @@ import math
 from functools import lru_cache
 
 from .errors import ArityError, ReplayError
-from .finmap import (FinMap, branch, braid, compose,
-                     count_factorizations_from, count_factorizations_through,
-                     factorizations_from, factorizations_through, identity)
+from .finmap import (FinMap, branch, braid, compose, factorizations_from,
+                     factorizations_through, identity, pad)
 from .record import Record
 from .words import Word, compose_words, op_word, tensor_power, whisker
 
@@ -181,21 +180,22 @@ def pattern_matches(w: Word, s: int, pat: Word, g_u: FinMap, g_v: FinMap) -> boo
 def substitute(w: Word, s: int, span: int, repl: Word,
                g_u: FinMap, g_v: FinMap) -> Word:
     """w with the span's factor replaced by repl between the two seams."""
-    _, _, succ = next(_substitutions(w, s, span, repl, [(g_u, g_v)]))
+    _, _, succ = next(_substitutions(w, s, span, repl, [(g_u, g_v)], Memo()))
     return Word(succ.boundaries, succ.letters)
 
 
-def _substitutions(w, s, span, repl, seams):
+def _substitutions(w, s, span, repl, seams, memo):
     """(g_u, g_v, substituted word) per seam pair, unvalidated.
 
     The part left of the right seam is built once per run of equal g_u.
     """
     letters = w.letters[:s] + repl.letters + w.letters[s + span:]
     pre, post = w.boundaries[:s], w.boundaries[s + span + 1:]
+    composed = memo.compose
     if len(repl) == 0:
         only = repl.boundaries[0]
         for g_u, g_v in seams:
-            merged = compose(compose(g_v, only), g_u)
+            merged = composed[composed[g_v, only], g_u]
             yield g_u, g_v, Word._raw(pre + (merged,) + post, letters)
         return
     first, mid, last = (repl.boundaries[0], repl.boundaries[1:-1],
@@ -203,8 +203,8 @@ def _substitutions(w, s, span, repl, seams):
     prev = None
     for g_u, g_v in seams:
         if g_u is not prev:
-            prev, head = g_u, pre + (compose(first, g_u),) + mid
-        yield g_u, g_v, Word._raw(head + (compose(g_v, last),) + post,
+            prev, head = g_u, pre + (composed[first, g_u],) + mid
+        yield g_u, g_v, Word._raw(head + (composed[g_v, last],) + post,
                                   letters)
 
 
@@ -274,8 +274,8 @@ def _letter_factor(c0: FinMap, letter, c1: FinMap) -> Word:
 # identity-first under a deterministic cap.
 
 
-def _emit(w, s, rule, direction, ctx, bounds, cut, *, v, v2=None, a=0, q=0,
-          p=0):
+def _emit(w, s, rule, direction, ctx, bounds, cut, memo, *, v, v2=None, a=0,
+          q=0, p=0):
     step = RewriteStep(rule, direction, s, a, q, p, v, v2)
     try:
         pat, repl = step_sides(step, ctx)
@@ -290,8 +290,8 @@ def _emit(w, s, rule, direction, ctx, bounds, cut, *, v, v2=None, a=0, q=0,
         return
     if cut is not None and cut.prunes(s, pat, repl, bounds.seam_cap):
         return
-    seams = _seams(w, s, pat, bounds.seam_cap)
-    for g_u, g_v, succ in _substitutions(w, s, k, repl, seams):
+    seams = _seams(w, s, pat, bounds.seam_cap, memo)
+    for g_u, g_v, succ in _substitutions(w, s, k, repl, seams, memo):
         if succ != w:
             yield _with_seams(step, g_u, g_v), succ
 
@@ -303,63 +303,61 @@ def _with_seams(step: RewriteStep, g_u: FinMap, g_v: FinMap) -> RewriteStep:
     return out
 
 
-def _seams(w, s, pat, cap):
+def _seams(w, s, pat, cap, memo):
     """The (g_u, g_v) context maps of pattern pat matched at letter s."""
     if len(pat) == 0:
-        return _empty_seams(w.boundaries[s], pat.boundaries[0], cap)
-    return _span_seams(w, s, pat, cap)
-
-
-def _span_seams(w, s, pat, cap):
-    """Context maps around a pattern of length k >= 1 matched at letter s."""
+        return memo.empty_seams[w.boundaries[s], pat.boundaries[0], cap]
     k = len(pat)
     if w.boundaries[s + 1:s + k] != pat.boundaries[1:-1]:
-        return []
-    lefts = list(itertools.islice(
-        factorizations_from(w.boundaries[s], pat.boundaries[0]), max(cap, 1)))
+        return ()
+    lefts = memo.lefts[w.boundaries[s], pat.boundaries[0], cap]
     if not lefts:
-        return []
-    rights = factorizations_through(w.boundaries[s + k], pat.boundaries[-1],
-                                    cap)
-    return itertools.product(lefts, rights)
+        return ()
+    return itertools.product(
+        lefts, memo.rights[w.boundaries[s + k], pat.boundaries[-1], cap])
+
+
+def _seam_count(w, s, pat, cap, memo) -> int:
+    """len(list(_seams(w, s, pat, cap, memo))), from the lists' lengths."""
+    if len(pat) == 0:
+        return len(memo.empty_seams[w.boundaries[s], pat.boundaries[0], cap])
+    k = len(pat)
+    if w.boundaries[s + 1:s + k] != pat.boundaries[1:-1]:
+        return 0
+    return _outer_seam_count(w, s, k, pat.boundaries[0], pat.boundaries[-1],
+                             cap, memo)
+
+
+def _outer_seam_count(w, s, k, first, last, cap, memo) -> int:
+    """The seams of a pattern of k >= 1 letters at letter s with outer maps
+    first and last, its interior maps being w's."""
+    n = len(memo.lefts[w.boundaries[s], first, cap])
+    return n and n * len(memo.rights[w.boundaries[s + k], last, cap])
+
+
+def _lefts(obs: FinMap, pmap: FinMap, cap: int) -> tuple[FinMap, ...]:
+    """The first max(cap, 1) left seams g_u with compose(pmap, g_u) = obs."""
+    return tuple(itertools.islice(factorizations_from(obs, pmap),
+                                  max(cap, 1)))
+
+
+def _rights(obs: FinMap, pmap: FinMap, cap: int) -> tuple[FinMap, ...]:
+    """The first max(cap, 1) right seams g_v with compose(g_v, pmap) = obs."""
+    return tuple(factorizations_through(obs, pmap, cap))
 
 
 def _empty_seams(obs, pmap, cap):
     """Length-0 pattern at a boundary: two canonical context families."""
     flush_down = pmap.tgt == obs.tgt
+    out = []
     if flush_down:
         g_u = identity(obs.tgt)
-        for g_v in factorizations_through(obs, pmap, cap):
-            yield g_u, g_v
+        out += [(g_u, g_v) for g_v in _rights(obs, pmap, cap)]
     if pmap.src == obs.src:
         g_v = identity(obs.src)
-        for g_u in itertools.islice(factorizations_from(obs, pmap),
-                                    max(cap, 1)):
-            if not (flush_down and g_u.is_identity):
-                yield g_u, g_v
-
-
-def _seam_count(w, s, pat, cap) -> int:
-    """len(list(_seams(w, s, pat, cap))) from the fiber sizes alone.
-
-    Of the length-0 pattern's two families, the second skips the identity,
-    which is a solution exactly when the pattern's map is the observed one
-    (and then it is the first one listed).
-    """
-    if len(pat) == 0:
-        obs, pmap = w.boundaries[s], pat.boundaries[0]
-        n = 0
-        if pmap.tgt == obs.tgt:
-            n += count_factorizations_through(obs, pmap, cap)
-        if pmap.src == obs.src:
-            n += count_factorizations_from(obs, pmap, cap) - (pmap == obs)
-        return n
-    k = len(pat)
-    if w.boundaries[s + 1:s + k] != pat.boundaries[1:-1]:
-        return 0
-    return (count_factorizations_from(w.boundaries[s], pat.boundaries[0], cap)
-            * count_factorizations_through(w.boundaries[s + k],
-                                           pat.boundaries[-1], cap))
+        out += [(g_u, g_v) for g_u in _lefts(obs, pmap, cap)
+                if not (flush_down and g_u.is_identity)]
+    return tuple(out)
 
 
 class Tally:
@@ -369,6 +367,47 @@ class Tally:
 
     def __init__(self):
         self.pruned = 0
+
+
+class _Table(dict):
+    """fn's values by argument tuple, each computed on its first lookup."""
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(*key)
+        return value
+
+
+class Memo:
+    """The boundary-map algebra of move generation, solved once per input.
+
+    Moves strip pads, split blocks, build one-letter parameter words, list
+    the context maps of a seam and compose them into boundaries, over and
+    over for the same immutable maps. Each table holds one pure function's
+    values keyed by its arguments: the maps, pads, letters and seam cap
+    that the computation reads. Values are maps, words, tuples or None,
+    which no caller can change, so sharing them changes no move. A search
+    keeps one memo per query and drops it with the query's visited words;
+    moves() called without one starts a fresh one.
+    """
+
+    __slots__ = ("unpad", "untensor", "adjacent", "letter", "compose",
+                 "lefts", "rights", "empty_seams")
+
+    def __init__(self):
+        self.unpad = _Table(unpad)
+        self.untensor = _Table(untensor)
+        self.adjacent = _Table(_seam_adjacent)
+        self.letter = _Table(_letter_factor)
+        self.compose = _Table(compose)
+        self.lefts = _Table(_lefts)
+        self.rights = _Table(_rights)
+        self.empty_seams = _Table(_empty_seams)
 
 
 class _Cut:
@@ -382,10 +421,12 @@ class _Cut:
     span come from prefix and suffix maxima computed once per call.
     """
 
-    __slots__ = ("w", "max_len", "max_width", "before", "after", "tally")
+    __slots__ = ("w", "max_len", "max_width", "before", "after", "tally",
+                 "memo")
 
-    def __init__(self, w: Word, bounds: RuleBounds, tally: Tally | None):
-        self.w, self.tally = w, tally
+    def __init__(self, w: Word, bounds: RuleBounds, tally: Tally | None,
+                 memo: Memo):
+        self.w, self.tally, self.memo = w, tally, memo
         self.max_len = math.inf if bounds.max_len is None else bounds.max_len
         self.max_width = (math.inf if bounds.max_width is None
                           else bounds.max_width)
@@ -417,9 +458,10 @@ class _Cut:
         if length != n or width != self.before[-1]:
             self.count(s, pat, cap)
         elif self.tally is not None:
-            seams = _seams(w, s, pat, cap)
-            self.tally.pruned += sum(succ != w for *_, succ in
-                                     _substitutions(w, s, k, repl, seams))
+            seams = _seams(w, s, pat, cap, self.memo)
+            self.tally.pruned += sum(
+                succ != w for *_, succ in
+                _substitutions(w, s, k, repl, seams, self.memo))
         return True
 
     def duplication_width(self, s: int, v: Word, a: int) -> int:
@@ -434,7 +476,19 @@ class _Cut:
         """Count the successors of pattern pat at letter s as pruned; all
         of them differ from w, since their length or width does."""
         if self.tally is not None:
-            self.tally.pruned += _seam_count(self.w, s, pat, cap)
+            self.tally.pruned += _seam_count(self.w, s, pat, cap, self.memo)
+
+    def count_duplication(self, s: int, v: Word, a: int, q: int, p: int,
+                          cap: int) -> None:
+        """count() for the one-letter side _m4_rhs(v, a, q, p) at letter
+        s, from its two outer maps alone: v's first map, and the fold of
+        a copies of v's target after v's last map, both padded by q and p."""
+        if self.tally is not None:
+            c0, c1 = v.boundaries
+            first = pad(q, c0, p)
+            last = pad(q, compose(branch(a, c1.src), c1), p)
+            self.tally.pruned += _outer_seam_count(self.w, s, 1, first, last,
+                                                   cap, self.memo)
 
 
 def _reads(f: FinMap, lo: int, hi: int) -> bool:
@@ -442,31 +496,31 @@ def _reads(f: FinMap, lo: int, hi: int) -> bool:
     return any(lo < i <= hi for i in f.table)
 
 
-def _seam_adjacent(observed: FinMap | None, width: int, q: int, p: int):
+def _seam_adjacent(observed: FinMap | None, width: int, q: int,
+                   p: int) -> tuple[FinMap, ...]:
     """Candidate boundary maps of a parameter word at a seam.
 
     The identity on `width` strands, then the observed seam map with identity
     pads q and p stripped, when it has them and differs from the first.
     """
     ident = identity(width)
-    yield ident
     cand = None if observed is None else unpad(observed, q, p)
-    if cand is not None and cand != ident:
-        yield cand
+    return (ident,) if cand is None or cand == ident else (ident, cand)
 
 
-def _m1_moves(w: Word, ctx, bounds, cut):
+def _m1_moves(w: Word, ctx, bounds, cut, memo):
     n = len(w)
     # the halves of a 2-letter word are its two letters
     halves = _pad_minima(w) if n >= 3 else None
     for m in range(1, n):
         (l1, _, r1), (l2, _, r2) = w.letters[m - 1], w.letters[m]
         yield from _m1_swap(w, m - 1, m, m + 1, (l1, r1, l2, r2), ctx,
-                            bounds, cut)
+                            bounds, cut, memo)
         if halves is not None:
-            yield from _m1_swap(w, 0, m, n, halves[m], ctx, bounds, cut)
+            yield from _m1_swap(w, 0, m, n, halves[m], ctx, bounds, cut,
+                                memo)
     for s in range(n):
-        yield from _m1_slide(w, s, ctx, bounds, cut)
+        yield from _m1_slide(w, s, ctx, bounds, cut, memo)
 
 
 def _pad_minima(w: Word):
@@ -485,7 +539,7 @@ def _pad_minima(w: Word):
                     after(rights)))
 
 
-def _unpadded(block, pads, left: bool):
+def _unpadded(block, pads, left: bool, memo):
     """Per k in pads: the block's (interior maps, letters) with k strands of
     pad stripped, on the left of each if left is true, else on the right;
     None where some interior map lacks the pad."""
@@ -496,13 +550,13 @@ def _unpadded(block, pads, left: bool):
             out[k] = block
             continue
         q, p = (k, 0) if left else (0, k)
-        inner = tuple([unpad(f, q, p) for f in maps])
+        inner = tuple([memo.unpad[f, q, p] for f in maps])
         out[k] = None if None in inner else (
             inner, tuple([(l - q, x, r - p) for l, x, r in letters]))
     return out
 
 
-def _m1_swap(w, s, m, e, pads, ctx, bounds, cut):
+def _m1_swap(w, s, m, e, pads, ctx, bounds, cut, memo):
     """Interchange of the blocks of letters s..m-1 and m..e-1, each one
     parameter word; pads holds the least left and right pads of the
     letters in the first block, then in the second.
@@ -525,41 +579,41 @@ def _m1_swap(w, s, m, e, pads, ctx, bounds, cut):
     splits = [(v2s, vt, split)
               for v2s in range(min(min_r_before, pm) + 1)
               for vt in range(min(min_l_after, pm) + 1)
-              if (split := untensor(mid, vt, mid.tgt - v2s)) is not None]
-    v_blocks = _unpadded(before, {k for k, _, _ in splits}, False)
-    v2_blocks = _unpadded(after, {k for _, k, _ in splits}, True)
+              if (split := memo.untensor[mid, vt, mid.tgt - v2s]) is not None]
+    v_blocks = _unpadded(before, {k for k, _, _ in splits}, False, memo)
+    v2_blocks = _unpadded(after, {k for _, k, _ in splits}, True, memo)
     for v2s, vt, (c1, c20) in splits:
         v_block, v2_block = v_blocks[v2s], v2_blocks[vt]
         if v_block is None or v2_block is None:
             continue
         (inner_v, v_letters), (inner_v2, v2_letters) = v_block, v2_block
-        for c0 in _seam_adjacent(first, first.src - v2s, 0, v2s):
+        for c0 in memo.adjacent[first, first.src - v2s, 0, v2s]:
             v = Word((c0, *inner_v, c1), v_letters)
-            for c21 in _seam_adjacent(last, last.tgt - vt, vt, 0):
+            for c21 in memo.adjacent[last, last.tgt - vt, vt, 0]:
                 v2 = Word((c20, *inner_v2, c21), v2_letters)
-                yield from _emit(w, s, "M1", "fwd", ctx, bounds, cut,
+                yield from _emit(w, s, "M1", "fwd", ctx, bounds, cut, memo,
                                  v=v, v2=v2)
     # backward: pattern (v.src <| v2) . (v |> v2.tgt)
     splits = [(vs, v2t, split)
               for vs in range(min(min_l_before, pm) + 1)
               for v2t in range(min(min_r_after, pm) + 1)
-              if (split := untensor(mid, mid.src - v2t, vs)) is not None]
-    v2_blocks = _unpadded(before, {k for k, _, _ in splits}, True)
-    v_blocks = _unpadded(after, {k for _, k, _ in splits}, False)
+              if (split := memo.untensor[mid, mid.src - v2t, vs]) is not None]
+    v2_blocks = _unpadded(before, {k for k, _, _ in splits}, True, memo)
+    v_blocks = _unpadded(after, {k for _, k, _ in splits}, False, memo)
     for vs, v2t, (c0, c21) in splits:
         v2_block, v_block = v2_blocks[vs], v_blocks[v2t]
         if v_block is None or v2_block is None:
             continue
         (inner_v2, v2_letters), (inner_v, v_letters) = v2_block, v_block
-        for c20 in _seam_adjacent(first, first.src - vs, vs, 0):
+        for c20 in memo.adjacent[first, first.src - vs, vs, 0]:
             v2 = Word((c20, *inner_v2, c21), v2_letters)
-            for c1 in _seam_adjacent(last, last.tgt - v2t, 0, v2t):
+            for c1 in memo.adjacent[last, last.tgt - v2t, 0, v2t]:
                 v = Word((c0, *inner_v, c1), v_letters)
-                yield from _emit(w, s, "M1", "bwd", ctx, bounds, cut,
+                yield from _emit(w, s, "M1", "bwd", ctx, bounds, cut, memo,
                                  v=v, v2=v2)
 
 
-def _m1_slide(w, s, ctx, bounds, cut):
+def _m1_slide(w, s, ctx, bounds, cut, memo):
     """Degenerate interchange: slide a boundary map block past a letter.
 
     One parameter word is the letter, the other the length-0 word of a map f
@@ -582,8 +636,8 @@ def _m1_slide(w, s, ctx, bounds, cut):
             near = (tau if right else sig) if after else k
             pads = (0, k) if after else (k, 0)
             for j in range(min(slid.src if right else slid.tgt, pm) + 1):
-                split = (untensor(slid, j, near) if right
-                         else untensor(slid, near, j))
+                split = (memo.untensor[slid, j, near] if right
+                         else memo.untensor[slid, near, j])
                 if split is None:
                     continue
                 c, f = split if after else split[::-1]
@@ -591,17 +645,17 @@ def _m1_slide(w, s, ctx, bounds, cut):
                 # replacement would be equal, and _emit would drop them
                 if f.is_identity:
                     continue
-                for c_other in _seam_adjacent(other, sig if right else tau,
-                                              *pads):
+                for c_other in memo.adjacent[other, sig if right else tau,
+                                             *pads]:
                     c0, c1 = (c_other, c) if right else (c, c_other)
-                    letter = _letter_factor(c0, (l, x, r), c1)
+                    letter = memo.letter[c0, (l, x, r), c1]
                     v, v2 = ((letter, op_word(f)) if after
                              else (op_word(f), letter))
                     yield from _emit(w, s, "M1", direction, ctx, bounds, cut,
-                                     v=v, v2=v2)
+                                     memo, v=v, v2=v2)
 
 
-def _braid_moves(w: Word, ctx, bounds, cut, mirror: bool):
+def _braid_moves(w: Word, ctx, bounds, cut, memo, mirror: bool):
     """M2 (mirror False) and M3 (mirror True), both directions."""
     rule = "M3" if mirror else "M2"
     pm, am = bounds.pad_max, bounds.a_max
@@ -620,16 +674,16 @@ def _braid_moves(w: Word, ctx, bounds, cut, mirror: bool):
                         mids = seams.get((q, p))
                         if mids is None:
                             mids = seams[q, p] = (
-                                unpad(w.boundaries[s], q, p),
-                                unpad(w.boundaries[s + 1], q, p))
+                                memo.unpad[w.boundaries[s], q, p],
+                                memo.unpad[w.boundaries[s + 1], q, p])
                         yield from _braid_case(w, s, rule, direction, ctx,
-                                               bounds, cut,
+                                               bounds, cut, memo,
                                                (lo - q, x, hi - p),
                                                a, q, p, after, *mids)
 
 
-def _braid_case(w, s, rule, direction, ctx, bounds, cut, letter, a, q, p,
-                after, mid, midr):
+def _braid_case(w, s, rule, direction, ctx, bounds, cut, memo, letter, a, q,
+                p, after, mid, midr):
     """One M2/M3 pattern letter with a strands after it (or before it).
 
     mid and midr are the seam maps on either side of letter s with the pads
@@ -645,22 +699,26 @@ def _braid_case(w, s, rule, direction, ctx, bounds, cut, letter, a, q, p,
         b = midr.src - a
         midr = compose(braid(b, a) if after else braid(a, b), midr)
     pads = (0, a) if after else (a, 0)
-    c1s = list(_seam_adjacent(midr, l + x.tgt + r, *pads))
-    for c0 in _seam_adjacent(mid, l + x.src + r, *pads):
+    c1s = memo.adjacent[midr, l + x.tgt + r, *pads]
+    for c0 in memo.adjacent[mid, l + x.src + r, *pads]:
         for c1 in c1s:
-            v = _letter_factor(c0, letter, c1)
-            yield from _emit(w, s, rule, direction, ctx, bounds, cut,
+            v = memo.letter[c0, letter, c1]
+            yield from _emit(w, s, rule, direction, ctx, bounds, cut, memo,
                              v=v, a=a, q=q, p=p)
 
 
-def _m4_moves(w: Word, ctx, bounds, cut):
-    yield from _m4_fwd(w, ctx, bounds, cut)
-    yield from _m4_bwd(w, ctx, bounds, cut)
+def _m4_moves(w: Word, ctx, bounds, cut, memo):
+    yield from _m4_fwd(w, ctx, bounds, cut, memo)
+    yield from _m4_bwd(w, ctx, bounds, cut, memo)
 
 
-def _m4_fwd(w, ctx, bounds, cut):
-    """Merge a consecutive letters produced by a fold into one."""
-    n, pm = len(w), bounds.pad_max
+def _m4_fwd(w, ctx, bounds, cut, memo):
+    """Merge a consecutive letters produced by a fold into one.
+
+    The middle seam fixes the merged letter; a merge whose pattern has no
+    seam at either end yields nothing, so it is left out before _emit.
+    """
+    n, pm, cap = len(w), bounds.pad_max, bounds.seam_cap
     for a in range(2, bounds.a_max + 1):
         for s in range(n - a + 1):
             span = w.letters[s:s + a]
@@ -680,19 +738,22 @@ def _m4_fwd(w, ctx, bounds, cut):
                 for p in range(min(span[-1][2], pm) + 1):
                     r = span[-1][2] - p
                     sig, tau = l + x.src + r, l + x.tgt + r
-                    mid = unpad(w.boundaries[s + 1], q, p)
+                    mid = memo.unpad[w.boundaries[s + 1], q, p]
                     if mid is None:
                         continue
                     c1 = _extract_block(mid, 0, vt, 0, tau)
                     c0 = _extract_block(mid, vt, sig, tau, vs)
                     if c0 is None or c1 is None:
                         continue
-                    v = _letter_factor(c0, (l, x, r), c1)
+                    v = memo.letter[c0, (l, x, r), c1]
+                    pat, _ = build_m4(v, a, q, p)
+                    if _seam_count(w, s, pat, cap, memo) == 0:
+                        continue
                     yield from _emit(w, s, "M4", "fwd", ctx, bounds, cut,
-                                     v=v, a=a, q=q, p=p)
+                                     memo, v=v, a=a, q=q, p=p)
 
 
-def _m4_bwd(w, ctx, bounds, cut):
+def _m4_bwd(w, ctx, bounds, cut, memo):
     """Duplicate a letter across a fold (a >= 2), or delete one (a = 0)."""
     pm = bounds.pad_max
     a_values = [0] + list(range(2, bounds.a_max + 1))
@@ -702,8 +763,8 @@ def _m4_bwd(w, ctx, bounds, cut):
             for p in range(min(rho, pm) + 1):
                 r = rho - p
                 sig, tau = l + x.src + r, l + x.tgt + r
-                c0s = list(_seam_adjacent(w.boundaries[s], sig, q, p))
-                midr = unpad(w.boundaries[s + 1], q, p)
+                c0s = memo.adjacent[w.boundaries[s], sig, q, p]
+                midr = memo.unpad[w.boundaries[s + 1], q, p]
                 for a in a_values:
                     # a deletion's pattern ends in a map that reads none of
                     # the letter's unpadded outputs: no right seam factors
@@ -718,35 +779,35 @@ def _m4_bwd(w, ctx, bounds, cut):
                                 and compose(branch(a, vt), c1) == midr):
                             c1s.append(c1)
                     # a duplication past the length or width bound has its
-                    # successors counted from the one-letter pattern, before
-                    # the a copies of the replacement exist
+                    # successors counted from the one-letter pattern's outer
+                    # maps, before either side is built
                     bounded = a >= 2 and cut is not None
                     longer = bounded and len(w) - 1 + a > cut.max_len
                     for c0 in c0s:
                         for c1 in c1s:
-                            v = _letter_factor(c0, (l, x, r), c1)
+                            v = memo.letter[c0, (l, x, r), c1]
                             if bounded and (longer or cut.duplication_width(
                                     s, v, a) > cut.max_width):
-                                cut.count(s, _m4_rhs(v, a, q, p),
-                                          bounds.seam_cap)
+                                cut.count_duplication(s, v, a, q, p,
+                                                      bounds.seam_cap)
                                 continue
                             yield from _emit(w, s, "M4", "bwd", ctx, bounds,
-                                             cut, v=v, a=a, q=q, p=p)
+                                             cut, memo, v=v, a=a, q=q, p=p)
 
 
-def _rel_moves(w: Word, ctx: RuleContext, bounds, cut):
+def _rel_moves(w: Word, ctx: RuleContext, bounds, cut, memo):
     for idx, (rl, rr) in enumerate(ctx.relations):
         rule = f"REL:{idx}"
         for direction, pat_side in (("fwd", rl), ("bwd", rr)):
             if len(pat_side) == 0:
                 yield from _rel_insertions(w, rule, direction, pat_side,
-                                           ctx, bounds, cut)
+                                           ctx, bounds, cut, memo)
             else:
                 yield from _rel_spans(w, rule, direction, pat_side,
-                                      ctx, bounds, cut)
+                                      ctx, bounds, cut, memo)
 
 
-def _rel_spans(w, rule, direction, pat_side, ctx, bounds, cut):
+def _rel_spans(w, rule, direction, pat_side, ctx, bounds, cut, memo):
     """Emit the side at each span of w that matches it letter for letter.
 
     The side's first letter fixes the pads q and p, and each later letter
@@ -765,11 +826,11 @@ def _rel_spans(w, rule, direction, pat_side, ctx, bounds, cut):
         if any(w.letters[s + i] != (l + q, g, r + p)
                for i, (l, g, r) in enumerate(rest, start=1)):
             continue
-        yield from _emit(w, s, rule, direction, ctx, bounds, cut,
+        yield from _emit(w, s, rule, direction, ctx, bounds, cut, memo,
                          v=None, q=q, p=p)
 
 
-def _rel_insertions(w, rule, direction, pat_side, ctx, bounds, cut):
+def _rel_insertions(w, rule, direction, pat_side, ctx, bounds, cut, memo):
     ws, wt = pat_side.src, pat_side.tgt
     for bi in range(len(w) + 1):
         obs = w.boundaries[bi]
@@ -777,15 +838,15 @@ def _rel_insertions(w, rule, direction, pat_side, ctx, bounds, cut):
             p = obs.tgt - ws - q
             if 0 <= p <= bounds.pad_max:
                 yield from _emit(w, bi, rule, direction, ctx, bounds, cut,
-                                 v=None, q=q, p=p)
+                                 memo, v=None, q=q, p=p)
         for q in range(min(obs.src - wt, bounds.pad_max) + 1):
             p = obs.src - wt - q
             if 0 <= p <= bounds.pad_max and q + ws + p != obs.tgt:
                 yield from _emit(w, bi, rule, direction, ctx, bounds, cut,
-                                 v=None, q=q, p=p)
+                                 memo, v=None, q=q, p=p)
 
 
-def _card_moves(w: Word, ctx, bounds, cut):
+def _card_moves(w: Word, ctx, bounds, cut, memo):
     """M4 deletions (a = 0) of whole-boundary factors of type (0,0) or (1,0).
 
     Named for the cardinality rule it replaces: perfbench's tracer wraps it.
@@ -800,34 +861,39 @@ def _card_moves(w: Word, ctx, bounds, cut):
             if w.boundaries[j].src != 0:
                 continue
             sub = Word(w.boundaries[i:j + 1], w.letters[i:j])
-            yield from _emit(w, i, "M4", "bwd", ctx, bounds, cut, v=sub)
+            yield from _emit(w, i, "M4", "bwd", ctx, bounds, cut, memo,
+                             v=sub)
 
 
 def moves(w: Word, ctx: RuleContext, bounds: RuleBounds,
-          tally: Tally | None = None):
+          tally: Tally | None = None, memo: Memo | None = None):
     """All generated one-step successors of w under the context's rules.
 
     Successors longer than bounds.max_len or wider than bounds.max_width
     are left out without solving their seams or building them; each one
-    that would have been yielded adds 1 to tally.pruned.
+    that would have been yielded adds 1 to tally.pruned. The boundary-map
+    algebra is read from memo, and written to it; without one, the call
+    starts its own.
     """
+    if memo is None:
+        memo = Memo()
     cut = (None if bounds.max_len is None and bounds.max_width is None
-           else _Cut(w, bounds, tally))
+           else _Cut(w, bounds, tally, memo))
     fams = bounds.families
     if fams is None or "M1" in fams:
-        yield from _m1_moves(w, ctx, bounds, cut)
+        yield from _m1_moves(w, ctx, bounds, cut, memo)
     if fams is None or "M2" in fams:
-        yield from _braid_moves(w, ctx, bounds, cut, mirror=False)
+        yield from _braid_moves(w, ctx, bounds, cut, memo, mirror=False)
     if fams is None or "M3" in fams:
-        yield from _braid_moves(w, ctx, bounds, cut, mirror=True)
+        yield from _braid_moves(w, ctx, bounds, cut, memo, mirror=True)
     if fams is None or "M4" in fams:
-        yield from _m4_moves(w, ctx, bounds, cut)
+        yield from _m4_moves(w, ctx, bounds, cut, memo)
     if ctx.relations and (fams is None or "REL" in fams):
-        yield from _rel_moves(w, ctx, bounds, cut)
+        yield from _rel_moves(w, ctx, bounds, cut, memo)
     # the collapses come last: moving them would reorder the stream, and
     # with it the certificates the search returns
     if fams is None or "M4" in fams:
-        yield from _card_moves(w, ctx, bounds, cut)
+        yield from _card_moves(w, ctx, bounds, cut, memo)
 
 
 def rule_instances_matching(w: Word, bounds: RuleBounds | None = None):

@@ -20,7 +20,7 @@ from .endo import Carrier, FinFunction, coordinates, table_rows
 from .errors import EvaluationSizeError, OpwordsError
 from .evaluate import GeneratorAssignment, eval_word
 from .record import Record
-from .rules import RewriteStep, RuleBounds, RuleContext, Tally, moves
+from .rules import Memo, RewriteStep, RuleBounds, RuleContext, Tally, moves
 from .terms import read_word
 from .words import Word
 
@@ -263,7 +263,11 @@ def _certificate_search(w: Word, w2: Word, ctx: RuleContext,
     only where the letters line up one to one. The caps are those of the
     full lane list all the same. Within a lane, a node stops generating
     successors once it reaches the other word itself (_Lane), which saves
-    work and changes no certificate.
+    work and changes no certificate. All lanes share one rules.Memo, so
+    each seam, pad strip and block split of the query is solved once; a
+    memo's values are the ones moves() would compute, so sharing it changes
+    no move. Every lane is closed before the search returns, which drops
+    the memo with the lanes' visited words.
 
     A lane paused at any cap is a prefix of the same deterministic pass
     run at once to its final cap. So a query is Proved exactly when some
@@ -285,11 +289,14 @@ def _certificate_search(w: Word, w2: Word, ctx: RuleContext,
     rest = budget.max_steps - sum(cap for _, _, cap in tight_lanes)
     final_lane = [(None, _SEAM_CAP, max(2, rest // 3 + rest % 3))]
     total = 0
+    memo = Memo()
     for group in (tight_lanes, final_lane):
-        lanes = [_Lane(w, w2, ctx, budget, families, cap, seam_cap)
+        lanes = [_Lane(w, w2, ctx, budget, families, cap, seam_cap, memo)
                  for families, seam_cap, cap in group
                  if _may_connect(families, ctx, differ)]
         cert = _round_robin(lanes)
+        for lane in lanes:
+            lane.close()
         total += sum(lane.visited for lane in lanes)
         if cert is not None:
             return cert, total
@@ -325,19 +332,21 @@ class _Lane:
     next `advance` resumes it with the next node of the same frontier. The
     lane is done once it has found a certificate, exhausted both frontiers
     (no chain within the bounds) or paused at its final cap. A done lane
-    drops its frontiers and visited words.
+    drops its frontiers, visited words and memo (its own, unless one is
+    given to share with other lanes).
     """
 
     def __init__(self, w: Word, w2: Word, ctx: RuleContext,
                  budget: SearchBudget, families, final_cap: int,
-                 seam_cap: int | None = None):
+                 seam_cap: int | None = None, memo: Memo | None = None):
         self.final_cap = final_cap
         self.cap = 0
         self.visited = 2
         self.work = 0
         self.cert: Certificate | None = None
         self.done = False
-        self._run = self._pass(w, w2, ctx, budget, families, seam_cap)
+        self._run = self._pass(w, w2, ctx, budget, families, seam_cap,
+                               Memo() if memo is None else memo)
 
     def advance(self, cap: int) -> Certificate | None:
         """Resume up to min(cap, final cap); the certificate or None."""
@@ -349,14 +358,20 @@ class _Lane:
         except StopIteration:
             self.done = True
         if self.done or self.cap >= self.final_cap:
-            self.done, self._run = True, None
+            self.close()
         return self.cert
+
+    def close(self) -> None:
+        """Mark the lane done and drop its pass, with everything the pass
+        holds. The pass refers to the lane, so a paused lane left to the
+        garbage collector would hold all of it until a full collection."""
+        self.done, self._run = True, None
 
     def _paused(self) -> bool:
         return (self.visited >= self.cap
                 or self.work >= _WORK_PER_VISIT * self.cap)
 
-    def _pass(self, w, w2, ctx, budget, families, seam_cap):
+    def _pass(self, w, w2, ctx, budget, families, seam_cap, memo):
         bounds = _lane_bounds(w, w2, budget, families, seam_cap)
         # moves() counts the successors out of bounds here, unbuilt; they
         # are work all the same
@@ -384,7 +399,7 @@ class _Lane:
             next_frontier: list[Word] = []
             meets: list[Word] = []
             for node in frontier:
-                for step, succ in moves(node, ctx, bounds, tally):
+                for step, succ in moves(node, ctx, bounds, tally, memo):
                     self.work += 1
                     if succ in own:
                         continue

@@ -313,6 +313,24 @@ def test_assignment_row_outside_the_carrier_is_a_parse_error(tmp_path, capsys,
     assert err == f"error: input outside carrier 2: {row!r}\n"
 
 
+XOR_ROWS = "0 0 -> 0\n0 1 -> 1\n1 0 -> 1\n1 1 -> 0\n"
+
+
+@pytest.mark.parametrize("text,line", [
+    ("carrier 2\ngenerous mu\n" + XOR_ROWS, "generous mu"),
+    ("carrier2\ngen mu\n" + XOR_ROWS, "carrier2"),
+], ids=["generous", "carrier2"])
+def test_keyword_prefix_is_not_a_keyword(tmp_path, capsys, text, line):
+    """A keyword is a whole first field: a line that only starts with one
+    is a table row, and here one before any gen line."""
+    path = tmp_path / "prefix.assign"
+    path.write_text(text)
+    code, out = run(["eval", "--assign", str(path), "gen mu"])
+    assert (code, out) == (3, "")
+    err = capsys.readouterr().err
+    assert err == f"error: table row before any gen line: {line!r}\n"
+
+
 class TestLemmas:
     def test_all_replay(self):
         code, out = run(["lemmas"])

@@ -14,7 +14,7 @@ from opwords.evaluate import eval_word
 from opwords.finmap import FinMap, identity
 from opwords.fixtures import lemma_fixtures
 from opwords.present import builtin_group
-from opwords.rules import (RewriteStep, RuleBounds, RuleContext, Tally,
+from opwords.rules import (Memo, RewriteStep, RuleBounds, RuleContext, Tally,
                            _Cut, _m4_rhs, _reads, _seam_adjacent,
                            _seam_count, _seams, apply_step, build_m1,
                            build_m2, build_m3, build_m4, moves,
@@ -219,19 +219,54 @@ def test_rel_span_emits_match_every_letter(monkeypatch):
     every REL span that reaches _emit passes _emit's letter check."""
     emit, checked = rules_module._emit, []
 
-    def spy(w, s, rule, direction, ctx, bounds, cut, **params):
+    def spy(w, s, rule, direction, ctx, bounds, cut, memo, **params):
         if rule.startswith("REL:"):
             step = RewriteStep(rule, direction, s, q=params["q"],
                                p=params["p"])
             pat, _ = step_sides(step, ctx)
             if len(pat):
                 checked.append(w.letters[s:s + len(pat)] == pat.letters)
-        return emit(w, s, rule, direction, ctx, bounds, cut, **params)
+        return emit(w, s, rule, direction, ctx, bounds, cut, memo, **params)
 
     monkeypatch.setattr(rules_module, "_emit", spy)
     for x, _, ctx in _lemma_steps():
         list(moves(x, ctx, RuleBounds()))
     assert len(checked) > 100 and all(checked)
+
+
+def test_shared_memo_keeps_the_moves_stream():
+    """moves() gives the same stream, steps and successors in order with
+    the same pruned count, from a fresh memo per call, from one memo shared
+    along a whole shipped lemma chain, and from one memo shared by the
+    chain's lanes of seam cap 2 and 64, as a query's lanes share one. The
+    shared values are tuples, maps and words, which no caller can change."""
+    shared, compared = Memo(), 0
+    for fx in lemma_fixtures():
+        words = [fx.certificate.start]
+        for step in fx.certificate.steps:
+            words.append(apply_step(words[-1], step, fx.context))
+        lanes = {cap: _lane_bounds(words[0], words[-1], SearchBudget(), None,
+                                   cap) for cap in (2, 64)}
+        along = {cap: Memo() for cap in lanes}
+        for w in words:
+            for cap, bounds in lanes.items():
+                streams = []
+                for memo in (None, along[cap], shared):
+                    tally = Tally()
+                    streams.append((list(moves(w, fx.context, bounds, tally,
+                                               memo)), tally.pruned))
+                assert streams[0] == streams[1] == streams[2]
+                compared += len(streams[0][0])
+    assert compared > 0
+    for name in Memo.__slots__:
+        values = getattr(shared, name).values()
+        assert values
+        for value in values:
+            assert value is None or isinstance(value, (tuple, FinMap, Word))
+    for name in ("untensor", "adjacent", "lefts", "rights", "empty_seams"):
+        assert all(isinstance(value, tuple)
+                   for value in getattr(shared, name).values()
+                   if value is not None)
 
 
 def test_lower_seam_cap_moves_are_cap_64_moves():
@@ -278,7 +313,8 @@ def test_m4_deletion_read_check_is_the_seam_count():
                         v = Word((c0, identity(tau)), ((l, x, r),))
                         pat = _m4_rhs(v, 0, q, p)
                         for cap in (1, 64):
-                            assert reads == (_seam_count(w, s, pat, cap) == 0)
+                            assert reads == (
+                                _seam_count(w, s, pat, cap, Memo()) == 0)
                         seen.add(reads)
     assert seen == {True, False}
 
@@ -288,7 +324,7 @@ def test_m4_duplication_width_is_the_built_width():
     equals the width of every successor it would have built."""
     checked = 0
     for w, ctx, bounds in _m4_cases():
-        cut = _Cut(w, bounds, None)
+        cut = _Cut(w, bounds, None, Memo())
         for step, succ in moves(w, ctx, bounds.replace(families=("M4",))):
             if step.direction == "bwd" and step.a >= 2:
                 assert word_width(succ) == cut.duplication_width(
@@ -398,7 +434,8 @@ def test_pruned_stream_is_the_filtered_stream(data):
 
 
 def test_seam_counts_match_the_solvers(rng):
-    """The closed-form seam count against the listed seams, hits or not."""
+    """The seam count, read off the seam lists' lengths, against the
+    listed seams, hits or not."""
     ctx = builtin_group().context()
     gens = builtin_group().alphabet.generators
     words = [random_word(rng, max_len=3, gens=gens) for _ in range(40)]
@@ -416,8 +453,8 @@ def test_seam_counts_match_the_solvers(rng):
                 if w.letters[s:s + k] != pat.letters:
                     continue
                 for cap in (1, 2, 8, 64):
-                    n = _seam_count(w, s, pat, cap)
-                    assert n == len(list(_seams(w, s, pat, cap)))
+                    n = _seam_count(w, s, pat, cap, Memo())
+                    assert n == len(list(_seams(w, s, pat, cap, Memo())))
                     checked.add((k == 0, n > 0))
     assert checked == {(True, True), (True, False), (False, True),
                        (False, False)}

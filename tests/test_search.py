@@ -252,9 +252,9 @@ def test_schedule_is_tight_lanes_then_one_final_lane(monkeypatch):
     init = _Lane.__init__
 
     def recording(self, w, w2, ctx, budget, families, final_cap,
-                  seam_cap=None):
+                  seam_cap=None, memo=None):
         built.append((families, seam_cap, final_cap))
-        init(self, w, w2, ctx, budget, families, final_cap, seam_cap)
+        init(self, w, w2, ctx, budget, families, final_cap, seam_cap, memo)
 
     monkeypatch.setattr(_Lane, "__init__", recording)
     lhs, rhs = build_m1(gen_word(MU), gen_word(MU))
