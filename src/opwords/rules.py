@@ -121,6 +121,14 @@ def _m4_rhs(v: Word, a: int, q: int, p: int) -> Word:
     return whisker(q, compose_words(v, op_word(branch(a, v.tgt))), p)
 
 
+def _m4_rhs_ends(v: Word, a: int, q: int, p: int) -> tuple[FinMap, FinMap]:
+    """The first and last maps of _m4_rhs(v, a, q, p) for a one-letter v,
+    without building it: v's first map, and the fold of a copies of v's
+    target after v's last map, both padded by q and p."""
+    c0, c1 = v.boundaries
+    return pad(q, c0, p), pad(q, compose(branch(a, c1.src), c1), p)
+
+
 @lru_cache(maxsize=1 << 12)
 def build_rel(rl: Word, rr: Word, q: int, p: int) -> tuple[Word, Word]:
     """A relation pair whiskered by q strands on the left and p on the right."""
@@ -180,18 +188,19 @@ def pattern_matches(w: Word, s: int, pat: Word, g_u: FinMap, g_v: FinMap) -> boo
 def substitute(w: Word, s: int, span: int, repl: Word,
                g_u: FinMap, g_v: FinMap) -> Word:
     """w with the span's factor replaced by repl between the two seams."""
-    _, _, succ = next(_substitutions(w, s, span, repl, [(g_u, g_v)], Memo()))
+    _, _, succ = next(_substitutions(w, s, span, repl, [(g_u, g_v)],
+                                     _Table(compose)))
     return Word(succ.boundaries, succ.letters)
 
 
-def _substitutions(w, s, span, repl, seams, memo):
+def _substitutions(w, s, span, repl, seams, composed):
     """(g_u, g_v, substituted word) per seam pair, unvalidated.
 
-    The part left of the right seam is built once per run of equal g_u.
+    composed is a compose table (Memo.compose). The part left of the right
+    seam is built once per run of equal g_u.
     """
     letters = w.letters[:s] + repl.letters + w.letters[s + span:]
     pre, post = w.boundaries[:s], w.boundaries[s + span + 1:]
-    composed = memo.compose
     if len(repl) == 0:
         only = repl.boundaries[0]
         for g_u, g_v in seams:
@@ -291,7 +300,8 @@ def _emit(w, s, rule, direction, ctx, bounds, cut, memo, *, v, v2=None, a=0,
     if cut is not None and cut.prunes(s, pat, repl, bounds.seam_cap):
         return
     seams = _seams(w, s, pat, bounds.seam_cap, memo)
-    for g_u, g_v, succ in _substitutions(w, s, k, repl, seams, memo):
+    for g_u, g_v, succ in _substitutions(w, s, k, repl, seams,
+                                         memo.compose):
         if succ != w:
             yield _with_seams(step, g_u, g_v), succ
 
@@ -461,7 +471,7 @@ class _Cut:
             seams = _seams(w, s, pat, cap, self.memo)
             self.tally.pruned += sum(
                 succ != w for *_, succ in
-                _substitutions(w, s, k, repl, seams, self.memo))
+                _substitutions(w, s, k, repl, seams, self.memo.compose))
         return True
 
     def duplication_width(self, s: int, v: Word, a: int) -> int:
@@ -481,14 +491,10 @@ class _Cut:
     def count_duplication(self, s: int, v: Word, a: int, q: int, p: int,
                           cap: int) -> None:
         """count() for the one-letter side _m4_rhs(v, a, q, p) at letter
-        s, from its two outer maps alone: v's first map, and the fold of
-        a copies of v's target after v's last map, both padded by q and p."""
+        s, from its two outer maps alone."""
         if self.tally is not None:
-            c0, c1 = v.boundaries
-            first = pad(q, c0, p)
-            last = pad(q, compose(branch(a, c1.src), c1), p)
-            self.tally.pruned += _outer_seam_count(self.w, s, 1, first, last,
-                                                   cap, self.memo)
+            self.tally.pruned += _outer_seam_count(
+                self.w, s, 1, *_m4_rhs_ends(v, a, q, p), cap, self.memo)
 
 
 def _reads(f: FinMap, lo: int, hi: int) -> bool:
@@ -645,8 +651,8 @@ def _m1_slide(w, s, ctx, bounds, cut, memo):
                 # replacement would be equal, and _emit would drop them
                 if f.is_identity:
                     continue
-                for c_other in memo.adjacent[other, sig if right else tau,
-                                             *pads]:
+                for c_other in memo.adjacent[
+                        (other, sig if right else tau) + pads]:
                     c0, c1 = (c_other, c) if right else (c, c_other)
                     letter = memo.letter[c0, (l, x, r), c1]
                     v, v2 = ((letter, op_word(f)) if after
@@ -699,8 +705,8 @@ def _braid_case(w, s, rule, direction, ctx, bounds, cut, memo, letter, a, q,
         b = midr.src - a
         midr = compose(braid(b, a) if after else braid(a, b), midr)
     pads = (0, a) if after else (a, 0)
-    c1s = memo.adjacent[midr, l + x.tgt + r, *pads]
-    for c0 in memo.adjacent[mid, l + x.src + r, *pads]:
+    c1s = memo.adjacent[(midr, l + x.tgt + r) + pads]
+    for c0 in memo.adjacent[(mid, l + x.src + r) + pads]:
         for c1 in c1s:
             v = memo.letter[c0, letter, c1]
             yield from _emit(w, s, rule, direction, ctx, bounds, cut, memo,

@@ -15,7 +15,7 @@ from opwords.finmap import FinMap, identity
 from opwords.fixtures import lemma_fixtures
 from opwords.present import builtin_group
 from opwords.rules import (Memo, RewriteStep, RuleBounds, RuleContext, Tally,
-                           _Cut, _m4_rhs, _reads, _seam_adjacent,
+                           _Cut, _m4_rhs, _m4_rhs_ends, _reads, _seam_adjacent,
                            _seam_count, _seams, apply_step, build_m1,
                            build_m2, build_m3, build_m4, moves,
                            rule_instances_matching, step_sides)
@@ -321,7 +321,8 @@ def test_m4_deletion_read_check_is_the_seam_count():
 
 def test_m4_duplication_width_is_the_built_width():
     """The closed-form width that prunes a duplication before build_m4
-    equals the width of every successor it would have built."""
+    equals the width of every successor it would have built, and the
+    outer maps it is counted from are those of the built one-letter side."""
     checked = 0
     for w, ctx, bounds in _m4_cases():
         cut = _Cut(w, bounds, None, Memo())
@@ -329,6 +330,9 @@ def test_m4_duplication_width_is_the_built_width():
             if step.direction == "bwd" and step.a >= 2:
                 assert word_width(succ) == cut.duplication_width(
                     step.split, step.v, step.a)
+                side = _m4_rhs(step.v, step.a, step.q, step.p)
+                assert _m4_rhs_ends(step.v, step.a, step.q, step.p) == (
+                    side.boundaries[0], side.boundaries[-1])
                 checked += 1
     assert checked > 0
 
