@@ -7,9 +7,10 @@ Run from the repository root (pytest-benchmark is needed):
 
 The inputs are fixed: the maps below, the words along the shipped lemma
 certificates (under each lemma's own rule context, or evaluated under the
-carrier-3 probe battery), and seeded random carrier-3 functions for the
-axiom checks. These cases are not part of the test suite (pytest's
-testpaths name tests/ only).
+carrier-3 probe battery), the shipped and built-in presentations and small
+groups' tables as file text for the file readers, and seeded random
+carrier-3 functions for the axiom checks. These cases are not part of the
+test suite (pytest's testpaths name tests/ only).
 """
 
 import random
@@ -19,11 +20,15 @@ import pytest
 
 from opwords.alphabet import Alphabet
 from opwords.certificate import decode, encode
+from opwords.cli import load_assignment
+from opwords.dsl import print_word
 from opwords.endo import Carrier, FinFunction, check_braiding, check_branching
 from opwords.evaluate import eval_word
 from opwords.finmap import FinMap, compose, pad, tensor
-from opwords.fixtures import lemma_fixtures
-from opwords.present import GROUP_ALPHABET
+from opwords.fixtures import LEMMAS, _read, lemma_fixtures
+from opwords.present import (GROUP_ALPHABET, algebra_from_group, builtin_group,
+                             builtin_group_Z, cyclic_group, parse_presentation,
+                             symmetric_group_3)
 from opwords.rules import (Memo, RuleBounds, Tally, apply_step, build_m1,
                            moves)
 from opwords.search import (SearchBudget, _Lane, _lane_bounds,
@@ -155,6 +160,52 @@ def test_certificate_decode(benchmark):
     certs = benchmark(lambda: [decode(text, alphabet)
                                for _, text, alphabet, _ in cases])
     assert certs == [cert for cert, *_ in cases]
+
+
+@lru_cache(maxsize=1)
+def presentation_cases():
+    """(presentation file text, its relations): the shipped lemma
+    presentations, and @group and @group-Z written out as files."""
+    cases = [(_read(source), fx.context.relations)
+             for (_, source, _), fx in zip(LEMMAS, lemma_fixtures())
+             if source is not None and source.endswith(".pres")]
+    for pres in (builtin_group(), builtin_group_Z()):
+        lines = [f"generator {g.name} {g.src} {g.tgt}" for g in pres.alphabet]
+        lines += [f"relation {print_word(lhs)} == {print_word(rhs)}"
+                  for lhs, rhs in pres.relations]
+        cases.append(("\n".join(lines) + "\n", pres.relations))
+    return cases
+
+
+def test_presentation_parse(benchmark):
+    cases = presentation_cases()
+    parsed = benchmark(lambda: [parse_presentation(text)
+                                for text, _ in cases])
+    assert [p.relations for p in parsed] == [rels for _, rels in cases]
+
+
+@lru_cache(maxsize=1)
+def assignment_cases():
+    """(assignment, its file text) for the cyclic groups of order 2 to 5
+    and the symmetric group S3 as (mu, eta, omega) tables."""
+    cases = []
+    for tables in (*map(cyclic_group, range(2, 6)), symmetric_group_3()):
+        asg = algebra_from_group(tables)
+        lines = [f"carrier {tables.size}"]
+        for g, fn in asg.functions.items():
+            lines += [f"gen {g.name}", *fn.rows()]
+        cases.append((asg, "\n".join(lines) + "\n"))
+    return cases
+
+
+def test_assignment_load(benchmark, tmp_path):
+    paths = []
+    for i, (_, text) in enumerate(assignment_cases()):
+        paths.append(tmp_path / f"{i}.assign")
+        paths[-1].write_text(text)
+    loaded = benchmark(lambda: [load_assignment(str(path), None)
+                                for path in paths])
+    assert loaded == [asg for asg, _ in assignment_cases()]
 
 
 def test_certificate_replay(benchmark):

@@ -1,9 +1,11 @@
 """Certificates: replayable chains of rewrite steps, with a text format.
 
-A certificate file is line oriented: a ``start:`` and ``end:`` header
-followed by one ``step n:`` line per rewrite. Structured values (exprs and
-map literals) are double-quoted so the lines round-trip bit-exactly through
-the expression grammar.
+A certificate file is read by ``dsl.read_lines``: a ``start:`` and an
+``end:`` header, once each, and one ``step N:`` line per rewrite, numbered
+1..n in order. A step line holds only ``key=value`` fields, each at most
+once, named in ``STEP_FIELDS``; integer fields are ``dsl.read_int``
+integers. Structured values (exprs and map literals) are double-quoted so
+the lines round-trip bit-exactly through the expression grammar.
 """
 
 from __future__ import annotations
@@ -11,7 +13,8 @@ from __future__ import annotations
 import re
 
 from .alphabet import Alphabet
-from .dsl import map_expr, parse_word, print_expr, print_word
+from .dsl import (map_expr, parse_word, print_expr, print_word, read_int,
+                  read_lines)
 from .errors import ParseError, ReplayError
 from .finmap import FinMap
 from .record import Record
@@ -76,16 +79,21 @@ def step_key(step: RewriteStep) -> str:
     return encode_step(step, 0)
 
 
-_FIELD = re.compile(r'(\w+)=("([^"]*)"|\S+)')
+# a step line's fields: key=value or key="value", each then a space or the end
+_FIELD = re.compile(r'(\w+)=(?:"([^"]*)"|([^\s"]+))(?=\s|$)')
+_FIELDS = re.compile(rf"(?:\s*{_FIELD.pattern})*\s*")
+STEP_FIELDS = "rule dir split a q p v v2 seamL seamR".split()
 
 
-def _parse_step(line: str, alphabet: Alphabet) -> RewriteStep:
+def _parse_step(body: str, line: str, alphabet: Alphabet) -> RewriteStep:
+    if _FIELDS.fullmatch(body) is None:
+        raise ParseError(f"stray text in step line: {line!r}")
     fields: dict[str, str] = {}
-    _, colon, body = line.partition(":")
-    if not colon:
-        raise ParseError(f"step line needs 'step N:': {line!r}")
-    for m in _FIELD.finditer(body):
-        fields[m.group(1)] = m.group(3) if m.group(3) is not None else m.group(2)
+    for key, quoted, bare in _FIELD.findall(body):
+        if key not in STEP_FIELDS or key in fields:
+            what = "repeated" if key in fields else "unknown"
+            raise ParseError(f"{what} step field {key!r}: {line!r}")
+        fields[key] = quoted or bare
 
     def word_field(key):
         return parse_word(fields[key], alphabet) if key in fields else None
@@ -96,39 +104,28 @@ def _parse_step(line: str, alphabet: Alphabet) -> RewriteStep:
             raise ParseError(f"{key} must be a map literal")
         return w.boundaries[0]
 
-    def int_field(key):
-        try:
-            return int(fields[key])
-        except ValueError:
-            raise ParseError(f"{key} must be an integer, found "
-                             f"{fields[key]!r}") from None
-
     try:
         return RewriteStep(
-            rule=fields["rule"], direction=fields["dir"],
-            split=int_field("split"), a=int_field("a"),
-            q=int_field("q"), p=int_field("p"),
-            v=word_field("v"), v2=word_field("v2"),
-            seam_left=map_field("seamL"), seam_right=map_field("seamR"))
+            fields["rule"], fields["dir"],
+            *(read_int(fields[key], line) for key in ("split", "a", "q", "p")),
+            word_field("v"), word_field("v2"),
+            map_field("seamL"), map_field("seamR"))
     except KeyError as exc:
-        raise ParseError(f"step line missing field {exc}") from None
+        raise ParseError(f"step line missing field {exc}: {line!r}") from None
 
 
 def decode(text: str, alphabet: Alphabet) -> Certificate:
-    start = end = None
-    steps = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line.startswith("start:"):
-            start = parse_word(line[len("start:"):].strip(), alphabet)
-        elif line.startswith("end:"):
-            end = parse_word(line[len("end:"):].strip(), alphabet)
-        elif line.startswith("step"):
-            steps.append(_parse_step(line, alphabet))
+    ends, steps = {}, []
+    for keyword, rest, line in read_lines(text, "certificate",
+                                          ("start:", "end:", "step"),
+                                          once=("start:", "end:")):
+        if keyword == "step":
+            n, _, body = rest.partition(":")
+            if read_int(n.strip(), line) != len(steps) + 1:
+                raise ParseError(f"expected step {len(steps) + 1}: {line!r}")
+            steps.append(_parse_step(body, line, alphabet))
         else:
-            raise ParseError(f"unrecognized certificate line: {line!r}")
-    if start is None or end is None:
+            ends[keyword] = parse_word(rest, alphabet)
+    if len(ends) != 2:
         raise ParseError("certificate needs start: and end: headers")
-    return Certificate(start, tuple(steps), end)
+    return Certificate(ends["start:"], tuple(steps), ends["end:"])

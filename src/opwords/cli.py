@@ -13,7 +13,7 @@ import sys
 
 from .alphabet import Alphabet, Generator
 from .certificate import decode, encode
-from .dsl import check_generator_name, parse_word
+from .dsl import check_generator_name, parse_word, read_int, read_lines
 from .endo import Carrier, FinFunction, table_rows
 from .errors import OpwordsError, ParseError, ReplayError
 from .evaluate import GeneratorAssignment, eval_word
@@ -26,12 +26,8 @@ from .search import Disproved, Proved, SearchBudget, equivalent
 EXIT_OK, EXIT_FAIL, EXIT_UNKNOWN, EXIT_USAGE = 0, 1, 2, 3
 
 
-def _int(text: str, line: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise ParseError(
-            f"expected an integer, found {text!r} in {line!r}") from None
+def _inputs(lines: list[str]) -> int:
+    return len(lines[0].partition("->")[0].split()) if lines else 0
 
 
 def _parse_rows(lines, m, carrier_size):
@@ -40,8 +36,8 @@ def _parse_rows(lines, m, carrier_size):
     rows = {}
     for line in lines:
         left, _, right = line.partition("->")
-        xs = tuple(_int(t, line) for t in left.split())
-        ys = tuple(_int(t, line) for t in right.split())
+        xs = tuple(read_int(t, line) for t in left.split())
+        ys = tuple(read_int(t, line) for t in right.split())
         if len(xs) != m:
             raise OpwordsError(f"row has {len(xs)} inputs, expected {m}")
         if not all(0 <= x < carrier_size for x in xs):
@@ -63,47 +59,37 @@ def load_assignment(path: str, carrier_size: int | None):
     """Assignment file: optional ``carrier N`` line, then gen blocks."""
     blocks: dict[str, list[str]] = {}
     rows = None
-    for raw in read_text(path).split("\n"):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        # keywords are whole fields: "generous mu" or "carrier2" is no
-        # keyword line, so it must parse as a table row
-        fields = line.split()
-        if fields[0] == "carrier":
-            declared = _int(line[len("carrier"):].strip(), line)
+    for keyword, rest, line in read_lines(read_text(path), "assignment",
+                                          ("carrier", "gen"),
+                                          once=("carrier",), rows=True):
+        if keyword == "carrier":
+            declared = read_int(rest, line)
             if carrier_size is not None and carrier_size != declared:
                 raise OpwordsError(
                     f"carrier {declared} in file, {carrier_size} on the command line")
             carrier_size = declared
-        elif fields[0] == "gen":
-            if len(fields) < 2:
-                raise ParseError(f"gen line without a name: {line!r}")
-            name = fields[1]
-            check_generator_name(name, line)
-            if name in blocks:
-                raise ParseError(f"second gen block for {name!r}: {line!r}")
-            rows = blocks[name] = []
+        elif keyword == "gen":
+            if len(rest.split()) != 1:
+                raise ParseError(f"gen line needs one name: {line!r}")
+            check_generator_name(rest, line)
+            if rest in blocks:
+                raise ParseError(f"second gen block for {rest!r}: {line!r}")
+            rows = blocks[rest] = []
         else:
             if rows is None:
                 raise OpwordsError(f"table row before any gen line: {line!r}")
             rows.append(line)
     if carrier_size is None:
-        for lines in blocks.values():
-            if lines:
-                m = len(lines[0].partition("->")[0].split())
-                if m == 1:
-                    carrier_size = len(lines)
-                    break
-        else:
+        # the carrier is as large as a one-input table is long
+        sizes = [len(b) for b in blocks.values() if _inputs(b) == 1]
+        if not sizes:
             raise OpwordsError("carrier size not given and not inferable")
+        carrier_size = sizes[0]
     functions = {}
     for name, lines in blocks.items():
-        m = len(lines[0].partition("->")[0].split()) if lines else 0
-        fn = _parse_rows(lines, m, carrier_size)
+        fn = _parse_rows(lines, _inputs(lines), carrier_size)
         functions[Generator(name, fn.src, fn.tgt)] = fn
-    carrier = Carrier(carrier_size)
-    return GeneratorAssignment(carrier, functions)
+    return GeneratorAssignment(Carrier(carrier_size), functions)
 
 
 def _assignment_alphabet(assignment: GeneratorAssignment) -> Alphabet:

@@ -106,7 +106,7 @@ _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _TOKEN = re.compile(rf"""
     (?P<ws>\s+)
   | (?P<arrow>->)
-  | (?P<int>\d+)
+  | (?P<int>[0-9]+)
   | (?P<name>{_NAME.pattern})
   | (?P<sym>[.*^(),\[\]:⊠◁▷])
 """, re.VERBOSE)
@@ -120,6 +120,37 @@ def check_generator_name(name: str, line: str) -> None:
     """Refuse a generator name that no ``gen NAME`` expression can write."""
     if _NAME.fullmatch(name) is None or name in _KEYWORDS:
         raise ParseError(f"{name!r} cannot be written after 'gen': {line!r}")
+
+
+_INT = re.compile(r"-?[0-9]+")
+
+
+def read_int(text: str, line: str) -> int:
+    """An integer field of a file line: an optional minus and ASCII digits."""
+    if _INT.fullmatch(text) is None:
+        raise ParseError(f"expected an integer, found {text!r} in {line!r}")
+    return int(text)
+
+
+def read_lines(text: str, what: str, keywords, once=(), rows: bool = False):
+    """(keyword, rest, line) per stripped line, split at ``\\n``, but blank and
+    ``#`` lines. A keyword is a whole first field; a line with none is a row
+    (None, line, line) if rows, else refused. Once keywords head one line."""
+    seen = set()
+    for raw in text.split("\n"):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        first, *rest = line.split(None, 1)
+        if first in once and first in seen:
+            raise ParseError(f"repeated {what} header {first!r}: {line!r}")
+        if first in keywords:
+            seen.add(first)
+            yield first, rest[0] if rest else "", line
+        elif rows:
+            yield None, line, line
+        else:
+            raise ParseError(f"unrecognized {what} line: {line!r}")
 
 
 def _tokenize(text: str):

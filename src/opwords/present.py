@@ -328,33 +328,24 @@ def equivalent_mod(w: Word, w2: Word, pres: Presentation,
 
 
 def parse_presentation(text: str) -> Presentation:
-    from .dsl import check_generator_name, parse_word
+    from .dsl import check_generator_name, parse_word, read_int, read_lines
 
     gens: list[Generator] = []
     relation_lines: list[tuple[str, str]] = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if parts[0] == "generator":
-            if len(parts) != 4:
+    for keyword, rest, line in read_lines(text, "presentation",
+                                          ("generator", "relation")):
+        if keyword == "generator":
+            parts = rest.split()
+            if len(parts) != 3:
                 raise ArityError(f"bad generator line: {line!r}")
-            try:
-                src, tgt = int(parts[2]), int(parts[3])
-            except ValueError:
-                raise ParseError(
-                    f"generator arities must be integers: {line!r}") from None
-            check_generator_name(parts[1], line)
-            gens.append(Generator(parts[1], src, tgt))
-        elif parts[0] == "relation":
-            body = line[len("relation"):].strip()
-            if "==" not in body:
-                raise ArityError(f"relation line needs '==': {line!r}")
-            lhs, rhs = body.split("==", 1)
-            relation_lines.append((lhs.strip(), rhs.strip()))
+            check_generator_name(parts[0], line)
+            gens.append(Generator(parts[0], read_int(parts[1], line),
+                                  read_int(parts[2], line)))
         else:
-            raise ArityError(f"unrecognized presentation line: {line!r}")
+            if "==" not in rest:
+                raise ArityError(f"relation line needs '==': {line!r}")
+            lhs, rhs = rest.split("==", 1)
+            relation_lines.append((lhs.strip(), rhs.strip()))
     alphabet = Alphabet(gens)
     relations = tuple(
         (parse_word(l, alphabet), parse_word(r, alphabet))

@@ -1,5 +1,6 @@
 import io
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -469,3 +470,86 @@ def test_deep_certificate_field_is_a_parse_error(tmp_path, capsys):
     assert code == 3
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+OMEGA_CERT = (Path(opwords.__file__).parent / "lemmas"
+              / "omega-involution.cert").read_text()
+STEP_1 = OMEGA_CERT.splitlines()[2]
+CERT_ARGV = ["verify-cert", "--pres", "@group", "{path}"]
+ASSIGN_ARGV = ["eval", "--assign", "{path}", "gen f"]
+
+
+def _first_step(old, new):
+    """The shipped certificate with old replaced by new in step 1."""
+    line = STEP_1.replace(old, new, 1)
+    return OMEGA_CERT.replace(STEP_1, line, 1), line
+
+
+def _malformed():
+    """(id, suffix, text, argv, error message) per malformed file."""
+    cases = []
+    text = OMEGA_CERT.replace("\nstep ", "\nstepping ")
+    cases.append(("keyword-prefix", "cert", text, CERT_ARGV,
+                  "unrecognized certificate line: "
+                  f"{STEP_1.replace('step', 'stepping', 1)!r}"))
+    text = re.sub(r"^step \d+:", "step 99:", OMEGA_CERT, flags=re.M)
+    line = STEP_1.replace("step 1:", "step 99:")
+    cases.append(("steps-renumbered", "cert", text, CERT_ARGV,
+                  f"expected step 1: {line!r}"))
+    cases.append(("two-starts", "cert",
+                  "start: gen omega\nstart: gen omega . gen omega\n"
+                  "end: id(1)\n", CERT_ARGV,
+                  "repeated certificate header 'start:': "
+                  "'start: gen omega . gen omega'"))
+    text, line = _first_step("step 1: ", "step 1: junk foo=bar ")
+    cases.append(("stray-text", "cert", text, CERT_ARGV,
+                  f"stray text in step line: {line!r}"))
+    text, line = _first_step("rule=REL:2", "rule=REL:0 rule=REL:2")
+    cases.append(("repeated-field", "cert", text, CERT_ARGV,
+                  f"repeated step field 'rule': {line!r}"))
+    text, line = _first_step('seamR="id(1)"', 'seamR="id(1)" tag=x')
+    cases.append(("unknown-field", "cert", text, CERT_ARGV,
+                  f"unknown step field 'tag': {line!r}"))
+    text, line = _first_step("split=2", "split=+2")
+    cases.append(("plus-field", "cert", text, CERT_ARGV,
+                  f"expected an integer, found '+2' in {line!r}"))
+    rows = "".join(f"{x} -> {x}\n" for x in range(10))
+    cases.append(("underscore-carrier", "assign",
+                  f"carrier 1_0\ngen f\n{rows}", ASSIGN_ARGV,
+                  "expected an integer, found '1_0' in 'carrier 1_0'"))
+    cases.append(("arabic-digit-row", "assign",
+                  "carrier 2\ngen f\n0 -> ٠\n1 -> 1\n", ASSIGN_ARGV,
+                  "expected an integer, found '٠' in '0 -> ٠'"))
+    cases.append(("plus-row", "assign", "carrier 2\ngen f\n0 -> 0\n1 -> +1\n",
+                  ASSIGN_ARGV, "expected an integer, found '+1' in '1 -> +1'"))
+    cases.append(("full-width-arity", "pres", "generator mu ２ 1\n",
+                  ["equiv", "--pres", "{path}", "gen mu", "gen mu"],
+                  "expected an integer, found '２' in "
+                  "'generator mu ２ 1'"))
+    cases.append(("gen-trailing-text", "assign",
+                  "carrier 2\ngen f junk words\n0 -> 0\n1 -> 1\n",
+                  ASSIGN_ARGV, "gen line needs one name: 'gen f junk words'"))
+    for n in (2, 3):
+        cases.append((f"second-carrier-{n}", "assign",
+                      f"carrier 2\ncarrier {n}\ngen f\n0 -> 0\n1 -> 1\n",
+                      ASSIGN_ARGV, "repeated assignment header 'carrier': "
+                                   f"'carrier {n}'"))
+    return cases
+
+
+MALFORMED = _malformed()
+
+
+@pytest.mark.parametrize("suffix,text,argv,message",
+                         [case[1:] for case in MALFORMED],
+                         ids=[case[0] for case in MALFORMED])
+def test_malformed_file_is_a_parse_error(tmp_path, capsys, suffix, text, argv,
+                                         message):
+    """Each file reads as valid, or as an invalid certificate, to a reader
+    that matches keywords by prefix, lets int() read its integers or lets
+    a step line hold other text; it is malformed, so it exits 3."""
+    path = tmp_path / f"bad.{suffix}"
+    path.write_text(text, encoding="utf-8")
+    code, out = run([a.format(path=path) for a in argv])
+    assert (code, out) == (3, "")
+    assert capsys.readouterr().err == f"error: {message}\n"

@@ -146,3 +146,60 @@ def test_exit_code_contract_holds_on_mutated_input(tmp_path, invocation):
     assert code in (0, 1, 2, 3), (code, out.getvalue(), err.getvalue())
     if code == 1:
         assert FAIL_LINE.search(out.getvalue()), out.getvalue()
+
+
+# (argv, valid file text, its keywords, its once-only headers) per format
+FORMATS = (
+    (["verify-cert", "--pres", "@group", "{f}"], CERT,
+     ("start:", "end:", "step"), ("start:", "end:")),
+    (["equiv", "--pres", "{f}", "--max-steps", "20", "gen omega",
+      "gen omega2"], PRES, ("generator", "relation"), ()),
+    (["check-algebra", "--pres", "@group", "--assign", "{f}"], ASSIGN,
+     ("carrier", "gen"), ("carrier",)),
+)
+LETTERS = st.text("abcdefghijklmnopqrstuvwxyz:", min_size=1, max_size=3)
+
+
+@st.composite
+def keyword_mutations(draw):
+    """(argv, text): a valid file with one keyword line made malformed:
+    letters added to its keyword, a once-only header written twice, or the
+    certificate's steps numbered out of 1..n."""
+    kind = draw(st.sampled_from(("letters", "twice", "renumber")))
+    formats = [f for f in FORMATS if f[3]] if kind == "twice" else FORMATS
+    argv, text, keywords, once = (FORMATS[0] if kind == "renumber" else
+                                  draw(st.sampled_from(formats)))
+    lines = text.splitlines()
+    heads = [i for i, line in enumerate(lines)
+             if line.split()[0] in (once if kind == "twice" else keywords)]
+    i = draw(st.sampled_from(heads))
+    if kind == "letters":
+        keyword, rest = lines[i].split(" ", 1)
+        at = draw(st.integers(0, len(keyword)))
+        added = draw(LETTERS.filter(
+            lambda s: keyword[:at] + s + keyword[at:] not in keywords))
+        lines[i] = f"{keyword[:at]}{added}{keyword[at:]} {rest}"
+    elif kind == "twice":
+        lines.insert(draw(st.integers(i + 1, len(lines))), lines[i])
+    else:
+        steps = [j for j in heads if lines[j].startswith("step ")]
+        j = draw(st.sampled_from(steps))
+        n = draw(st.integers(0, 99).filter(lambda n: n != steps.index(j) + 1))
+        lines[j] = re.sub(r"^step \d+:", f"step {n}:", lines[j])
+    return argv, "\n".join(lines) + "\n"
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(keyword_mutations())
+def test_malformed_keyword_lines_exit_3(tmp_path, mutation):
+    argv, text = mutation
+    path = tmp_path / "input"
+    path.write_text(text, encoding="utf-8")
+    argv = [str(path) if arg == "{f}" else arg for arg in argv]
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = main(argv)
+    assert code == 3, (code, text)
+    assert err.getvalue().startswith("error: ")
+    assert err.getvalue().count("\n") == 1

@@ -50,6 +50,11 @@ class TestParse:
         with pytest.raises(ParseError):
             parse(f"gen {name}")
 
+    @pytest.mark.parametrize("expr", ["id(١)", "id(２)"])
+    def test_integers_are_ascii_digits(self, expr):
+        with pytest.raises(ParseError, match="unexpected character"):
+            parse(expr)
+
     def test_unicode_aliases(self):
         assert parse("gen mu ⊠ id(1)") == parse("gen mu * id(1)")
         padded = parse("1 ◁ gen mu ▷ 2")
