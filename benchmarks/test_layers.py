@@ -13,6 +13,7 @@ carrier-3 functions for the axiom checks. These cases are not part of the
 test suite (pytest's testpaths name tests/ only).
 """
 
+import operator
 import random
 from functools import lru_cache
 
@@ -35,7 +36,8 @@ from opwords.search import (SearchBudget, _Lane, _lane_bounds,
                             find_refutation, probe_assignments,
                             word_generators)
 from opwords.terms import word_terms
-from opwords.words import Word, gen_word, whisker
+from opwords.words import (Word, compose_many, gen_word, standard_decomposition,
+                            whisker)
 
 F = FinMap(8, 6, (1, 2, 3, 3, 4, 5, 6, 6))
 G = FinMap(6, 8, (2, 1, 4, 3, 8, 7))
@@ -75,6 +77,11 @@ def test_finmap_pad(benchmark):
     benchmark(pad, 3, F, 2)
 
 
+def test_finmap_existing(benchmark):
+    # F is live, so the validating constructor returns it from the weak table
+    assert benchmark(FinMap, 8, 6, F.table) is F
+
+
 def test_word_construction(benchmark):
     w = longest_word()
     benchmark(Word, w.boundaries, w.letters)
@@ -82,6 +89,14 @@ def test_word_construction(benchmark):
 
 def test_word_whisker(benchmark):
     benchmark(whisker, 2, longest_word(), 3)
+
+
+def test_word_equality(benchmark):
+    # two equal words built apart: every map and tuple rebuilt
+    w = longest_word()
+    w2 = compose_many(*standard_decomposition(w))
+    assert w2 is not w and w2.boundaries is not w.boundaries
+    assert benchmark(operator.eq, w, w2)
 
 
 def test_word_terms(benchmark):

@@ -13,8 +13,8 @@ from __future__ import annotations
 import re
 
 from .alphabet import Alphabet
-from .dsl import (map_expr, parse_word, print_expr, print_word, read_int,
-                  read_lines)
+from .dsl import (map_expr, print_expr, print_word, read_int, read_lines,
+                  read_word)
 from .errors import ParseError, ReplayError
 from .finmap import FinMap
 from .record import Record
@@ -96,12 +96,12 @@ def _parse_step(body: str, line: str, alphabet: Alphabet) -> RewriteStep:
         fields[key] = quoted or bare
 
     def word_field(key):
-        return parse_word(fields[key], alphabet) if key in fields else None
+        return read_word(fields[key], alphabet, line) if key in fields else None
 
     def map_field(key):
-        w = parse_word(fields[key], alphabet)
+        w = read_word(fields[key], alphabet, line)
         if len(w) != 0:
-            raise ParseError(f"{key} must be a map literal")
+            raise ParseError(f"{key} must be a map literal: {line!r}")
         return w.boundaries[0]
 
     try:
@@ -125,7 +125,7 @@ def decode(text: str, alphabet: Alphabet) -> Certificate:
                 raise ParseError(f"expected step {len(steps) + 1}: {line!r}")
             steps.append(_parse_step(body, line, alphabet))
         else:
-            ends[keyword] = parse_word(rest, alphabet)
+            ends[keyword] = read_word(rest, alphabet, line)
     if len(ends) != 2:
         raise ParseError("certificate needs start: and end: headers")
     return Certificate(ends["start:"], tuple(steps), ends["end:"])

@@ -39,7 +39,8 @@ def _parse_rows(lines, m, carrier_size):
         xs = tuple(read_int(t, line) for t in left.split())
         ys = tuple(read_int(t, line) for t in right.split())
         if len(xs) != m:
-            raise OpwordsError(f"row has {len(xs)} inputs, expected {m}")
+            raise OpwordsError(
+                f"row has {len(xs)} inputs, expected {m}: {line!r}")
         if not all(0 <= x < carrier_size for x in xs):
             raise ParseError(
                 f"input outside carrier {carrier_size}: {line!r}")

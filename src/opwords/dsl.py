@@ -24,7 +24,7 @@ from __future__ import annotations
 import re
 
 from .alphabet import Alphabet
-from .errors import ArityError, ParseError
+from .errors import ArityError, OpwordsError, ParseError
 from .finmap import FinMap, braid, branch, f0, f2
 from .record import Record
 from .words import (Word, compose_many, gen_word, identity_word, op_word,
@@ -130,6 +130,14 @@ def read_int(text: str, line: str) -> int:
     if _INT.fullmatch(text) is None:
         raise ParseError(f"expected an integer, found {text!r} in {line!r}")
     return int(text)
+
+
+def read_word(text: str, alphabet: Alphabet, line: str) -> Word:
+    """parse_word for a field of a file line: its errors end with the line."""
+    try:
+        return parse_word(text, alphabet)
+    except OpwordsError as exc:
+        raise type(exc)(f"{exc} in {line!r}") from None
 
 
 def read_lines(text: str, what: str, keywords, once=(), rows: bool = False):

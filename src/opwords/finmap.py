@@ -2,12 +2,15 @@
 
 Values are immutable dense tables, 1-based. Composition is diagrammatic:
 ``compose(f, g)`` applies f first. The opposite-direction reading used by the
-word layer is a calling convention, not a separate type.
+word layer is a calling convention, not a separate type. Maps are
+hash-consed: there is one object per distinct live map, held in a weak table,
+so equality and hashing are identity (Filliâtre & Conchon, 2006).
 """
 
 from __future__ import annotations
 
 import itertools
+import weakref
 from functools import lru_cache
 from typing import Iterator
 
@@ -18,12 +21,12 @@ from .record import Record
 class FinMap(Record):
     """A total map [1,src] -> [1,tgt]; table[i-1] is the image of i."""
 
-    __slots__ = ("src", "tgt", "table", "_hash")
+    __slots__ = ("src", "tgt", "table", "__weakref__")
     src: int
     tgt: int
     table: tuple[int, ...]
 
-    def __init__(self, src: int, tgt: int, table: tuple[int, ...]):
+    def __new__(cls, src: int, tgt: int, table: tuple[int, ...]):
         if src < 0 or tgt < 0:
             raise ArityError(f"negative arity in map ({src},{tgt})")
         if len(table) != src:
@@ -34,31 +37,27 @@ class FinMap(Record):
         for v in table:
             if not 1 <= v <= tgt:
                 raise ArityError(f"entry {v} outside [1,{tgt}]")
-        _set_src(self, src)
-        _set_tgt(self, tgt)
-        _set_table(self, table)
-        _set_hash(self, hash((tgt, table)))
+        return FinMap._raw(src, tgt, table)
+
+    # object's own: __new__ sets the fields, and equal maps are one object
+    __init__ = object.__init__
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     @staticmethod
     def _raw(src: int, tgt: int, table: tuple[int, ...]) -> "FinMap":
         """Unvalidated constructor for outputs that are valid by construction."""
-        f = _new(FinMap)
-        _set_src(f, src)
-        _set_tgt(f, tgt)
-        _set_table(f, table)
-        _set_hash(f, hash((tgt, table)))
+        f = _interned.get((tgt, table))
+        if f is None:
+            f = _interned[tgt, table] = _new(FinMap)
+            _set_src(f, src)
+            _set_tgt(f, tgt)
+            _set_table(f, table)
         return f
 
-    def __hash__(self):
-        return self._hash
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if not isinstance(other, FinMap):
-            return NotImplemented
-        return (self._hash == other._hash and self.tgt == other.tgt
-                and self.table == other.table)
+    def __reduce__(self):
+        """Copies and unpickled maps come back through the intern table."""
+        return FinMap, (self.src, self.tgt, self.table)
 
     def __call__(self, i: int) -> int:
         return self.table[i - 1]
@@ -69,17 +68,18 @@ class FinMap(Record):
 
     @property
     def is_identity(self) -> bool:
-        return self.src == self.tgt and all(
-            v == i for i, v in enumerate(self.table, start=1))
+        return self is identity(self.src)
 
 
 # The slots' member descriptors set fields past the frozen __setattr__.
 _new = object.__new__
-_set_src, _set_tgt, _set_table, _set_hash = (
-    FinMap.__dict__[name].__set__ for name in ("src", "tgt", "table", "_hash"))
+_set_src, _set_tgt, _set_table = (
+    FinMap.__dict__[name].__set__ for name in ("src", "tgt", "table"))
+# (tgt, table) -> the one live map with that target and table
+_interned: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
-# FinMap is immutable, so every caller can share one identity per width
+# every width's identity stays live, and is found without building its table
 @lru_cache(maxsize=None)
 def identity(m: int) -> FinMap:
     return FinMap._raw(m, m, tuple(range(1, m + 1)))
@@ -133,11 +133,10 @@ def f0() -> FinMap:
 
 
 def all_maps(src: int, tgt: int) -> Iterator[FinMap]:
-    """Every map [1,src] -> [1,tgt], lexicographic by table."""
-    if tgt == 0 and src > 0:
-        return
+    """Every map [1,src] -> [1,tgt], lexicographic by table (none when
+    tgt = 0 < src, as the product of no choices is empty)."""
     for table in itertools.product(range(1, tgt + 1), repeat=src):
-        yield FinMap(src, tgt, table)
+        yield FinMap._raw(src, tgt, table)
 
 
 def factorizations_through(h: FinMap, g: FinMap,
@@ -168,17 +167,6 @@ def factorizations_through(h: FinMap, g: FinMap,
     return [FinMap._raw(h.src, g.src, choice) for choice in choices]
 
 
-def _forced(h: FinMap, f: FinMap) -> dict[int, int] | None:
-    """The values g must take on the image of f, or None if they clash."""
-    if h.src != f.src:
-        raise ArityError("factorization sources differ")
-    forced: dict[int, int] = {}
-    for v, want in zip(f.table, h.table):
-        if forced.setdefault(v, want) != want:
-            return None
-    return forced
-
-
 def factorizations_from(h: FinMap, f: FinMap) -> Iterator[FinMap]:
     """All g with compose(f, g) = h (f applied first), lazily.
 
@@ -186,9 +174,12 @@ def factorizations_from(h: FinMap, f: FinMap) -> Iterator[FinMap]:
     filling comes first, sending each free j to min(j, h.tgt); the other
     fillings follow in increasing lexicographic order.
     """
-    forced = _forced(h, f)
-    if forced is None:
-        return
+    if h.src != f.src:
+        raise ArityError("factorization sources differ")
+    forced: dict[int, int] = {}  # g(f(i)) = h(i); a clash leaves no g
+    for v, want in zip(f.table, h.table):
+        if forced.setdefault(v, want) != want:
+            return
     free = [j for j in range(1, f.tgt + 1) if j not in forced]
     if free and h.tgt == 0:
         return

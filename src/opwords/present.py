@@ -328,10 +328,10 @@ def equivalent_mod(w: Word, w2: Word, pres: Presentation,
 
 
 def parse_presentation(text: str) -> Presentation:
-    from .dsl import check_generator_name, parse_word, read_int, read_lines
+    from .dsl import check_generator_name, read_int, read_lines, read_word
 
     gens: list[Generator] = []
-    relation_lines: list[tuple[str, str]] = []
+    relation_lines: list[tuple[str, str, str]] = []
     for keyword, rest, line in read_lines(text, "presentation",
                                           ("generator", "relation")):
         if keyword == "generator":
@@ -345,11 +345,11 @@ def parse_presentation(text: str) -> Presentation:
             if "==" not in rest:
                 raise ArityError(f"relation line needs '==': {line!r}")
             lhs, rhs = rest.split("==", 1)
-            relation_lines.append((lhs.strip(), rhs.strip()))
+            relation_lines.append((lhs.strip(), rhs.strip(), line))
     alphabet = Alphabet(gens)
     relations = tuple(
-        (parse_word(l, alphabet), parse_word(r, alphabet))
-        for l, r in relation_lines)
+        (read_word(l, alphabet, line), read_word(r, alphabet, line))
+        for l, r, line in relation_lines)
     return Presentation(alphabet, relations)
 
 

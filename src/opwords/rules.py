@@ -234,16 +234,13 @@ def untensor(f: FinMap, src_split: int, tgt_split: int):
     """Split f as tensor(a, b) with the given block arities, or None."""
     if not (0 <= src_split <= f.src and 0 <= tgt_split <= f.tgt):
         return None
-    for v in f.table[:src_split]:
-        if v > tgt_split:
-            return None
-    for v in f.table[src_split:]:
-        if v <= tgt_split:
-            return None
-    a = FinMap._raw(src_split, tgt_split, f.table[:src_split])
-    b = FinMap._raw(f.src - src_split, f.tgt - tgt_split,
-                    tuple(v - tgt_split for v in f.table[src_split:]))
-    return a, b
+    head, tail = f.table[:src_split], f.table[src_split:]
+    if (max(head, default=0) > tgt_split
+            or min(tail, default=tgt_split + 1) <= tgt_split):
+        return None
+    return (FinMap._raw(src_split, tgt_split, head),
+            FinMap._raw(f.src - src_split, f.tgt - tgt_split,
+                        tuple(v - tgt_split for v in tail)))
 
 
 def unpad(f: FinMap, q: int, p: int) -> FinMap | None:
@@ -263,9 +260,9 @@ def unpad(f: FinMap, q: int, p: int) -> FinMap | None:
 def _extract_block(mid: FinMap, pre: int, width_src: int, tgt_lo: int,
                    width_tgt: int):
     """Read inputs pre+1..pre+width_src of mid as a map into a target block."""
-    vals = mid.table[pre:pre + width_src]
-    if all(tgt_lo < v <= tgt_lo + width_tgt for v in vals):
-        return FinMap(width_src, width_tgt, tuple(v - tgt_lo for v in vals))
+    vals = tuple(v - tgt_lo for v in mid.table[pre:pre + width_src])
+    if all(0 < v <= width_tgt for v in vals):
+        return FinMap._raw(width_src, width_tgt, vals)
     return None
 
 
@@ -400,14 +397,15 @@ class Memo:
     the context maps of a seam and compose them into boundaries, over and
     over for the same immutable maps. Each table holds one pure function's
     values keyed by its arguments: the maps, pads, letters and seam cap
-    that the computation reads. Values are maps, words, tuples or None,
-    which no caller can change, so sharing them changes no move. A search
-    keeps one memo per query and drops it with the query's visited words;
-    moves() called without one starts a fresh one.
+    that the computation reads (`ends`: a pruned M4 duplication's two
+    outer maps). Values are maps, words, tuples or None, which no caller
+    can change, so sharing them changes no move. A search keeps one memo
+    per query and drops it with the query's visited words; moves() called
+    without one starts a fresh one.
     """
 
     __slots__ = ("unpad", "untensor", "adjacent", "letter", "compose",
-                 "lefts", "rights", "empty_seams")
+                 "lefts", "rights", "empty_seams", "ends")
 
     def __init__(self):
         self.unpad = _Table(unpad)
@@ -418,6 +416,7 @@ class Memo:
         self.lefts = _Table(_lefts)
         self.rights = _Table(_rights)
         self.empty_seams = _Table(_empty_seams)
+        self.ends = _Table(_m4_rhs_ends)
 
 
 class _Cut:
@@ -494,7 +493,7 @@ class _Cut:
         s, from its two outer maps alone."""
         if self.tally is not None:
             self.tally.pruned += _outer_seam_count(
-                self.w, s, 1, *_m4_rhs_ends(v, a, q, p), cap, self.memo)
+                self.w, s, 1, *self.memo.ends[v, a, q, p], cap, self.memo)
 
 
 def _reads(f: FinMap, lo: int, hi: int) -> bool:
@@ -780,7 +779,7 @@ def _m4_bwd(w, ctx, bounds, cut, memo):
                     c1s = [identity(tau)]
                     if a >= 2 and midr is not None and midr.src % a == 0:
                         vt = midr.src // a
-                        c1 = FinMap(vt, tau, midr.table[:vt])
+                        c1 = FinMap._raw(vt, tau, midr.table[:vt])
                         if (not c1.is_identity
                                 and compose(branch(a, vt), c1) == midr):
                             c1s.append(c1)

@@ -553,3 +553,34 @@ def test_malformed_file_is_a_parse_error(tmp_path, capsys, suffix, text, argv,
     code, out = run([a.format(path=path) for a in argv])
     assert (code, out) == (3, "")
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+UNKNOWN_V = _first_step('seamR="id(1)"', 'seamR="id(1)" v="gen nu"')
+FIELD_ERRORS = [
+    ("pres", "generator mu 2 1\nrelation gen mu == gen nu\n",
+     ["equiv", "--pres", "{path}", "gen mu", "gen mu"],
+     "unknown generator 'nu' in 'relation gen mu == gen nu'"),
+    ("cert", UNKNOWN_V[0], CERT_ARGV,
+     f"unknown generator 'nu' in {UNKNOWN_V[1]!r}"),
+    ("assign", "carrier 2\ngen f\n0 -> 1\n0 1 -> 1\n", ASSIGN_ARGV,
+     "row has 2 inputs, expected 1: '0 1 -> 1'"),
+]
+
+
+@pytest.mark.parametrize("suffix,text,argv,message", FIELD_ERRORS,
+                         ids=[case[0] for case in FIELD_ERRORS])
+def test_field_error_names_its_file_line(tmp_path, capsys, suffix, text, argv,
+                                         message):
+    """An error inside an expression field or a table row of a file ends
+    with the line it is on."""
+    path = tmp_path / f"bad.{suffix}"
+    path.write_text(text)
+    code, out = run([a.format(path=path) for a in argv])
+    assert (code, out) == (3, "")
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_expression_error_on_the_command_line_names_no_line(capsys):
+    code, out = run(["equiv", "--pres", "@group", "gen nu", "gen omega"])
+    assert (code, out) == (3, "")
+    assert capsys.readouterr().err == "error: unknown generator 'nu'\n"

@@ -1,8 +1,12 @@
+import copy
+import gc
 import itertools
+import pickle
 
 import pytest
 from hypothesis import given, strategies as st
 
+from opwords import finmap
 from opwords.errors import ArityError
 from opwords.finmap import (FinMap, all_maps, braid, branch, compose, f0,
                             f2, factorizations_from, factorizations_through,
@@ -52,6 +56,51 @@ class TestConstructors:
             FinMap(2, 1, (1, 2))
         with pytest.raises(ArityError):
             FinMap(2, 2, (1,))
+
+
+class TestInterning:
+    """One live object per (tgt, table): every constructor returns it, so
+    equality and hashing are identity."""
+
+    def test_every_constructor_returns_the_live_map(self):
+        f = FinMap(3, 2, (2, 1, 2))
+        assert FinMap(3, 2, (2, 1, 2)) is f
+        assert FinMap._raw(3, 2, (2, 1, 2)) is f
+        assert FinMap(src=3, tgt=2, table=(2, 1, 2)) is f
+        assert compose(f, identity(2)) is f
+        assert compose(FinMap(3, 3, (3, 2, 1)), FinMap(3, 2, (2, 1, 2))) is f
+        assert pad(0, f, 0) is f
+        assert pad(1, f, 0) is tensor(identity(1), f)
+        assert tensor(f, FinMap(0, 0, ())) is f
+        assert braid(1, 2) is FinMap(3, 3, (3, 1, 2))
+        assert branch(2, 1) is f2()
+        assert FinMap(2, 2, (1, 2)) is identity(2)
+        assert f.replace(table=(2, 1, 2)) is f
+        assert f.replace(tgt=3) is FinMap(3, 3, (2, 1, 2))
+        assert copy.copy(f) is f and copy.deepcopy(f) is f
+        assert pickle.loads(pickle.dumps(f)) is f
+
+    def test_equality_is_identity(self):
+        assert FinMap.__eq__ is object.__eq__
+        assert FinMap.__hash__ is object.__hash__
+        f = FinMap(2, 1, (1, 1))
+        assert hash(f) == object.__hash__(f)
+        assert {f: 1}[FinMap._raw(2, 1, (1, 1))] == 1
+
+    def test_invalid_tables_are_refused_and_not_interned(self):
+        for src, tgt, table in ((1, 0, (1,)), (2, 1, (1, 2)), (2, 2, (1,)),
+                                (-1, 1, ())):
+            with pytest.raises(ArityError):
+                FinMap(src, tgt, table)
+            assert all((f.src, f.tgt, f.table) != (src, tgt, table)
+                       for f in finmap._interned.values())
+
+    def test_a_map_nobody_holds_leaves_the_table(self):
+        f = FinMap(4, 5, (5, 4, 3, 5))
+        assert finmap._interned[5, (5, 4, 3, 5)] is f
+        del f
+        gc.collect()
+        assert (5, (5, 4, 3, 5)) not in finmap._interned
 
 
 class TestComposeTensor:
