@@ -28,12 +28,12 @@ from opwords.evaluate import eval_word
 from opwords.finmap import FinMap, compose, pad, tensor
 from opwords.fixtures import LEMMAS, _read, lemma_fixtures
 from opwords.present import (GROUP_ALPHABET, algebra_from_group, builtin_group,
-                             builtin_group_Z, cyclic_group, parse_presentation,
-                             symmetric_group_3)
+                             builtin_group_Z, cyclic_group, equivalent_mod,
+                             parse_presentation, symmetric_group_3)
 from opwords.rules import (Memo, RuleBounds, Tally, apply_step, build_m1,
                            moves)
-from opwords.search import (SearchBudget, _Lane, _lane_bounds,
-                            find_refutation, probe_assignments,
+from opwords.search import (Proved, SearchBudget, _context_memo, _Lane,
+                            _lane_bounds, find_refutation, probe_assignments,
                             word_generators)
 from opwords.terms import word_terms
 from opwords.words import (Word, compose_many, gen_word, standard_decomposition,
@@ -120,7 +120,8 @@ def test_moves(benchmark, family):
 @pytest.mark.parametrize("family", FAMILIES)
 def test_moves_along_a_chain(benchmark, family):
     """test_moves with one memo shared along each lemma's chain, as a
-    search shares one per query; each round starts from empty memos."""
+    search shares one per rule context; each round starts from empty
+    memos."""
     bounds = RuleBounds(seam_cap=8, families=(family,))
     chains = lemma_chains()
     cold = sum(1 for w, ctx in lemma_words() for _ in moves(w, ctx, bounds))
@@ -241,6 +242,31 @@ def test_lane_to_final_cap(benchmark):
 
     lane = benchmark(run)
     assert lane.done
+
+
+def short_step_query():
+    """eta-omega's M1 step under @group as an equivalent_mod query that
+    searches: one short lemma step, like those of lemma_search."""
+    words = next(words for fx, words in lemma_chains()
+                 if fx.name == "eta-omega")
+    pres = builtin_group()
+    return lambda: equivalent_mod(words[1], words[2], pres,
+                                  SearchBudget(max_steps=1000),
+                                  consult_builtin=False)
+
+
+def test_query_warm_memo(benchmark):
+    """One short step, with @group's memo warm from the query before."""
+    ask = short_step_query()
+    ask()
+    assert isinstance(benchmark(ask), Proved)
+
+
+def test_query_cold_memo(benchmark):
+    """One short step, with @group's memo emptied before each round."""
+    result = benchmark.pedantic(short_step_query(),
+                                setup=_context_memo.cache_clear, rounds=200)
+    assert isinstance(result, Proved)
 
 
 def test_find_refutation(benchmark):

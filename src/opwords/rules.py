@@ -399,9 +399,11 @@ class Memo:
     values keyed by its arguments: the maps, pads, letters and seam cap
     that the computation reads (`ends`: a pruned M4 duplication's two
     outer maps). Values are maps, words, tuples or None, which no caller
-    can change, so sharing them changes no move. A search keeps one memo
-    per query and drops it with the query's visited words; moves() called
-    without one starts a fresh one.
+    can change, so sharing them changes no move, within a query or across
+    queries. A search under relations keeps one memo per rule context for
+    all its queries, emptied once it outgrows a fixed entry count
+    (search._query_memo); a free query gets its own, dropped with its
+    visited words; moves() called without one starts a fresh one.
     """
 
     __slots__ = ("unpad", "untensor", "adjacent", "letter", "compose",
@@ -417,6 +419,15 @@ class Memo:
         self.rights = _Table(_rights)
         self.empty_seams = _Table(_empty_seams)
         self.ends = _Table(_m4_rhs_ends)
+
+    def __len__(self) -> int:
+        """The number of entries, over all tables."""
+        return sum(len(getattr(self, name)) for name in self.__slots__)
+
+    def clear(self) -> None:
+        """Empty every table."""
+        for name in self.__slots__:
+            getattr(self, name).clear()
 
 
 class _Cut:

@@ -96,11 +96,13 @@ class TestInterning:
                        for f in finmap._interned.values())
 
     def test_a_map_nobody_holds_leaves_the_table(self):
-        f = FinMap(4, 5, (5, 4, 3, 5))
-        assert finmap._interned[5, (5, 4, 3, 5)] is f
+        # 40 strands wide: no word the suite searches, and so no memo a
+        # rule context keeps across queries, holds this map
+        f = FinMap(4, 40, (40, 4, 3, 5))
+        assert finmap._interned[40, (40, 4, 3, 5)] is f
         del f
         gc.collect()
-        assert (5, (5, 4, 3, 5)) not in finmap._interned
+        assert (40, (40, 4, 3, 5)) not in finmap._interned
 
 
 class TestComposeTensor:

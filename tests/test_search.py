@@ -2,8 +2,10 @@ import hashlib
 import itertools
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from opwords import search
 from opwords.alphabet import Alphabet, Generator
 from opwords.certificate import encode
 from opwords.dsl import parse_word
@@ -11,7 +13,7 @@ from opwords.endo import Carrier, tabulate
 from opwords.evaluate import eval_word
 from opwords.finmap import braid, branch
 from opwords.fixtures import lemma_fixtures
-from opwords.present import builtin_group
+from opwords.present import builtin_group, equivalent_mod
 from opwords.rules import RuleBounds, RuleContext, apply_step, build_m1, moves
 from opwords.search import (Disproved, Proved, SearchBudget, Unknown,
                             Witness, _Lane, _constant, _cyclic_project,
@@ -325,18 +327,88 @@ CERTIFICATES = (
 
 
 def test_outcome_digest():
-    digest, count, classes = hashlib.sha256(), 0, {}
-    certs, proved, steps = hashlib.sha256(), 0, 0
-    for lhs, rhs, ctx, budget in _outcome_corpus():
-        res = equivalent(lhs, rhs, budget, ctx=ctx)
-        name = type(res).__name__
-        visited = res.visited if isinstance(res, Unknown) else ""
-        digest.update(f"{name} {visited}\n".encode())
-        count += 1
-        classes[name] = classes.get(name, 0) + 1
-        if isinstance(res, Proved):
-            certs.update(encode(res.certificate).encode())
-            proved += 1
-            steps += len(res.certificate.steps)
-    assert (digest.hexdigest(), count, classes) == OUTCOMES
-    assert (certs.hexdigest(), proved, steps) == CERTIFICATES
+    # the corpus in its order, then in reverse, with the digests taken in
+    # corpus order: the second pass meets the memos the first left in each
+    # rule context, which must change no answer
+    corpus = list(_outcome_corpus())
+    for results in ([equivalent(lhs, rhs, budget, ctx=ctx)
+                     for lhs, rhs, ctx, budget in corpus],
+                    [equivalent(lhs, rhs, budget, ctx=ctx)
+                     for lhs, rhs, ctx, budget in corpus[::-1]][::-1]):
+        digest, count, classes = hashlib.sha256(), 0, {}
+        certs, proved, steps = hashlib.sha256(), 0, 0
+        for res in results:
+            name = type(res).__name__
+            visited = res.visited if isinstance(res, Unknown) else ""
+            digest.update(f"{name} {visited}\n".encode())
+            count += 1
+            classes[name] = classes.get(name, 0) + 1
+            if isinstance(res, Proved):
+                certs.update(encode(res.certificate).encode())
+                proved += 1
+                steps += len(res.certificate.steps)
+        assert (digest.hexdigest(), count, classes) == OUTCOMES
+        assert (certs.hexdigest(), proved, steps) == CERTIFICATES
+
+
+class TestContextMemo:
+    """A rule context with relations keeps one memo across its queries;
+    a free query keeps its own."""
+
+    @staticmethod
+    def _step(name: str, i: int):
+        """Step i of the named shipped lemma under @group, as a query."""
+        fx = next(f for f in lemma_fixtures() if f.name == name)
+        words = [fx.certificate.start]
+        for step in fx.certificate.steps[:i + 1]:
+            words.append(apply_step(words[-1], step, fx.context))
+        return words[i], words[i + 1]
+
+    @staticmethod
+    def _ask(pair):
+        return equivalent_mod(*pair, builtin_group(),
+                              SearchBudget(max_steps=1000),
+                              consult_builtin=False)
+
+    @pytest.fixture
+    def used(self, monkeypatch):
+        """The memos the queries search with, in order, from a clean slate."""
+        search._context_memo.cache_clear()
+        used, real = [], search._query_memo
+        monkeypatch.setattr(search, "_query_memo",
+                            lambda ctx: used.append(real(ctx)) or used[-1])
+        yield used
+        search._context_memo.cache_clear()
+
+    def test_one_query_twice_shares_one_memo(self, used):
+        pair = self._step("eta-omega", 1)
+        first = self._ask(pair)
+        entries = len(used[0])
+        assert isinstance(first, Proved) and entries > 0
+        assert self._ask(pair) == first
+        assert len(used) == 2 and used[1] is used[0]
+        assert len(used[0]) == entries
+        assert used[0] is search._context_memo(builtin_group().context())
+
+    def test_a_free_query_leaves_no_memo(self, used):
+        lhs, rhs = build_m1(gen_word(MU), gen_word(MU))
+        assert isinstance(equivalent(lhs, rhs), Proved)
+        assert len(used) == 1 and len(used[0]) > 0
+        assert search._context_memo.cache_info().currsize == 0
+
+    def test_a_memo_over_the_bound_is_emptied_first(self, used, monkeypatch):
+        first, second = (self._step("eta-omega", 1),
+                         self._step("omega-involution", 10))
+        self._ask(second)
+        cold = len(used[0])
+        search._context_memo.cache_clear()
+        self._ask(first)
+        self._ask(second)
+        # premise: the first query leaves entries the second does not make
+        assert len(used[-1]) > cold
+        search._context_memo.cache_clear()
+        monkeypatch.setattr(search, "_MEMO_ENTRIES", 0)
+        self._ask(first)
+        assert len(used[-1]) > 0
+        self._ask(second)
+        assert len(used[-1]) == cold
