@@ -25,14 +25,14 @@ from opwords.cli import load_assignment
 from opwords.dsl import print_word
 from opwords.endo import Carrier, FinFunction, check_braiding, check_branching
 from opwords.evaluate import eval_word
+from opwords import finmap, rules
 from opwords.finmap import FinMap, compose, pad, tensor
 from opwords.fixtures import LEMMAS, _read, lemma_fixtures
 from opwords.present import (GROUP_ALPHABET, algebra_from_group, builtin_group,
                              builtin_group_Z, cyclic_group, equivalent_mod,
                              parse_presentation, symmetric_group_3)
-from opwords.rules import (Memo, RuleBounds, Tally, apply_step, build_m1,
-                           moves)
-from opwords.search import (Proved, SearchBudget, _context_memo, _Lane,
+from opwords.rules import RuleBounds, Tally, apply_step, build_m1, moves
+from opwords.search import (Proved, SearchBudget, _Lane,
                             _lane_bounds, find_refutation, probe_assignments,
                             word_generators)
 from opwords.terms import word_terms
@@ -119,22 +119,18 @@ def test_moves(benchmark, family):
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_moves_along_a_chain(benchmark, family):
-    """test_moves with one memo shared along each lemma's chain, as a
-    search shares one per rule context; each round starts from empty
-    memos."""
+    """test_moves along each lemma's chain, on rules caches warm from the
+    same chains, as a search finds them warm from its earlier lanes and
+    queries."""
     bounds = RuleBounds(seam_cap=8, families=(family,))
     chains = lemma_chains()
-    cold = sum(1 for w, ctx in lemma_words() for _ in moves(w, ctx, bounds))
 
     def successors():
-        n = 0
-        for fx, words in chains:
-            memo = Memo()
-            n += sum(1 for w in words
-                     for _ in moves(w, fx.context, bounds, memo=memo))
-        return n
+        return sum(1 for fx, words in chains for w in words
+                   for _ in moves(w, fx.context, bounds))
 
-    assert benchmark(successors) == cold
+    warm = successors()
+    assert benchmark(successors) == warm
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -256,16 +252,24 @@ def short_step_query():
 
 
 def test_query_warm_memo(benchmark):
-    """One short step, with @group's memo warm from the query before."""
+    """One short step, with the rules caches warm from the query before."""
     ask = short_step_query()
     ask()
     assert isinstance(benchmark(ask), Proved)
 
 
+def clear_rules_caches():
+    """Empty every cache of move generation (the lru_caches that rules
+    defines; finmap's identity, which rules imports, stays)."""
+    for name, f in vars(rules).items():
+        if hasattr(f, "cache_clear") and f is not getattr(finmap, name, None):
+            f.cache_clear()
+
+
 def test_query_cold_memo(benchmark):
-    """One short step, with @group's memo emptied before each round."""
+    """One short step, with every rules cache emptied before each round."""
     result = benchmark.pedantic(short_step_query(),
-                                setup=_context_memo.cache_clear, rounds=200)
+                                setup=clear_rules_caches, rounds=200)
     assert isinstance(result, Proved)
 
 

@@ -85,32 +85,43 @@ class RewriteStep(Record):
             direction="bwd" if self.direction == "fwd" else "fwd")
 
 
+# Move generation builds the same schema instances, strips the same pads,
+# splits the same blocks and solves the same seams over and over. Each pure
+# function of that work keeps its values in a process-wide LRU of one size:
+# its arguments are maps (hashed by identity, since equal maps are one
+# object), words, letters and integers, and its values are maps, words,
+# tuples or None, which no caller can change, so a cache changes no move.
+_CACHE_SIZE = 1 << 14
+_cached = lru_cache(maxsize=_CACHE_SIZE)
+_compose = _cached(compose)
+
+
 # ---------------------------------------------------------------------------
 # Schema instance builders
 
 
-@lru_cache(maxsize=1 << 16)
+@_cached
 def build_m1(v: Word, v2: Word) -> tuple[Word, Word]:
     lhs = compose_words(whisker(0, v, v2.src), whisker(v.tgt, v2, 0))
     rhs = compose_words(whisker(v.src, v2, 0), whisker(0, v, v2.tgt))
     return lhs, rhs
 
 
-@lru_cache(maxsize=1 << 14)
+@_cached
 def build_m2(v: Word, a: int, q: int, p: int) -> tuple[Word, Word]:
     lhs = compose_words(op_word(braid(v.src, a)), whisker(0, v, a))
     rhs = compose_words(whisker(a, v, 0), op_word(braid(v.tgt, a)))
     return whisker(q, lhs, p), whisker(q, rhs, p)
 
 
-@lru_cache(maxsize=1 << 14)
+@_cached
 def build_m3(v: Word, a: int, q: int, p: int) -> tuple[Word, Word]:
     lhs = compose_words(op_word(braid(a, v.src)), whisker(a, v, 0))
     rhs = compose_words(whisker(0, v, a), op_word(braid(a, v.tgt)))
     return whisker(q, lhs, p), whisker(q, rhs, p)
 
 
-@lru_cache(maxsize=1 << 14)
+@_cached
 def build_m4(v: Word, a: int, q: int, p: int) -> tuple[Word, Word]:
     lhs = compose_words(op_word(branch(a, v.src)), tensor_power(v, a))
     return whisker(q, lhs, p), _m4_rhs(v, a, q, p)
@@ -121,6 +132,7 @@ def _m4_rhs(v: Word, a: int, q: int, p: int) -> Word:
     return whisker(q, compose_words(v, op_word(branch(a, v.tgt))), p)
 
 
+@_cached
 def _m4_rhs_ends(v: Word, a: int, q: int, p: int) -> tuple[FinMap, FinMap]:
     """The first and last maps of _m4_rhs(v, a, q, p) for a one-letter v,
     without building it: v's first map, and the fold of a copies of v's
@@ -129,7 +141,7 @@ def _m4_rhs_ends(v: Word, a: int, q: int, p: int) -> tuple[FinMap, FinMap]:
     return pad(q, c0, p), pad(q, compose(branch(a, c1.src), c1), p)
 
 
-@lru_cache(maxsize=1 << 12)
+@_cached
 def build_rel(rl: Word, rr: Word, q: int, p: int) -> tuple[Word, Word]:
     """A relation pair whiskered by q strands on the left and p on the right."""
     return whisker(q, rl, p), whisker(q, rr, p)
@@ -188,23 +200,21 @@ def pattern_matches(w: Word, s: int, pat: Word, g_u: FinMap, g_v: FinMap) -> boo
 def substitute(w: Word, s: int, span: int, repl: Word,
                g_u: FinMap, g_v: FinMap) -> Word:
     """w with the span's factor replaced by repl between the two seams."""
-    _, _, succ = next(_substitutions(w, s, span, repl, [(g_u, g_v)],
-                                     _Table(compose)))
+    _, _, succ = next(_substitutions(w, s, span, repl, [(g_u, g_v)]))
     return Word(succ.boundaries, succ.letters)
 
 
-def _substitutions(w, s, span, repl, seams, composed):
+def _substitutions(w, s, span, repl, seams):
     """(g_u, g_v, substituted word) per seam pair, unvalidated.
 
-    composed is a compose table (Memo.compose). The part left of the right
-    seam is built once per run of equal g_u.
+    The part left of the right seam is built once per run of equal g_u.
     """
     letters = w.letters[:s] + repl.letters + w.letters[s + span:]
     pre, post = w.boundaries[:s], w.boundaries[s + span + 1:]
     if len(repl) == 0:
         only = repl.boundaries[0]
         for g_u, g_v in seams:
-            merged = composed[composed[g_v, only], g_u]
+            merged = _compose(_compose(g_v, only), g_u)
             yield g_u, g_v, Word._raw(pre + (merged,) + post, letters)
         return
     first, mid, last = (repl.boundaries[0], repl.boundaries[1:-1],
@@ -212,8 +222,8 @@ def _substitutions(w, s, span, repl, seams, composed):
     prev = None
     for g_u, g_v in seams:
         if g_u is not prev:
-            prev, head = g_u, pre + (composed[first, g_u],) + mid
-        yield g_u, g_v, Word._raw(head + (composed[g_v, last],) + post,
+            prev, head = g_u, pre + (_compose(first, g_u),) + mid
+        yield g_u, g_v, Word._raw(head + (_compose(g_v, last),) + post,
                                   letters)
 
 
@@ -230,6 +240,7 @@ def apply_step(w: Word, step: RewriteStep, ctx: RuleContext) -> Word:
 # Block-structure helpers used by parameter inference
 
 
+@_cached
 def untensor(f: FinMap, src_split: int, tgt_split: int):
     """Split f as tensor(a, b) with the given block arities, or None."""
     if not (0 <= src_split <= f.src and 0 <= tgt_split <= f.tgt):
@@ -243,6 +254,7 @@ def untensor(f: FinMap, src_split: int, tgt_split: int):
                         tuple(v - tgt_split for v in tail)))
 
 
+@_cached
 def unpad(f: FinMap, q: int, p: int) -> FinMap | None:
     """Strip identity pads: f = tensor(id_q, mid, id_p) gives mid, else None."""
     src, tgt = f.src - q - p, f.tgt - q - p
@@ -266,6 +278,7 @@ def _extract_block(mid: FinMap, pre: int, width_src: int, tgt_lo: int,
     return None
 
 
+@_cached
 def _letter_factor(c0: FinMap, letter, c1: FinMap) -> Word:
     return Word((c0, c1), (letter,))
 
@@ -280,7 +293,7 @@ def _letter_factor(c0: FinMap, letter, c1: FinMap) -> Word:
 # identity-first under a deterministic cap.
 
 
-def _emit(w, s, rule, direction, ctx, bounds, cut, memo, *, v, v2=None, a=0,
+def _emit(w, s, rule, direction, ctx, bounds, cut, *, v, v2=None, a=0,
           q=0, p=0):
     step = RewriteStep(rule, direction, s, a, q, p, v, v2)
     try:
@@ -296,9 +309,8 @@ def _emit(w, s, rule, direction, ctx, bounds, cut, memo, *, v, v2=None, a=0,
         return
     if cut is not None and cut.prunes(s, pat, repl, bounds.seam_cap):
         return
-    seams = _seams(w, s, pat, bounds.seam_cap, memo)
-    for g_u, g_v, succ in _substitutions(w, s, k, repl, seams,
-                                         memo.compose):
+    seams = _seams(w, s, pat, bounds.seam_cap)
+    for g_u, g_v, succ in _substitutions(w, s, k, repl, seams):
         if succ != w:
             yield _with_seams(step, g_u, g_v), succ
 
@@ -310,49 +322,52 @@ def _with_seams(step: RewriteStep, g_u: FinMap, g_v: FinMap) -> RewriteStep:
     return out
 
 
-def _seams(w, s, pat, cap, memo):
+def _seams(w, s, pat, cap):
     """The (g_u, g_v) context maps of pattern pat matched at letter s."""
     if len(pat) == 0:
-        return memo.empty_seams[w.boundaries[s], pat.boundaries[0], cap]
+        return _empty_seams(w.boundaries[s], pat.boundaries[0], cap)
     k = len(pat)
     if w.boundaries[s + 1:s + k] != pat.boundaries[1:-1]:
         return ()
-    lefts = memo.lefts[w.boundaries[s], pat.boundaries[0], cap]
+    lefts = _lefts(w.boundaries[s], pat.boundaries[0], cap)
     if not lefts:
         return ()
     return itertools.product(
-        lefts, memo.rights[w.boundaries[s + k], pat.boundaries[-1], cap])
+        lefts, _rights(w.boundaries[s + k], pat.boundaries[-1], cap))
 
 
-def _seam_count(w, s, pat, cap, memo) -> int:
-    """len(list(_seams(w, s, pat, cap, memo))), from the lists' lengths."""
+def _seam_count(w, s, pat, cap) -> int:
+    """len(list(_seams(w, s, pat, cap))), from the lists' lengths."""
     if len(pat) == 0:
-        return len(memo.empty_seams[w.boundaries[s], pat.boundaries[0], cap])
+        return len(_empty_seams(w.boundaries[s], pat.boundaries[0], cap))
     k = len(pat)
     if w.boundaries[s + 1:s + k] != pat.boundaries[1:-1]:
         return 0
     return _outer_seam_count(w, s, k, pat.boundaries[0], pat.boundaries[-1],
-                             cap, memo)
+                             cap)
 
 
-def _outer_seam_count(w, s, k, first, last, cap, memo) -> int:
+def _outer_seam_count(w, s, k, first, last, cap) -> int:
     """The seams of a pattern of k >= 1 letters at letter s with outer maps
     first and last, its interior maps being w's."""
-    n = len(memo.lefts[w.boundaries[s], first, cap])
-    return n and n * len(memo.rights[w.boundaries[s + k], last, cap])
+    n = len(_lefts(w.boundaries[s], first, cap))
+    return n and n * len(_rights(w.boundaries[s + k], last, cap))
 
 
+@_cached
 def _lefts(obs: FinMap, pmap: FinMap, cap: int) -> tuple[FinMap, ...]:
     """The first max(cap, 1) left seams g_u with compose(pmap, g_u) = obs."""
     return tuple(itertools.islice(factorizations_from(obs, pmap),
                                   max(cap, 1)))
 
 
+@_cached
 def _rights(obs: FinMap, pmap: FinMap, cap: int) -> tuple[FinMap, ...]:
     """The first max(cap, 1) right seams g_v with compose(g_v, pmap) = obs."""
     return tuple(factorizations_through(obs, pmap, cap))
 
 
+@_cached
 def _empty_seams(obs, pmap, cap):
     """Length-0 pattern at a boundary: two canonical context families."""
     flush_down = pmap.tgt == obs.tgt
@@ -376,60 +391,6 @@ class Tally:
         self.pruned = 0
 
 
-class _Table(dict):
-    """fn's values by argument tuple, each computed on its first lookup."""
-
-    __slots__ = ("fn",)
-
-    def __init__(self, fn):
-        super().__init__()
-        self.fn = fn
-
-    def __missing__(self, key):
-        value = self[key] = self.fn(*key)
-        return value
-
-
-class Memo:
-    """The boundary-map algebra of move generation, solved once per input.
-
-    Moves strip pads, split blocks, build one-letter parameter words, list
-    the context maps of a seam and compose them into boundaries, over and
-    over for the same immutable maps. Each table holds one pure function's
-    values keyed by its arguments: the maps, pads, letters and seam cap
-    that the computation reads (`ends`: a pruned M4 duplication's two
-    outer maps). Values are maps, words, tuples or None, which no caller
-    can change, so sharing them changes no move, within a query or across
-    queries. A search under relations keeps one memo per rule context for
-    all its queries, emptied once it outgrows a fixed entry count
-    (search._query_memo); a free query gets its own, dropped with its
-    visited words; moves() called without one starts a fresh one.
-    """
-
-    __slots__ = ("unpad", "untensor", "adjacent", "letter", "compose",
-                 "lefts", "rights", "empty_seams", "ends")
-
-    def __init__(self):
-        self.unpad = _Table(unpad)
-        self.untensor = _Table(untensor)
-        self.adjacent = _Table(_seam_adjacent)
-        self.letter = _Table(_letter_factor)
-        self.compose = _Table(compose)
-        self.lefts = _Table(_lefts)
-        self.rights = _Table(_rights)
-        self.empty_seams = _Table(_empty_seams)
-        self.ends = _Table(_m4_rhs_ends)
-
-    def __len__(self) -> int:
-        """The number of entries, over all tables."""
-        return sum(len(getattr(self, name)) for name in self.__slots__)
-
-    def clear(self) -> None:
-        """Empty every table."""
-        for name in self.__slots__:
-            getattr(self, name).clear()
-
-
 class _Cut:
     """The length and width bounds of one moves() call, decided per emit.
 
@@ -441,12 +402,10 @@ class _Cut:
     span come from prefix and suffix maxima computed once per call.
     """
 
-    __slots__ = ("w", "max_len", "max_width", "before", "after", "tally",
-                 "memo")
+    __slots__ = ("w", "max_len", "max_width", "before", "after", "tally")
 
-    def __init__(self, w: Word, bounds: RuleBounds, tally: Tally | None,
-                 memo: Memo):
-        self.w, self.tally, self.memo = w, tally, memo
+    def __init__(self, w: Word, bounds: RuleBounds, tally: Tally | None):
+        self.w, self.tally = w, tally
         self.max_len = math.inf if bounds.max_len is None else bounds.max_len
         self.max_width = (math.inf if bounds.max_width is None
                           else bounds.max_width)
@@ -478,10 +437,10 @@ class _Cut:
         if length != n or width != self.before[-1]:
             self.count(s, pat, cap)
         elif self.tally is not None:
-            seams = _seams(w, s, pat, cap, self.memo)
+            seams = _seams(w, s, pat, cap)
             self.tally.pruned += sum(
                 succ != w for *_, succ in
-                _substitutions(w, s, k, repl, seams, self.memo.compose))
+                _substitutions(w, s, k, repl, seams))
         return True
 
     def duplication_width(self, s: int, v: Word, a: int) -> int:
@@ -496,7 +455,7 @@ class _Cut:
         """Count the successors of pattern pat at letter s as pruned; all
         of them differ from w, since their length or width does."""
         if self.tally is not None:
-            self.tally.pruned += _seam_count(self.w, s, pat, cap, self.memo)
+            self.tally.pruned += _seam_count(self.w, s, pat, cap)
 
     def count_duplication(self, s: int, v: Word, a: int, q: int, p: int,
                           cap: int) -> None:
@@ -504,7 +463,7 @@ class _Cut:
         s, from its two outer maps alone."""
         if self.tally is not None:
             self.tally.pruned += _outer_seam_count(
-                self.w, s, 1, *self.memo.ends[v, a, q, p], cap, self.memo)
+                self.w, s, 1, *_m4_rhs_ends(v, a, q, p), cap)
 
 
 def _reads(f: FinMap, lo: int, hi: int) -> bool:
@@ -512,6 +471,7 @@ def _reads(f: FinMap, lo: int, hi: int) -> bool:
     return any(lo < i <= hi for i in f.table)
 
 
+@_cached
 def _seam_adjacent(observed: FinMap | None, width: int, q: int,
                    p: int) -> tuple[FinMap, ...]:
     """Candidate boundary maps of a parameter word at a seam.
@@ -524,19 +484,18 @@ def _seam_adjacent(observed: FinMap | None, width: int, q: int,
     return (ident,) if cand is None or cand == ident else (ident, cand)
 
 
-def _m1_moves(w: Word, ctx, bounds, cut, memo):
+def _m1_moves(w: Word, ctx, bounds, cut):
     n = len(w)
     # the halves of a 2-letter word are its two letters
     halves = _pad_minima(w) if n >= 3 else None
     for m in range(1, n):
         (l1, _, r1), (l2, _, r2) = w.letters[m - 1], w.letters[m]
         yield from _m1_swap(w, m - 1, m, m + 1, (l1, r1, l2, r2), ctx,
-                            bounds, cut, memo)
+                            bounds, cut)
         if halves is not None:
-            yield from _m1_swap(w, 0, m, n, halves[m], ctx, bounds, cut,
-                                memo)
+            yield from _m1_swap(w, 0, m, n, halves[m], ctx, bounds, cut)
     for s in range(n):
-        yield from _m1_slide(w, s, ctx, bounds, cut, memo)
+        yield from _m1_slide(w, s, ctx, bounds, cut)
 
 
 def _pad_minima(w: Word):
@@ -555,7 +514,7 @@ def _pad_minima(w: Word):
                     after(rights)))
 
 
-def _unpadded(block, pads, left: bool, memo):
+def _unpadded(block, pads, left: bool):
     """Per k in pads: the block's (interior maps, letters) with k strands of
     pad stripped, on the left of each if left is true, else on the right;
     None where some interior map lacks the pad."""
@@ -566,13 +525,13 @@ def _unpadded(block, pads, left: bool, memo):
             out[k] = block
             continue
         q, p = (k, 0) if left else (0, k)
-        inner = tuple([memo.unpad[f, q, p] for f in maps])
+        inner = tuple([unpad(f, q, p) for f in maps])
         out[k] = None if None in inner else (
             inner, tuple([(l - q, x, r - p) for l, x, r in letters]))
     return out
 
 
-def _m1_swap(w, s, m, e, pads, ctx, bounds, cut, memo):
+def _m1_swap(w, s, m, e, pads, ctx, bounds, cut):
     """Interchange of the blocks of letters s..m-1 and m..e-1, each one
     parameter word; pads holds the least left and right pads of the
     letters in the first block, then in the second.
@@ -595,41 +554,41 @@ def _m1_swap(w, s, m, e, pads, ctx, bounds, cut, memo):
     splits = [(v2s, vt, split)
               for v2s in range(min(min_r_before, pm) + 1)
               for vt in range(min(min_l_after, pm) + 1)
-              if (split := memo.untensor[mid, vt, mid.tgt - v2s]) is not None]
-    v_blocks = _unpadded(before, {k for k, _, _ in splits}, False, memo)
-    v2_blocks = _unpadded(after, {k for _, k, _ in splits}, True, memo)
+              if (split := untensor(mid, vt, mid.tgt - v2s)) is not None]
+    v_blocks = _unpadded(before, {k for k, _, _ in splits}, False)
+    v2_blocks = _unpadded(after, {k for _, k, _ in splits}, True)
     for v2s, vt, (c1, c20) in splits:
         v_block, v2_block = v_blocks[v2s], v2_blocks[vt]
         if v_block is None or v2_block is None:
             continue
         (inner_v, v_letters), (inner_v2, v2_letters) = v_block, v2_block
-        for c0 in memo.adjacent[first, first.src - v2s, 0, v2s]:
+        for c0 in _seam_adjacent(first, first.src - v2s, 0, v2s):
             v = Word((c0, *inner_v, c1), v_letters)
-            for c21 in memo.adjacent[last, last.tgt - vt, vt, 0]:
+            for c21 in _seam_adjacent(last, last.tgt - vt, vt, 0):
                 v2 = Word((c20, *inner_v2, c21), v2_letters)
-                yield from _emit(w, s, "M1", "fwd", ctx, bounds, cut, memo,
+                yield from _emit(w, s, "M1", "fwd", ctx, bounds, cut,
                                  v=v, v2=v2)
     # backward: pattern (v.src <| v2) . (v |> v2.tgt)
     splits = [(vs, v2t, split)
               for vs in range(min(min_l_before, pm) + 1)
               for v2t in range(min(min_r_after, pm) + 1)
-              if (split := memo.untensor[mid, mid.src - v2t, vs]) is not None]
-    v2_blocks = _unpadded(before, {k for k, _, _ in splits}, True, memo)
-    v_blocks = _unpadded(after, {k for _, k, _ in splits}, False, memo)
+              if (split := untensor(mid, mid.src - v2t, vs)) is not None]
+    v2_blocks = _unpadded(before, {k for k, _, _ in splits}, True)
+    v_blocks = _unpadded(after, {k for _, k, _ in splits}, False)
     for vs, v2t, (c0, c21) in splits:
         v2_block, v_block = v2_blocks[vs], v_blocks[v2t]
         if v_block is None or v2_block is None:
             continue
         (inner_v2, v2_letters), (inner_v, v_letters) = v2_block, v_block
-        for c20 in memo.adjacent[first, first.src - vs, vs, 0]:
+        for c20 in _seam_adjacent(first, first.src - vs, vs, 0):
             v2 = Word((c20, *inner_v2, c21), v2_letters)
-            for c1 in memo.adjacent[last, last.tgt - v2t, 0, v2t]:
+            for c1 in _seam_adjacent(last, last.tgt - v2t, 0, v2t):
                 v = Word((c0, *inner_v, c1), v_letters)
-                yield from _emit(w, s, "M1", "bwd", ctx, bounds, cut, memo,
+                yield from _emit(w, s, "M1", "bwd", ctx, bounds, cut,
                                  v=v, v2=v2)
 
 
-def _m1_slide(w, s, ctx, bounds, cut, memo):
+def _m1_slide(w, s, ctx, bounds, cut):
     """Degenerate interchange: slide a boundary map block past a letter.
 
     One parameter word is the letter, the other the length-0 word of a map f
@@ -652,8 +611,8 @@ def _m1_slide(w, s, ctx, bounds, cut, memo):
             near = (tau if right else sig) if after else k
             pads = (0, k) if after else (k, 0)
             for j in range(min(slid.src if right else slid.tgt, pm) + 1):
-                split = (memo.untensor[slid, j, near] if right
-                         else memo.untensor[slid, near, j])
+                split = (untensor(slid, j, near) if right
+                         else untensor(slid, near, j))
                 if split is None:
                     continue
                 c, f = split if after else split[::-1]
@@ -661,17 +620,17 @@ def _m1_slide(w, s, ctx, bounds, cut, memo):
                 # replacement would be equal, and _emit would drop them
                 if f.is_identity:
                     continue
-                for c_other in memo.adjacent[
-                        (other, sig if right else tau) + pads]:
+                for c_other in _seam_adjacent(
+                        other, sig if right else tau, *pads):
                     c0, c1 = (c_other, c) if right else (c, c_other)
-                    letter = memo.letter[c0, (l, x, r), c1]
+                    letter = _letter_factor(c0, (l, x, r), c1)
                     v, v2 = ((letter, op_word(f)) if after
                              else (op_word(f), letter))
                     yield from _emit(w, s, "M1", direction, ctx, bounds, cut,
-                                     memo, v=v, v2=v2)
+                                     v=v, v2=v2)
 
 
-def _braid_moves(w: Word, ctx, bounds, cut, memo, mirror: bool):
+def _braid_moves(w: Word, ctx, bounds, cut, mirror: bool):
     """M2 (mirror False) and M3 (mirror True), both directions."""
     rule = "M3" if mirror else "M2"
     pm, am = bounds.pad_max, bounds.a_max
@@ -690,15 +649,15 @@ def _braid_moves(w: Word, ctx, bounds, cut, memo, mirror: bool):
                         mids = seams.get((q, p))
                         if mids is None:
                             mids = seams[q, p] = (
-                                memo.unpad[w.boundaries[s], q, p],
-                                memo.unpad[w.boundaries[s + 1], q, p])
+                                unpad(w.boundaries[s], q, p),
+                                unpad(w.boundaries[s + 1], q, p))
                         yield from _braid_case(w, s, rule, direction, ctx,
-                                               bounds, cut, memo,
+                                               bounds, cut,
                                                (lo - q, x, hi - p),
                                                a, q, p, after, *mids)
 
 
-def _braid_case(w, s, rule, direction, ctx, bounds, cut, memo, letter, a, q,
+def _braid_case(w, s, rule, direction, ctx, bounds, cut, letter, a, q,
                 p, after, mid, midr):
     """One M2/M3 pattern letter with a strands after it (or before it).
 
@@ -715,20 +674,20 @@ def _braid_case(w, s, rule, direction, ctx, bounds, cut, memo, letter, a, q,
         b = midr.src - a
         midr = compose(braid(b, a) if after else braid(a, b), midr)
     pads = (0, a) if after else (a, 0)
-    c1s = memo.adjacent[(midr, l + x.tgt + r) + pads]
-    for c0 in memo.adjacent[(mid, l + x.src + r) + pads]:
+    c1s = _seam_adjacent(midr, l + x.tgt + r, *pads)
+    for c0 in _seam_adjacent(mid, l + x.src + r, *pads):
         for c1 in c1s:
-            v = memo.letter[c0, letter, c1]
-            yield from _emit(w, s, rule, direction, ctx, bounds, cut, memo,
+            v = _letter_factor(c0, letter, c1)
+            yield from _emit(w, s, rule, direction, ctx, bounds, cut,
                              v=v, a=a, q=q, p=p)
 
 
-def _m4_moves(w: Word, ctx, bounds, cut, memo):
-    yield from _m4_fwd(w, ctx, bounds, cut, memo)
-    yield from _m4_bwd(w, ctx, bounds, cut, memo)
+def _m4_moves(w: Word, ctx, bounds, cut):
+    yield from _m4_fwd(w, ctx, bounds, cut)
+    yield from _m4_bwd(w, ctx, bounds, cut)
 
 
-def _m4_fwd(w, ctx, bounds, cut, memo):
+def _m4_fwd(w, ctx, bounds, cut):
     """Merge a consecutive letters produced by a fold into one.
 
     The middle seam fixes the merged letter; a merge whose pattern has no
@@ -754,22 +713,22 @@ def _m4_fwd(w, ctx, bounds, cut, memo):
                 for p in range(min(span[-1][2], pm) + 1):
                     r = span[-1][2] - p
                     sig, tau = l + x.src + r, l + x.tgt + r
-                    mid = memo.unpad[w.boundaries[s + 1], q, p]
+                    mid = unpad(w.boundaries[s + 1], q, p)
                     if mid is None:
                         continue
                     c1 = _extract_block(mid, 0, vt, 0, tau)
                     c0 = _extract_block(mid, vt, sig, tau, vs)
                     if c0 is None or c1 is None:
                         continue
-                    v = memo.letter[c0, (l, x, r), c1]
+                    v = _letter_factor(c0, (l, x, r), c1)
                     pat, _ = build_m4(v, a, q, p)
-                    if _seam_count(w, s, pat, cap, memo) == 0:
+                    if _seam_count(w, s, pat, cap) == 0:
                         continue
                     yield from _emit(w, s, "M4", "fwd", ctx, bounds, cut,
-                                     memo, v=v, a=a, q=q, p=p)
+                                     v=v, a=a, q=q, p=p)
 
 
-def _m4_bwd(w, ctx, bounds, cut, memo):
+def _m4_bwd(w, ctx, bounds, cut):
     """Duplicate a letter across a fold (a >= 2), or delete one (a = 0)."""
     pm = bounds.pad_max
     a_values = [0] + list(range(2, bounds.a_max + 1))
@@ -779,8 +738,8 @@ def _m4_bwd(w, ctx, bounds, cut, memo):
             for p in range(min(rho, pm) + 1):
                 r = rho - p
                 sig, tau = l + x.src + r, l + x.tgt + r
-                c0s = memo.adjacent[w.boundaries[s], sig, q, p]
-                midr = memo.unpad[w.boundaries[s + 1], q, p]
+                c0s = _seam_adjacent(w.boundaries[s], sig, q, p)
+                midr = unpad(w.boundaries[s + 1], q, p)
                 for a in a_values:
                     # a deletion's pattern ends in a map that reads none of
                     # the letter's unpadded outputs: no right seam factors
@@ -801,29 +760,29 @@ def _m4_bwd(w, ctx, bounds, cut, memo):
                     longer = bounded and len(w) - 1 + a > cut.max_len
                     for c0 in c0s:
                         for c1 in c1s:
-                            v = memo.letter[c0, (l, x, r), c1]
+                            v = _letter_factor(c0, (l, x, r), c1)
                             if bounded and (longer or cut.duplication_width(
                                     s, v, a) > cut.max_width):
                                 cut.count_duplication(s, v, a, q, p,
                                                       bounds.seam_cap)
                                 continue
                             yield from _emit(w, s, "M4", "bwd", ctx, bounds,
-                                             cut, memo, v=v, a=a, q=q, p=p)
+                                             cut, v=v, a=a, q=q, p=p)
 
 
-def _rel_moves(w: Word, ctx: RuleContext, bounds, cut, memo):
+def _rel_moves(w: Word, ctx: RuleContext, bounds, cut):
     for idx, (rl, rr) in enumerate(ctx.relations):
         rule = f"REL:{idx}"
         for direction, pat_side in (("fwd", rl), ("bwd", rr)):
             if len(pat_side) == 0:
                 yield from _rel_insertions(w, rule, direction, pat_side,
-                                           ctx, bounds, cut, memo)
+                                           ctx, bounds, cut)
             else:
                 yield from _rel_spans(w, rule, direction, pat_side,
-                                      ctx, bounds, cut, memo)
+                                      ctx, bounds, cut)
 
 
-def _rel_spans(w, rule, direction, pat_side, ctx, bounds, cut, memo):
+def _rel_spans(w, rule, direction, pat_side, ctx, bounds, cut):
     """Emit the side at each span of w that matches it letter for letter.
 
     The side's first letter fixes the pads q and p, and each later letter
@@ -842,11 +801,11 @@ def _rel_spans(w, rule, direction, pat_side, ctx, bounds, cut, memo):
         if any(w.letters[s + i] != (l + q, g, r + p)
                for i, (l, g, r) in enumerate(rest, start=1)):
             continue
-        yield from _emit(w, s, rule, direction, ctx, bounds, cut, memo,
+        yield from _emit(w, s, rule, direction, ctx, bounds, cut,
                          v=None, q=q, p=p)
 
 
-def _rel_insertions(w, rule, direction, pat_side, ctx, bounds, cut, memo):
+def _rel_insertions(w, rule, direction, pat_side, ctx, bounds, cut):
     ws, wt = pat_side.src, pat_side.tgt
     for bi in range(len(w) + 1):
         obs = w.boundaries[bi]
@@ -854,15 +813,15 @@ def _rel_insertions(w, rule, direction, pat_side, ctx, bounds, cut, memo):
             p = obs.tgt - ws - q
             if 0 <= p <= bounds.pad_max:
                 yield from _emit(w, bi, rule, direction, ctx, bounds, cut,
-                                 memo, v=None, q=q, p=p)
+                                 v=None, q=q, p=p)
         for q in range(min(obs.src - wt, bounds.pad_max) + 1):
             p = obs.src - wt - q
             if 0 <= p <= bounds.pad_max and q + ws + p != obs.tgt:
                 yield from _emit(w, bi, rule, direction, ctx, bounds, cut,
-                                 memo, v=None, q=q, p=p)
+                                 v=None, q=q, p=p)
 
 
-def _card_moves(w: Word, ctx, bounds, cut, memo):
+def _card_moves(w: Word, ctx, bounds, cut):
     """M4 deletions (a = 0) of whole-boundary factors of type (0,0) or (1,0).
 
     Named for the cardinality rule it replaces: perfbench's tracer wraps it.
@@ -877,39 +836,37 @@ def _card_moves(w: Word, ctx, bounds, cut, memo):
             if w.boundaries[j].src != 0:
                 continue
             sub = Word(w.boundaries[i:j + 1], w.letters[i:j])
-            yield from _emit(w, i, "M4", "bwd", ctx, bounds, cut, memo,
+            yield from _emit(w, i, "M4", "bwd", ctx, bounds, cut,
                              v=sub)
 
 
 def moves(w: Word, ctx: RuleContext, bounds: RuleBounds,
-          tally: Tally | None = None, memo: Memo | None = None):
+          tally: Tally | None = None):
     """All generated one-step successors of w under the context's rules.
 
     Successors longer than bounds.max_len or wider than bounds.max_width
     are left out without solving their seams or building them; each one
     that would have been yielded adds 1 to tally.pruned. The boundary-map
-    algebra is read from memo, and written to it; without one, the call
-    starts its own.
+    algebra comes from the module's caches (_CACHE_SIZE), which every call
+    shares, so the stream does not depend on what earlier calls solved.
     """
-    if memo is None:
-        memo = Memo()
     cut = (None if bounds.max_len is None and bounds.max_width is None
-           else _Cut(w, bounds, tally, memo))
+           else _Cut(w, bounds, tally))
     fams = bounds.families
     if fams is None or "M1" in fams:
-        yield from _m1_moves(w, ctx, bounds, cut, memo)
+        yield from _m1_moves(w, ctx, bounds, cut)
     if fams is None or "M2" in fams:
-        yield from _braid_moves(w, ctx, bounds, cut, memo, mirror=False)
+        yield from _braid_moves(w, ctx, bounds, cut, mirror=False)
     if fams is None or "M3" in fams:
-        yield from _braid_moves(w, ctx, bounds, cut, memo, mirror=True)
+        yield from _braid_moves(w, ctx, bounds, cut, mirror=True)
     if fams is None or "M4" in fams:
-        yield from _m4_moves(w, ctx, bounds, cut, memo)
+        yield from _m4_moves(w, ctx, bounds, cut)
     if ctx.relations and (fams is None or "REL" in fams):
-        yield from _rel_moves(w, ctx, bounds, cut, memo)
+        yield from _rel_moves(w, ctx, bounds, cut)
     # the collapses come last: moving them would reorder the stream, and
     # with it the certificates the search returns
     if fams is None or "M4" in fams:
-        yield from _card_moves(w, ctx, bounds, cut, memo)
+        yield from _card_moves(w, ctx, bounds, cut)
 
 
 def rule_instances_matching(w: Word, bounds: RuleBounds | None = None):

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from functools import lru_cache
 from itertools import compress, count, islice
 from operator import add, attrgetter, ne
 
@@ -21,7 +20,7 @@ from .endo import Carrier, FinFunction, coordinates, table_rows
 from .errors import EvaluationSizeError, OpwordsError
 from .evaluate import GeneratorAssignment, eval_word
 from .record import Record
-from .rules import Memo, RewriteStep, RuleBounds, RuleContext, Tally, moves
+from .rules import RewriteStep, RuleBounds, RuleContext, Tally, moves
 from .terms import read_word
 from .words import Word
 
@@ -189,10 +188,6 @@ _FIRST_CAP = 16
 _CAP_GROWTH = 4
 # The seam cap of the widest lane, and of a lane given none.
 _SEAM_CAP = 64
-# A context's memo is emptied before a query that finds it holding more
-# entries than this: about 44 MB at the 440 bytes an entry holds after
-# criterion 8's first search, which leaves about 19,000 entries.
-_MEMO_ENTRIES = 100_000
 
 # What every move of a rule family keeps of a word: M2 and M3 move strands
 # past a letter, so they keep its place, its generator, its number of
@@ -268,13 +263,12 @@ def _certificate_search(w: Word, w2: Word, ctx: RuleContext,
     only where the letters line up one to one. The caps are those of the
     full lane list all the same. Within a lane, a node stops generating
     successors once it reaches the other word itself (_Lane), which saves
-    work and changes no certificate. All lanes share one rules.Memo, so
-    each seam, pad strip and block split is solved once; a memo's values
-    are the ones moves() would compute, so sharing it changes no move. A
-    context with relations keeps its memo across queries (_query_memo), so
-    a query under it meets the seams earlier queries solved; a free query
-    gets a fresh one. Every lane is closed before the search returns, which
-    drops the lanes' visited words, and a free query's memo with them.
+    work and changes no certificate. Every lane, and every query, reads
+    the boundary-map algebra from the caches of rules (rules._CACHE_SIZE),
+    so a seam, pad strip or block split that one lane or query solved is
+    not solved again; the cached values are the ones moves() would
+    compute, so sharing them changes no move. Every lane is closed before
+    the search returns, which drops the lanes' visited words.
 
     A lane paused at any cap is a prefix of the same deterministic pass
     run at once to its final cap. So a query is Proved exactly when some
@@ -296,9 +290,8 @@ def _certificate_search(w: Word, w2: Word, ctx: RuleContext,
     rest = budget.max_steps - sum(cap for _, _, cap in tight_lanes)
     final_lane = [(None, _SEAM_CAP, max(2, rest // 3 + rest % 3))]
     total = 0
-    memo = _query_memo(ctx)
     for group in (tight_lanes, final_lane):
-        lanes = [_Lane(w, w2, ctx, budget, families, cap, seam_cap, memo)
+        lanes = [_Lane(w, w2, ctx, budget, families, cap, seam_cap)
                  for families, seam_cap, cap in group
                  if _may_connect(families, ctx, differ)]
         cert = _round_robin(lanes)
@@ -308,27 +301,6 @@ def _certificate_search(w: Word, w2: Word, ctx: RuleContext,
         if cert is not None:
             return cert, total
     return None, total
-
-
-def _query_memo(ctx: RuleContext) -> Memo:
-    """The memo a query under ctx searches with: its context's, emptied
-    first when it has grown past _MEMO_ENTRIES, or a fresh one for a free
-    query."""
-    if not ctx.relations:
-        return Memo()
-    memo = _context_memo(ctx)
-    if len(memo) > _MEMO_ENTRIES:
-        memo.clear()
-    return memo
-
-
-# Queries under one presentation meet the same seams again and again, and
-# equal maps are one object from query to query, so a rule context with
-# relations keeps one memo for all its queries. Free queries share little,
-# and keep none. Few contexts are kept.
-@lru_cache(maxsize=16)
-def _context_memo(ctx: RuleContext) -> Memo:
-    return Memo()
 
 
 def _round_robin(lanes: list[_Lane]) -> Certificate | None:
@@ -360,21 +332,19 @@ class _Lane:
     next `advance` resumes it with the next node of the same frontier. The
     lane is done once it has found a certificate, exhausted both frontiers
     (no chain within the bounds) or paused at its final cap. A done lane
-    drops its frontiers, visited words and memo (its own, unless one is
-    given to share with other lanes or, under relations, other queries).
+    drops its frontiers and visited words.
     """
 
     def __init__(self, w: Word, w2: Word, ctx: RuleContext,
                  budget: SearchBudget, families, final_cap: int,
-                 seam_cap: int | None = None, memo: Memo | None = None):
+                 seam_cap: int | None = None):
         self.final_cap = final_cap
         self.cap = 0
         self.visited = 2
         self.work = 0
         self.cert: Certificate | None = None
         self.done = False
-        self._run = self._pass(w, w2, ctx, budget, families, seam_cap,
-                               Memo() if memo is None else memo)
+        self._run = self._pass(w, w2, ctx, budget, families, seam_cap)
 
     def advance(self, cap: int) -> Certificate | None:
         """Resume up to min(cap, final cap); the certificate or None."""
@@ -399,7 +369,7 @@ class _Lane:
         return (self.visited >= self.cap
                 or self.work >= _WORK_PER_VISIT * self.cap)
 
-    def _pass(self, w, w2, ctx, budget, families, seam_cap, memo):
+    def _pass(self, w, w2, ctx, budget, families, seam_cap):
         bounds = _lane_bounds(w, w2, budget, families, seam_cap)
         # moves() counts the successors out of bounds here, unbuilt; they
         # are work all the same
@@ -427,7 +397,7 @@ class _Lane:
             next_frontier: list[Word] = []
             meets: list[Word] = []
             for node in frontier:
-                for step, succ in moves(node, ctx, bounds, tally, memo):
+                for step, succ in moves(node, ctx, bounds, tally):
                     self.work += 1
                     if succ in own:
                         continue

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from opwords import finmap, rules
 from opwords.alphabet import Generator
 from opwords.errors import ArityError
 from opwords.finmap import FinMap
@@ -77,3 +78,16 @@ def arity_outcome(make):
         return make()
     except ArityError as exc:
         return str(exc)
+
+
+def rules_caches():
+    """Every lru_cache that opwords.rules defines, by name: the caches of
+    move generation (finmap's identity, which rules imports, stays out)."""
+    return {name: f for name, f in vars(rules).items()
+            if hasattr(f, "cache_clear")
+            and f is not getattr(finmap, name, None)}
+
+
+def clear_rules_caches():
+    for f in rules_caches().values():
+        f.cache_clear()

@@ -12,7 +12,8 @@ from opwords.finmap import (FinMap, all_maps, braid, branch, compose, f0,
                             f2, factorizations_from, factorizations_through,
                             identity, pad, tensor)
 
-from conftest import all_maps_upto, brute_force_left_factors
+from conftest import (all_maps_upto, brute_force_left_factors,
+                      clear_rules_caches)
 
 
 def maps(max_ar=3):
@@ -96,8 +97,9 @@ class TestInterning:
                        for f in finmap._interned.values())
 
     def test_a_map_nobody_holds_leaves_the_table(self):
-        # 40 strands wide: no word the suite searches, and so no memo a
-        # rule context keeps across queries, holds this map
+        # the caches of move generation may hold maps of every word the
+        # suite has searched, this one among them
+        clear_rules_caches()
         f = FinMap(4, 40, (40, 4, 3, 5))
         assert finmap._interned[40, (40, 4, 3, 5)] is f
         del f

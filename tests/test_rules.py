@@ -14,7 +14,7 @@ from opwords.evaluate import eval_word
 from opwords.finmap import FinMap, identity
 from opwords.fixtures import lemma_fixtures
 from opwords.present import builtin_group
-from opwords.rules import (Memo, RewriteStep, RuleBounds, RuleContext, Tally,
+from opwords.rules import (RewriteStep, RuleBounds, RuleContext, Tally,
                            _Cut, _m4_rhs, _m4_rhs_ends, _reads, _seam_adjacent,
                            _seam_count, _seams, apply_step, build_m1,
                            build_m2, build_m3, build_m4, moves,
@@ -25,7 +25,7 @@ from opwords.search import (Proved, _lane_bounds, equivalent,
 from opwords.words import (Word, compose_words, gen_word, identity_word,
                            op_word, tensor_words)
 
-from conftest import GENS, random_word
+from conftest import GENS, clear_rules_caches, random_word, rules_caches
 
 MU = Generator("mu", 2, 1)
 OMEGA = Generator("omega", 1, 1)
@@ -219,14 +219,14 @@ def test_rel_span_emits_match_every_letter(monkeypatch):
     every REL span that reaches _emit passes _emit's letter check."""
     emit, checked = rules_module._emit, []
 
-    def spy(w, s, rule, direction, ctx, bounds, cut, memo, **params):
+    def spy(w, s, rule, direction, ctx, bounds, cut, **params):
         if rule.startswith("REL:"):
             step = RewriteStep(rule, direction, s, q=params["q"],
                                p=params["p"])
             pat, _ = step_sides(step, ctx)
             if len(pat):
                 checked.append(w.letters[s:s + len(pat)] == pat.letters)
-        return emit(w, s, rule, direction, ctx, bounds, cut, memo, **params)
+        return emit(w, s, rule, direction, ctx, bounds, cut, **params)
 
     monkeypatch.setattr(rules_module, "_emit", spy)
     for x, _, ctx in _lemma_steps():
@@ -234,38 +234,48 @@ def test_rel_span_emits_match_every_letter(monkeypatch):
     assert len(checked) > 100 and all(checked)
 
 
-def test_shared_memo_keeps_the_moves_stream():
+def test_shared_memo_keeps_the_moves_stream(monkeypatch):
     """moves() gives the same stream, steps and successors in order with
-    the same pruned count, from a fresh memo per call, from one memo shared
-    along a whole shipped lemma chain, and from one memo shared by the
-    chain's lanes of seam cap 2 and 64, as a query's lanes share one. The
-    shared values are tuples, maps and words, which no caller can change."""
-    shared, compared = Memo(), 0
+    the same pruned count, with every rules cache cleared before each call
+    and with the caches warm from every shipped lemma chain, in the
+    chain's lanes of seam cap 2 and 64. The cached values are tuples, maps
+    and words, which no caller can change."""
+    values = {}
+    for name, cached in rules_caches().items():
+        def record(*args, fn=cached.__wrapped__, name=name):
+            value = fn(*args)
+            values.setdefault(name, []).append(value)
+            return value
+        monkeypatch.setattr(rules_module, name, functools.lru_cache(
+            cached.cache_parameters()["maxsize"])(record))
+    cases = []
     for fx in lemma_fixtures():
         words = [fx.certificate.start]
         for step in fx.certificate.steps:
             words.append(apply_step(words[-1], step, fx.context))
-        lanes = {cap: _lane_bounds(words[0], words[-1], SearchBudget(), None,
-                                   cap) for cap in (2, 64)}
-        along = {cap: Memo() for cap in lanes}
-        for w in words:
-            for cap, bounds in lanes.items():
-                streams = []
-                for memo in (None, along[cap], shared):
-                    tally = Tally()
-                    streams.append((list(moves(w, fx.context, bounds, tally,
-                                               memo)), tally.pruned))
-                assert streams[0] == streams[1] == streams[2]
-                compared += len(streams[0][0])
-    assert compared > 0
-    for name in Memo.__slots__:
-        values = getattr(shared, name).values()
-        assert values
-        for value in values:
+        cases += [(w, fx.context, _lane_bounds(words[0], words[-1],
+                                               SearchBudget(), None, cap))
+                  for w in words for cap in (2, 64)]
+
+    def stream(w, ctx, bounds):
+        tally = Tally()
+        return list(moves(w, ctx, bounds, tally)), tally.pruned
+
+    cold = []
+    for case in cases:
+        clear_rules_caches()
+        cold.append(stream(*case))
+    for _ in range(2):
+        assert [stream(*case) for case in cases] == cold
+    assert sum(len(succs) for succs, _ in cold) > 0
+    assert values.keys() == rules_caches().keys()
+    for name, seen in values.items():
+        for value in seen:
             assert value is None or isinstance(value, (tuple, FinMap, Word))
-    for name in ("untensor", "adjacent", "lefts", "rights", "empty_seams"):
-        assert all(isinstance(value, tuple)
-                   for value in getattr(shared, name).values()
+    for name in ("untensor", "_seam_adjacent", "_lefts", "_rights",
+                 "_empty_seams", "build_m1", "build_m2", "build_m3",
+                 "build_m4", "build_rel", "_m4_rhs_ends"):
+        assert all(isinstance(value, tuple) for value in values[name]
                    if value is not None)
 
 
@@ -314,7 +324,7 @@ def test_m4_deletion_read_check_is_the_seam_count():
                         pat = _m4_rhs(v, 0, q, p)
                         for cap in (1, 64):
                             assert reads == (
-                                _seam_count(w, s, pat, cap, Memo()) == 0)
+                                _seam_count(w, s, pat, cap) == 0)
                         seen.add(reads)
     assert seen == {True, False}
 
@@ -325,7 +335,7 @@ def test_m4_duplication_width_is_the_built_width():
     outer maps it is counted from are those of the built one-letter side."""
     checked = 0
     for w, ctx, bounds in _m4_cases():
-        cut = _Cut(w, bounds, None, Memo())
+        cut = _Cut(w, bounds, None)
         for step, succ in moves(w, ctx, bounds.replace(families=("M4",))):
             if step.direction == "bwd" and step.a >= 2:
                 assert word_width(succ) == cut.duplication_width(
@@ -457,8 +467,8 @@ def test_seam_counts_match_the_solvers(rng):
                 if w.letters[s:s + k] != pat.letters:
                     continue
                 for cap in (1, 2, 8, 64):
-                    n = _seam_count(w, s, pat, cap, Memo())
-                    assert n == len(list(_seams(w, s, pat, cap, Memo())))
+                    n = _seam_count(w, s, pat, cap)
+                    assert n == len(list(_seams(w, s, pat, cap)))
                     checked.add((k == 0, n > 0))
     assert checked == {(True, True), (True, False), (False, True),
                        (False, False)}

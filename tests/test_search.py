@@ -2,10 +2,9 @@ import hashlib
 import itertools
 import random
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
-from opwords import search
+from opwords import rules
 from opwords.alphabet import Alphabet, Generator
 from opwords.certificate import encode
 from opwords.dsl import parse_word
@@ -23,7 +22,8 @@ from opwords.search import (Disproved, Proved, SearchBudget, Unknown,
 from opwords.words import (compose_words, gen_word, identity_word, op_word,
                            tensor_power, whisker)
 
-from conftest import GENS, arity_outcome, random_word
+from conftest import (GENS, arity_outcome, clear_rules_caches, random_word,
+                      rules_caches)
 
 MU = Generator("mu", 2, 1)
 
@@ -254,9 +254,9 @@ def test_schedule_is_tight_lanes_then_one_final_lane(monkeypatch):
     init = _Lane.__init__
 
     def recording(self, w, w2, ctx, budget, families, final_cap,
-                  seam_cap=None, memo=None):
+                  seam_cap=None):
         built.append((families, seam_cap, final_cap))
-        init(self, w, w2, ctx, budget, families, final_cap, seam_cap, memo)
+        init(self, w, w2, ctx, budget, families, final_cap, seam_cap)
 
     monkeypatch.setattr(_Lane, "__init__", recording)
     lhs, rhs = build_m1(gen_word(MU), gen_word(MU))
@@ -328,8 +328,8 @@ CERTIFICATES = (
 
 def test_outcome_digest():
     # the corpus in its order, then in reverse, with the digests taken in
-    # corpus order: the second pass meets the memos the first left in each
-    # rule context, which must change no answer
+    # corpus order: the second pass meets the rules caches the first left
+    # warm, which must change no answer
     corpus = list(_outcome_corpus())
     for results in ([equivalent(lhs, rhs, budget, ctx=ctx)
                      for lhs, rhs, ctx, budget in corpus],
@@ -351,64 +351,37 @@ def test_outcome_digest():
         assert (certs.hexdigest(), proved, steps) == CERTIFICATES
 
 
-class TestContextMemo:
-    """A rule context with relations keeps one memo across its queries;
-    a free query keeps its own."""
+class TestOneCache:
+    """Move generation keeps one process-wide cache per pure function, all
+    of one size, shared by every lane and every query."""
 
-    @staticmethod
-    def _step(name: str, i: int):
-        """Step i of the named shipped lemma under @group, as a query."""
-        fx = next(f for f in lemma_fixtures() if f.name == name)
+    def test_a_second_identical_query_adds_no_entries(self):
+        fx = next(f for f in lemma_fixtures() if f.name == "eta-omega")
         words = [fx.certificate.start]
-        for step in fx.certificate.steps[:i + 1]:
+        for step in fx.certificate.steps[:2]:
             words.append(apply_step(words[-1], step, fx.context))
-        return words[i], words[i + 1]
 
-    @staticmethod
-    def _ask(pair):
-        return equivalent_mod(*pair, builtin_group(),
-                              SearchBudget(max_steps=1000),
-                              consult_builtin=False)
+        def ask():
+            return equivalent_mod(words[1], words[2], builtin_group(),
+                                  SearchBudget(max_steps=1000),
+                                  consult_builtin=False)
 
-    @pytest.fixture
-    def used(self, monkeypatch):
-        """The memos the queries search with, in order, from a clean slate."""
-        search._context_memo.cache_clear()
-        used, real = [], search._query_memo
-        monkeypatch.setattr(search, "_query_memo",
-                            lambda ctx: used.append(real(ctx)) or used[-1])
-        yield used
-        search._context_memo.cache_clear()
+        def entries():
+            return sum(f.cache_info().currsize
+                       for f in rules_caches().values())
 
-    def test_one_query_twice_shares_one_memo(self, used):
-        pair = self._step("eta-omega", 1)
-        first = self._ask(pair)
-        entries = len(used[0])
-        assert isinstance(first, Proved) and entries > 0
-        assert self._ask(pair) == first
-        assert len(used) == 2 and used[1] is used[0]
-        assert len(used[0]) == entries
-        assert used[0] is search._context_memo(builtin_group().context())
+        clear_rules_caches()
+        first = ask()
+        filled = entries()
+        assert isinstance(first, Proved) and filled > 0
+        assert ask() == first
+        assert entries() == filled
 
-    def test_a_free_query_leaves_no_memo(self, used):
-        lhs, rhs = build_m1(gen_word(MU), gen_word(MU))
-        assert isinstance(equivalent(lhs, rhs), Proved)
-        assert len(used) == 1 and len(used[0]) > 0
-        assert search._context_memo.cache_info().currsize == 0
-
-    def test_a_memo_over_the_bound_is_emptied_first(self, used, monkeypatch):
-        first, second = (self._step("eta-omega", 1),
-                         self._step("omega-involution", 10))
-        self._ask(second)
-        cold = len(used[0])
-        search._context_memo.cache_clear()
-        self._ask(first)
-        self._ask(second)
-        # premise: the first query leaves entries the second does not make
-        assert len(used[-1]) > cold
-        search._context_memo.cache_clear()
-        monkeypatch.setattr(search, "_MEMO_ENTRIES", 0)
-        self._ask(first)
-        assert len(used[-1]) > 0
-        self._ask(second)
-        assert len(used[-1]) == cold
+    def test_every_rules_cache_has_one_size(self):
+        caches = rules_caches()
+        assert {"unpad", "untensor", "_seam_adjacent", "_letter_factor",
+                "_lefts", "_rights", "_empty_seams", "_m4_rhs_ends",
+                "_compose", "build_m1", "build_m2", "build_m3", "build_m4",
+                "build_rel"} <= caches.keys()
+        assert {f.cache_parameters()["maxsize"] for f in caches.values()} \
+            == {rules._CACHE_SIZE}
