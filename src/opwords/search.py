@@ -26,6 +26,15 @@ from .words import Word
 
 
 class SearchBudget(Record):
+    """The limits of one query.
+
+    max_steps bounds the words a search visits: every lane stops at its
+    final cap (_certificate_search), and the caps add up to at most
+    max_steps from about 140 steps on. A smaller budget can visit more,
+    because the tight M2/M3 and M4 lanes each get at least
+    pre = max(64, max_steps // 256) words whatever the budget.
+    """
+
     max_steps: int = 100_000
     max_word_len: int | None = None      # default: len(w) + len(w2) + 4
     probe_carriers: tuple[int, ...] = (2, 3)
@@ -182,7 +191,8 @@ def _reconstruct(meet: Word, parents_l, parents_r, w: Word, w2: Word,
 # counts for breaking the length or width bound: saturated components
 # regenerate old successors endlessly, so the work of generating them is
 # capped too. A round-robin starts every lane at _FIRST_CAP and grows the
-# cap _CAP_GROWTH-fold per round, up to each lane's final cap.
+# cap _CAP_GROWTH-fold per round, up to each lane's final cap. The final
+# cap stops a lane even in the middle of a node (_Lane).
 _WORK_PER_VISIT = 12
 _FIRST_CAP = 16
 _CAP_GROWTH = 4
@@ -330,8 +340,13 @@ class _Lane:
     node were expanded in full. The pass checks its cap before each level
     and after each expanded node; there `advance(cap)` pauses it, and the
     next `advance` resumes it with the next node of the same frontier. The
+    final cap is exact: after every successor, duplicates included, a node
+    that has met nothing yet stops the lane once it reaches the final cap
+    on visited words or on work, so one wide node cannot overrun it. Only
+    the final cap cuts a node short, since a pause inside a node at a
+    smaller cap would change which lane finds a certificate first. The
     lane is done once it has found a certificate, exhausted both frontiers
-    (no chain within the bounds) or paused at its final cap. A done lane
+    (no chain within the bounds) or reached its final cap. A done lane
     drops its frontiers and visited words.
     """
 
@@ -374,6 +389,7 @@ class _Lane:
         # moves() counts the successors out of bounds here, unbuilt; they
         # are work all the same
         tally = Tally()
+        final, final_work = self.final_cap, _WORK_PER_VISIT * self.final_cap
         parents_l: dict[Word, tuple[Word | None, RewriteStep | None]] = {w: (None, None)}
         parents_r: dict[Word, tuple[Word | None, RewriteStep | None]] = {w2: (None, None)}
         if w in parents_r:
@@ -399,15 +415,18 @@ class _Lane:
             for node in frontier:
                 for step, succ in moves(node, ctx, bounds, tally):
                     self.work += 1
-                    if succ in own:
-                        continue
-                    own[succ] = (node, step)
-                    next_frontier.append(succ)
-                    self.visited += 1
-                    if succ in other:
-                        meets.append(succ)
-                        if succ == root:
-                            break
+                    if succ not in own:
+                        own[succ] = (node, step)
+                        next_frontier.append(succ)
+                        self.visited += 1
+                        if succ in other:
+                            meets.append(succ)
+                            if succ == root:
+                                break
+                    # the final cap, counting the node's pruned successors
+                    if not meets and (self.visited >= final or self.work
+                                      + tally.pruned >= final_work):
+                        return
                 self.work += tally.pruned
                 tally.pruned = 0
                 if meets:

@@ -19,8 +19,8 @@ from opwords.search import (Disproved, Proved, SearchBudget, Unknown,
                             _lane_bounds, _search_pass, _shift_sum,
                             equivalent, find_refutation, probe_assignments,
                             validate_witness, word_generators)
-from opwords.words import (compose_words, gen_word, identity_word, op_word,
-                           tensor_power, whisker)
+from opwords.words import (compose_many, compose_words, gen_word,
+                           identity_word, op_word, tensor_power, whisker)
 
 from conftest import (GENS, arity_outcome, clear_rules_caches, random_word,
                       rules_caches)
@@ -249,7 +249,8 @@ def test_lane_stops_a_node_at_the_other_root():
 
 def test_schedule_is_tight_lanes_then_one_final_lane(monkeypatch):
     # at 50 steps no lane certifies this M1 pair: the M4 and M1 lanes run,
-    # the M2/M3 lane is skipped, and the final all-families lane runs alone
+    # the M2/M3 lane is skipped, and the final all-families lane runs alone;
+    # each lane stops at its final cap, even inside a node
     built = []
     init = _Lane.__init__
 
@@ -262,7 +263,29 @@ def test_schedule_is_tight_lanes_then_one_final_lane(monkeypatch):
     lhs, rhs = build_m1(gen_word(MU), gen_word(MU))
     outcome = equivalent(lhs, rhs, budget=SearchBudget(max_steps=50))
     assert built == [(("M4",), 2, 64), (("M1",), 2, 2), (None, 64, 2)]
-    assert outcome == Unknown(59)
+    assert outcome == Unknown(57)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.data())
+def test_a_search_visits_at_most_max_steps(data):
+    # one-strand letters on distinct strands of a word 8 or 40 strands
+    # wide, against the same letters in reverse order: they commute, and
+    # every node of the search yields hundreds of successors, so a lane
+    # that finished its node past the final cap would overrun it
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+    width = data.draw(st.sampled_from((8, 40)), label="width")
+    omega = builtin_group().alphabet.lookup("omega")
+    letters = [whisker(i, gen_word(omega), width - 1 - i)
+               for i in rng.sample(range(width), rng.randint(4, 8))]
+    lhs, rhs = compose_many(*letters), compose_many(*letters[::-1])
+    ctx = (builtin_group().context()
+           if data.draw(st.booleans(), label="modulo @group") else None)
+    max_steps = data.draw(st.integers(200, 1000), label="max steps")
+    outcome = equivalent(lhs, rhs, SearchBudget(max_steps=max_steps), ctx=ctx)
+    assert not isinstance(outcome, Disproved)
+    if isinstance(outcome, Unknown):
+        assert outcome.visited <= max_steps
 
 
 def _outcome_corpus():
