@@ -59,10 +59,6 @@ class Alphabet:
         except KeyError:
             raise UnknownGeneratorError(f"unknown generator {name!r}") from None
 
-    def lookup_arities(self, name: str) -> tuple[int, int]:
-        g = self.lookup(name)
-        return g.src, g.tgt
-
     def __contains__(self, name: str) -> bool:
         return name in self._by_name
 

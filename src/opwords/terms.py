@@ -45,9 +45,3 @@ def read_word(w: Word, table: dict) -> tuple[tuple[int, ...], list]:
 def word_terms(w: Word, table: dict) -> tuple[int, ...]:
     """The ids of w's output terms in table (read_word)."""
     return read_word(w, table)[0]
-
-
-def same_terms(w: Word, w2: Word) -> bool:
-    """Whether w and w2 (of one arity) denote the same free terms."""
-    table: dict = {}
-    return word_terms(w, table) == word_terms(w2, table)

@@ -24,8 +24,8 @@ class TestBuiltins:
         pres = builtin_group()
         assert len(pres.relations) == 5
         assert [g.name for g in pres.alphabet] == ["mu", "eta", "omega"]
-        assert pres.alphabet.lookup_arities("mu") == (2, 1)
-        assert pres.alphabet.lookup_arities("eta") == (0, 1)
+        mu, eta = pres.alphabet.lookup("mu"), pres.alphabet.lookup("eta")
+        assert (mu.src, mu.tgt, eta.src, eta.tgt) == (2, 1, 0, 1)
         lhs, rhs = pres.relations[0]
         assert (lhs.src, lhs.tgt) == (3, 1) == (rhs.src, rhs.tgt)
         for lhs, rhs in pres.relations[1:]:
@@ -55,8 +55,8 @@ class TestBuiltins:
     def test_alphabet_extension(self):
         from opwords.alphabet import Generator
         extended = builtin_group().alphabet.extend(Generator("eta2", 0, 1))
-        assert extended.lookup_arities("eta2") == (0, 1)
-        assert extended.lookup_arities("mu") == (2, 1)
+        eta2, mu = extended.lookup("eta2"), extended.lookup("mu")
+        assert (eta2.src, eta2.tgt, mu.src, mu.tgt) == (0, 1, 2, 1)
 
 
 class TestGroups:

@@ -11,7 +11,7 @@ from opwords.rules import RuleBounds, RuleContext, moves
 from opwords.search import (_KEEPS, SearchBudget, _certificate_search,
                             _differences, _may_connect, find_refutation,
                             probe_assignments, word_generators)
-from opwords.terms import same_terms, word_terms
+from opwords.terms import word_terms
 
 from conftest import GENS, random_word
 
@@ -35,7 +35,9 @@ def group_word(text):
     ("dup . gen mu", "dup . (gen omega * id(1)) . gen mu", False),
 ])
 def test_same_terms(lhs, rhs, same):
-    assert same_terms(group_word(lhs), group_word(rhs)) is same
+    table = {}
+    assert (word_terms(group_word(lhs), table)
+            == word_terms(group_word(rhs), table)) is same
 
 
 def test_terms_are_hash_consed_in_one_table():
@@ -55,9 +57,10 @@ def test_terms_key_the_generator_not_its_name():
     w = parse_word("gen g", Alphabet((Generator("g", 1, 1),)))
     w2 = parse_word("gen g . (id(1) * del)",
                     Alphabet((Generator("g", 1, 2),)))
-    assert not same_terms(w, w2)
     w3 = parse_word("gen g", Alphabet((Generator("g", 1, 1),)))
-    assert same_terms(w, w3)
+    table = {}
+    assert word_terms(w, table) != word_terms(w2, table)
+    assert word_terms(w, table) == word_terms(w3, table)
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +175,8 @@ def test_equal_terms_are_never_refuted():
     for w, w2 in _same_arity_pairs(random.Random(2)):
         probes = probe_assignments(word_generators(w, w2), SearchBudget())
         refuted = find_refutation(w, w2, probes) is not None
-        tally = counts[same_terms(w, w2)]
+        table = {}
+        tally = counts[word_terms(w, table) == word_terms(w2, table)]
         tally[0] += 1
         tally[1] += refuted
     pairs, refuted = counts[True]
