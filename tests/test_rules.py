@@ -269,7 +269,7 @@ def test_shared_memo_keeps_the_moves_stream(monkeypatch):
         assert [stream(*case) for case in cases] == cold
     assert sum(len(succs) for succs, _ in cold) > 0
     assert values.keys() == rules_caches().keys()
-    for name, seen in values.items():
+    for seen in values.values():
         for value in seen:
             assert value is None or isinstance(value, (tuple, FinMap, Word))
     for name in ("untensor", "_seam_adjacent", "_lefts", "_rights",
