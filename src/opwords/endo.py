@@ -36,9 +36,13 @@ def table_rows(n: int, m: int) -> int:
     return n ** m
 
 
-# Coordinate columns are kept for reuse only up to this many values in all,
-# so that the columns of a large table die with the call that built them.
-_CACHED_COORDINATE_VALUES = 2 ** 17
+# Coordinate columns are kept for reuse only up to this many values per
+# table, so that the columns of a large table die with the call that built
+# them, and for at most _CACHED_COORDINATE_TABLES tables: at most 2^21 values
+# are retained. Evaluation cycles over about 18 (carrier, inputs) pairs, the
+# largest 3^8 rows of 8 columns (52,488 values), so all of them are kept.
+_CACHED_COORDINATE_VALUES = 2 ** 16
+_CACHED_COORDINATE_TABLES = 32
 
 
 def _coordinates(n: int, m: int) -> tuple[tuple[int, ...], ...]:
@@ -59,7 +63,8 @@ def _coordinates(n: int, m: int) -> tuple[tuple[int, ...], ...]:
     return tuple(cols)
 
 
-_cached_coordinates = lru_cache(maxsize=8)(_coordinates)
+_cached_coordinates = lru_cache(
+    maxsize=_CACHED_COORDINATE_TABLES)(_coordinates)
 
 
 def coordinates(n: int, m: int) -> tuple[tuple[int, ...], ...]:

@@ -14,7 +14,8 @@ from .finmap import f0, f2
 from .record import Record
 from .rules import RuleContext
 from .search import (Disproved, Proved, SearchBudget, equivalent,
-                     find_refutation, probe_assignments, word_generators)
+                     find_refutation, probe_assignments, probe_fields,
+                     word_generators)
 from .words import (Word, compose_many, gen_word, identity_word, op_word,
                     tensor_words)
 
@@ -219,13 +220,13 @@ def satisfying_probes(pres: Presentation, budget: SearchBudget,
     presentation, generators and probe fields; each call gets its own list
     of the shared, read-only assignments.
     """
-    probe_fields = SearchBudget(probe_carriers=tuple(budget.probe_carriers),
-                                probe_assignments=budget.probe_assignments,
-                                seed=budget.seed)
-    return list(_battery(pres, pres.used_generators(*words), probe_fields))
+    return list(_battery(pres, pres.used_generators(*words),
+                         probe_fields(budget)))
 
 
-# A battery's tables can reach MAX_ROWS rows each, so few are kept.
+# The check_algebra filter over the shared candidates of probe_assignments,
+# kept per presentation; a kept battery holds its candidates alive, even
+# those too wide for probe_assignments' own cache, so few are kept.
 @lru_cache(maxsize=16)
 def _battery(pres: Presentation, gens: tuple[Generator, ...],
              budget: SearchBudget) -> tuple[GeneratorAssignment, ...]:

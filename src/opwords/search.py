@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
+from functools import lru_cache
 from itertools import compress, count, islice
 from operator import add, attrgetter, ne
 
@@ -110,14 +111,18 @@ def _random_fn(c: Carrier, m: int, n: int, rng: random.Random) -> FinFunction:
     return FinFunction(c, m, n, rows)
 
 
-def probe_assignments(gens: tuple[Generator, ...],
-                      budget: SearchBudget) -> list[GeneratorAssignment]:
-    """Deterministic battery plus seeded random tables, per carrier size.
+def probe_fields(budget: SearchBudget) -> SearchBudget:
+    """The budget with only its probe fields kept, every other field at its
+    default: a probe battery depends on nothing else of a budget, so this
+    keys every cache of batteries."""
+    return SearchBudget(probe_carriers=tuple(budget.probe_carriers),
+                        probe_assignments=budget.probe_assignments,
+                        seed=budget.seed)
 
-    Skipped are carrier 0 when a generator has strands, and a carrier on
-    which some generator's table would have more than MAX_ROWS rows.
-    """
-    rng = random.Random(budget.seed)
+
+def _probe_carriers(gens: tuple[Generator, ...],
+                    budget: SearchBudget) -> list[Carrier]:
+    """The carriers a battery has tables on, in the budget's order."""
     out = []
     for size in budget.probe_carriers:
         c = Carrier(size)
@@ -127,15 +132,55 @@ def probe_assignments(gens: tuple[Generator, ...],
             table_rows(size, max((g.src for g in gens), default=0))
         except EvaluationSizeError:
             continue
+        out.append(c)
+    return out
+
+
+def _battery_values(gens: tuple[Generator, ...], budget: SearchBudget) -> int:
+    """The values in all of a battery's tables, counted from the arities."""
+    return sum((3 + (budget.probe_assignments if c.size else 0))
+               * sum(c.size ** g.src * g.tgt for g in gens)
+               for c in _probe_carriers(gens, budget))
+
+
+def _build_battery(gens: tuple[Generator, ...],
+                   budget: SearchBudget) -> tuple[GeneratorAssignment, ...]:
+    rng = random.Random(budget.seed)
+    out = []
+    for c in _probe_carriers(gens, budget):
         for maker in (_cyclic_project, _constant, _shift_sum):
             out.append(GeneratorAssignment(
                 c, {g: maker(c, g.src, g.tgt) for g in gens}))
-        for _ in range(budget.probe_assignments):
-            if size == 0:
-                break
+        for _ in range(budget.probe_assignments if c.size else 0):
             out.append(GeneratorAssignment(
                 c, {g: _random_fn(c, g.src, g.tgt, rng) for g in gens}))
-    return out
+    return tuple(out)
+
+
+# A battery is kept for reuse only up to this many table values in all, and
+# at most _CACHED_BATTERIES of them, so the cache retains at most 2^20
+# values; a wider battery dies with the call that built it.
+_CACHED_BATTERY_VALUES = 2 ** 13
+_CACHED_BATTERIES = 128
+_cached_battery = lru_cache(maxsize=_CACHED_BATTERIES)(_build_battery)
+
+
+def probe_assignments(gens: tuple[Generator, ...],
+                      budget: SearchBudget) -> list[GeneratorAssignment]:
+    """Deterministic battery plus seeded random tables, per carrier size.
+
+    Skipped are carrier 0 when a generator has strands, and a carrier on
+    which some generator's table would have more than MAX_ROWS rows.
+    The battery depends only on gens and the budget's probe fields
+    (probe_fields). One of at most _CACHED_BATTERY_VALUES table values,
+    counted from the arities before anything is built, is built once per
+    process and kept; a wider one is built on every call. Each call gets
+    its own list of the assignments, which are shared and read-only.
+    """
+    probe = probe_fields(budget)
+    if _battery_values(gens, probe) <= _CACHED_BATTERY_VALUES:
+        return list(_cached_battery(gens, probe))
+    return list(_build_battery(gens, probe))
 
 
 def find_refutation(w: Word, w2: Word,

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from opwords.endo import (MAX_ROWS, Carrier, FinFunction, _braiding_sides,
-                          _branching_sides, check_braiding, check_branching,
-                          coordinates, ff_compose, ff_identity, ff_tensor,
+                          _branching_sides, _cached_coordinates, _coordinates,
+                          check_braiding, check_branching, coordinates, ff_compose, ff_identity, ff_tensor,
                           ff_tensor_power, pullback, table_rows, tabulate)
 from opwords.errors import ArityError, EvaluationSizeError
 from opwords.finmap import (FinMap, braid, branch, compose, f2, identity,
@@ -135,6 +135,29 @@ def test_table_rows_refuses_more_than_max_rows(n, m, rows):
             coordinates(n, m)
     else:
         assert table_rows(n, m) == rows
+
+
+class TestCoordinateCache:
+    # evaluation's working set: carriers 2 and 3, up to 8 inputs
+    WORKING_SET = [(n, m) for n in (2, 3) for m in range(9)]
+
+    def test_the_working_set_is_built_once(self):
+        _cached_coordinates.cache_clear()
+        for n, m in self.WORKING_SET:
+            assert coordinates(n, m) == _coordinates(n, m)
+        assert _cached_coordinates.cache_info()[:2] == (0, 18)  # hits, misses
+        for n, m in self.WORKING_SET:
+            coordinates(n, m)
+        assert _cached_coordinates.cache_info()[:2] == (18, 18)
+
+    @pytest.mark.parametrize("n,m", [(3, 9), (2, 13)])
+    def test_a_large_table_is_not_retained(self, n, m):
+        _cached_coordinates.cache_clear()
+        first = coordinates(n, m)
+        assert first == _coordinates(n, m)
+        assert coordinates(n, m) is not first
+        info = _cached_coordinates.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
 
 
 class TestComposeTensor:

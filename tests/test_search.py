@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from opwords import rules
@@ -14,11 +15,12 @@ from opwords.finmap import braid, branch
 from opwords.fixtures import lemma_fixtures
 from opwords.present import builtin_group, equivalent_mod
 from opwords.rules import RuleBounds, RuleContext, apply_step, build_m1, moves
-from opwords.search import (Disproved, Proved, SearchBudget, Unknown,
-                            Witness, _Lane, _constant, _cyclic_project,
+from opwords.search import (_CACHED_BATTERY_VALUES, Disproved, Proved,
+                            SearchBudget, Unknown, Witness, _Lane,
+                            _cached_battery, _constant, _cyclic_project,
                             _lane_bounds, _search_pass, _shift_sum,
                             equivalent, find_refutation, probe_assignments,
-                            validate_witness, word_generators)
+                            probe_fields, validate_witness, word_generators)
 from opwords.words import (compose_many, compose_words, gen_word,
                            identity_word, op_word, tensor_power, whisker)
 
@@ -61,6 +63,61 @@ def test_probe_tables_match_the_tabulated_ones():
             got = arity_outcome(lambda: maker(c, m, n))
             want = arity_outcome(lambda: _tabulated_probe(maker, c, m, n))
             assert got == want, (maker.__name__, size, m, n)
+
+
+BATTERY_GENS = [(), (MU,), GENS, (Generator("k", 0, 0),),
+                (Generator("y", 3, 0), Generator("z", 0, 2))]
+
+
+class TestProbeBatteryCache:
+    @pytest.mark.parametrize("carriers", [(2, 3), (0,), (1, 2, 3)])
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_cached_battery_is_the_fresh_build(self, carriers, seed):
+        budget = SearchBudget(probe_carriers=carriers, seed=seed)
+        _cached_battery.cache_clear()
+        for gens in BATTERY_GENS:
+            fresh = _cached_battery.__wrapped__(gens, probe_fields(budget))
+            assert probe_assignments(gens, budget) == list(fresh)
+            assert probe_assignments(gens, budget) == list(fresh)
+        assert _cached_battery.cache_info()[:2] == (len(BATTERY_GENS),) * 2
+
+    def test_each_call_gets_its_own_list(self):
+        gens = (MU,)
+        first = probe_assignments(gens, SearchBudget())
+        want = list(first)
+        first.clear()
+        second = probe_assignments(gens, SearchBudget())
+        assert second == want != [] and second is not first
+        second.pop()
+        assert probe_assignments(gens, SearchBudget()) == want
+
+    def test_only_the_generators_and_probe_fields_key_the_battery(self):
+        _cached_battery.cache_clear()
+        base = probe_assignments((MU,), SearchBudget(max_steps=10, seed=5))
+        same = probe_assignments((MU,), SearchBudget(max_steps=900,
+                                                     max_word_len=3, seed=5))
+        assert _cached_battery.cache_info()[:2] == (1, 1)   # hits, misses
+        assert same == base
+        assert all(a is b for a, b in zip(same, base))
+        probe_assignments((MU,), SearchBudget(seed=6))
+        probe_assignments(GENS, SearchBudget(seed=5))
+        probe_assignments((MU,), SearchBudget(probe_carriers=[2, 3], seed=5))
+        assert _cached_battery.cache_info()[:2] == (2, 3)
+
+    def test_a_wide_battery_is_built_on_every_call(self):
+        # 8 tables of 2^12 rows on carrier 2: 32,768 values
+        gens, budget = (Generator("h", 12, 1),), SearchBudget(
+            probe_carriers=(2,))
+        _cached_battery.cache_clear()
+        probe_assignments((MU,), budget)
+        before = _cached_battery.cache_info()
+        first = probe_assignments(gens, budget)
+        again = probe_assignments(gens, budget)
+        assert _cached_battery.cache_info() == before
+        assert len(first) == 8 and first == again
+        assert not any(a is b for a, b in zip(first, again))
+        assert sum(len(col) for a in first for f in a.functions.values()
+                   for col in f.columns) == 32_768 > _CACHED_BATTERY_VALUES
 
 
 class TestDisproved:
