@@ -32,7 +32,7 @@ from opwords.present import (GROUP_ALPHABET, algebra_from_group, builtin_group,
                              builtin_group_Z, cyclic_group, equivalent_mod,
                              parse_presentation, symmetric_group_3)
 from opwords.rules import RuleBounds, Tally, apply_step, build_m1, moves
-from opwords.search import (Proved, SearchBudget, _Lane,
+from opwords.search import (Proved, SearchBudget, _Lane, _cached_battery,
                             _lane_bounds, find_refutation, probe_assignments,
                             word_generators)
 from opwords.terms import word_terms
@@ -283,9 +283,12 @@ def test_find_refutation(benchmark):
 
 @pytest.mark.parametrize("size", (2, 3))
 def test_probe_assignments(benchmark, size):
+    """The battery built afresh: its cache is emptied before each round."""
     gens = word_generators(*(w for w, _ in lemma_words()))
     budget = SearchBudget(probe_carriers=(size,))
-    probes = benchmark(probe_assignments, gens, budget)
+    probes = benchmark.pedantic(probe_assignments, (gens, budget),
+                                setup=_cached_battery.cache_clear,
+                                rounds=200)
     assert len(probes) == 3 + budget.probe_assignments
 
 

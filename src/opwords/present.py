@@ -224,9 +224,10 @@ def satisfying_probes(pres: Presentation, budget: SearchBudget,
                          probe_fields(budget)))
 
 
-# The check_algebra filter over the shared candidates of probe_assignments,
-# kept per presentation; a kept battery holds its candidates alive, even
-# those too wide for probe_assignments' own cache, so few are kept.
+# What is cached here is the check_algebra filter over probe_assignments'
+# shared candidates (plus the group-shaped algebras), per presentation. A
+# kept battery holds the tables that pass alive, even those too wide for
+# probe_assignments' own cache, so few are kept.
 @lru_cache(maxsize=16)
 def _battery(pres: Presentation, gens: tuple[Generator, ...],
              budget: SearchBudget) -> tuple[GeneratorAssignment, ...]:
