@@ -7,8 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from opwords.endo import (MAX_ROWS, Carrier, FinFunction, _braiding_sides,
                           _branching_sides, _cached_coordinates, _coordinates,
-                          check_braiding, check_branching, coordinates, ff_compose, ff_identity, ff_tensor,
-                          ff_tensor_power, pullback, table_rows, tabulate)
+                          check_braiding, check_branching, coordinates,
+                          ff_compose, ff_identity, ff_tensor, ff_tensor_power,
+                          pullback, table_rows, tabulate)
 from opwords.errors import ArityError, EvaluationSizeError
 from opwords.finmap import (FinMap, braid, branch, compose, f2, identity,
                             tensor)
