@@ -85,7 +85,10 @@ _FIELDS = re.compile(rf"(?:\s*{_FIELD.pattern})*\s*")
 STEP_FIELDS = "rule dir split a q p v v2 seamL seamR".split()
 
 
-def _parse_step(body: str, line: str, alphabet: Alphabet) -> RewriteStep:
+def _parse_step(body: str, line: str, alphabet: Alphabet,
+                words: dict[str, Word]) -> RewriteStep:
+    """A step line's fields; words memoizes the word of each field text
+    already parsed, so a text repeated across steps is parsed once."""
     if _FIELDS.fullmatch(body) is None:
         raise ParseError(f"stray text in step line: {line!r}")
     fields: dict[str, str] = {}
@@ -95,11 +98,17 @@ def _parse_step(body: str, line: str, alphabet: Alphabet) -> RewriteStep:
             raise ParseError(f"{what} step field {key!r}: {line!r}")
         fields[key] = quoted or bare
 
+    def parsed(key):
+        text = fields[key]
+        if text not in words:
+            words[text] = read_word(text, alphabet, line)
+        return words[text]
+
     def word_field(key):
-        return read_word(fields[key], alphabet, line) if key in fields else None
+        return parsed(key) if key in fields else None
 
     def map_field(key):
-        w = read_word(fields[key], alphabet, line)
+        w = parsed(key)
         if len(w) != 0:
             raise ParseError(f"{key} must be a map literal: {line!r}")
         return w.boundaries[0]
@@ -115,7 +124,7 @@ def _parse_step(body: str, line: str, alphabet: Alphabet) -> RewriteStep:
 
 
 def decode(text: str, alphabet: Alphabet) -> Certificate:
-    ends, steps = {}, []
+    ends, steps, words = {}, [], {}
     for keyword, rest, line in read_lines(text, "certificate",
                                           ("start:", "end:", "step"),
                                           once=("start:", "end:")):
@@ -123,7 +132,7 @@ def decode(text: str, alphabet: Alphabet) -> Certificate:
             n, _, body = rest.partition(":")
             if read_int(n.strip(), line) != len(steps) + 1:
                 raise ParseError(f"expected step {len(steps) + 1}: {line!r}")
-            steps.append(_parse_step(body, line, alphabet))
+            steps.append(_parse_step(body, line, alphabet, words))
         else:
             ends[keyword] = read_word(rest, alphabet, line)
     if len(ends) != 2:

@@ -22,7 +22,7 @@ from .errors import EvaluationSizeError, OpwordsError
 from .evaluate import GeneratorAssignment, eval_word
 from .record import Record
 from .rules import RewriteStep, RuleBounds, RuleContext, Tally, moves
-from .terms import read_word
+from .terms import live_order, read_word
 from .words import Word
 
 
@@ -248,12 +248,14 @@ _SEAM_CAP = 64
 # past a letter, so they keep its place, its generator, its number of
 # passing strands and its argument terms ("sequence"); M1 interchanges
 # letters, so it keeps the multiset of their generators with their argument
-# terms ("multiset"); M4 copies or deletes letters; and all four keep the
-# free terms (terms.py). A relation step keeps none of these.
+# terms ("multiset"); M4 copies, merges or deletes letters, and with M2 and
+# M3 it keeps the order of the live letters ("order", terms.live_order);
+# and all four keep the free terms (terms.py). A relation step keeps none
+# of these.
 _KEEPS = {"M1": {"multiset", "terms"},
-          "M2": {"sequence", "multiset", "terms"},
-          "M3": {"sequence", "multiset", "terms"},
-          "M4": {"terms"},
+          "M2": {"sequence", "multiset", "order", "terms"},
+          "M3": {"sequence", "multiset", "order", "terms"},
+          "M4": {"order", "terms"},
           "REL": set()}
 
 
@@ -263,7 +265,8 @@ def _differences(w: Word, w2: Word) -> set[str]:
     One terms.read_word pass per word, over one table, gives both words'
     terms and each letter's key (generator, argument term ids). The
     sequence is the letters' keys in order, each with its passing strands
-    l + r; the multiset is that of the keys alone.
+    l + r; the multiset is that of the keys alone; the order is that of
+    the live letters' keys (terms.live_order).
     """
     table: dict = {}
     terms, keys = read_word(w, table)
@@ -275,6 +278,8 @@ def _differences(w: Word, w2: Word) -> set[str]:
         differ.add("sequence")
         if Counter(keys) != Counter(keys2):
             differ.add("multiset")
+    if live_order(w, keys) != live_order(w2, keys2):
+        differ.add("order")
     if terms != terms2:
         differ.add("terms")
     return differ
@@ -284,7 +289,7 @@ def _may_connect(families, ctx: RuleContext, differ: set[str]) -> bool:
     """Whether a lane's moves can join two words that differ in `differ`:
     not when every family keeps one of those invariants. Without relations
     REL makes no move, so it keeps every invariant."""
-    kept = {"sequence", "multiset", "terms"}
+    kept = set().union(*_KEEPS.values())
     for family in families or _KEEPS:
         if ctx.relations or family != "REL":
             kept &= _KEEPS[family]
@@ -315,15 +320,19 @@ def _certificate_search(w: Word, w2: Word, ctx: RuleContext,
     computed here when not given) is skipped, as it could never find a
     chain. The invariants read each letter's generator and argument terms,
     and for M2/M3 its place and passing strands, so the M2/M3 lane runs
-    only where the letters line up one to one. The caps are those of the
-    full lane list all the same. Within a lane, a node stops generating
-    successors once it reaches the other word itself (_Lane), which saves
-    work and changes no certificate. Every lane, and every query, reads
-    the boundary-map algebra from the caches of rules (rules._CACHE_SIZE),
-    so a seam, pad strip or block split that one lane or query solved is
-    not solved again; the cached values are the ones moves() would
-    compute, so sharing them changes no move. Every lane is closed before
-    the search returns, which drops the lanes' visited words.
+    only where the letters line up one to one. M2, M3 and M4 also keep the
+    order of the live letters (terms.live_order), so the M4 lane runs only
+    where the live letters come in the same order: never on a pair that
+    only an interchange of two live letters with different keys joins.
+    The caps are those of the full lane list all the same. Within a lane,
+    a node stops generating successors once it reaches the other word
+    itself (_Lane), which saves work and changes no certificate. Every
+    lane, and every query, reads the boundary-map algebra from the caches
+    of rules (rules._CACHE_SIZE), so a seam, pad strip or block split that
+    one lane or query solved is not solved again; the cached values are
+    the ones moves() would compute, so sharing them changes no move.
+    Every lane is closed before the search returns, which drops the
+    lanes' visited words.
 
     A lane paused at any cap is a prefix of the same deterministic pass
     run at once to its final cap. So a query is Proved exactly when some

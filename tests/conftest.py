@@ -7,12 +7,29 @@ from opwords import finmap, rules
 from opwords.alphabet import Generator
 from opwords.errors import ArityError
 from opwords.finmap import FinMap
+from opwords.search import _Lane
 from opwords.words import Word
 
 
 @pytest.fixture
 def rng():
     return random.Random(0)
+
+
+@pytest.fixture
+def built_lanes(monkeypatch):
+    """The (families, seam cap, final cap) of every search lane built, in
+    the order built."""
+    built = []
+    init = _Lane.__init__
+
+    def recording(self, w, w2, ctx, budget, families, final_cap,
+                  seam_cap=None):
+        built.append((families, seam_cap, final_cap))
+        init(self, w, w2, ctx, budget, families, final_cap, seam_cap)
+
+    monkeypatch.setattr(_Lane, "__init__", recording)
+    return built
 
 
 GENS = (Generator("a", 2, 1), Generator("b", 1, 2), Generator("c", 1, 1),

@@ -6,14 +6,20 @@ import pytest
 
 from opwords.alphabet import Alphabet, Generator
 from opwords.dsl import parse_word
+from opwords.errors import ArityError
 from opwords.present import GROUP_ALPHABET, builtin_group, builtin_group_Z
-from opwords.rules import RuleBounds, RuleContext, moves
-from opwords.search import (_KEEPS, SearchBudget, _certificate_search,
-                            _differences, _may_connect, find_refutation,
-                            probe_assignments, word_generators)
-from opwords.terms import word_terms
+from opwords.rules import RuleBounds, RuleContext, build_m1, moves
+from opwords.search import (_KEEPS, SearchBudget, Unknown,
+                            _certificate_search, _differences, _may_connect,
+                            equivalent, find_refutation, probe_assignments,
+                            word_generators)
+from opwords.terms import live_order, read_word, word_terms
+from opwords.words import gen_word
 
 from conftest import GENS, random_word
+
+F, K, MU = Generator("f", 1, 1), Generator("k", 1, 0), Generator("mu", 2, 1)
+FKMU = Alphabet((F, K, MU))
 
 
 def group_word(text):
@@ -64,28 +70,79 @@ def test_terms_key_the_generator_not_its_name():
 
 
 # ---------------------------------------------------------------------------
+# The live order
+
+
+@pytest.mark.parametrize("text, live", [
+    # a letter whose output is deleted is dead
+    ("gen f . del", []),
+    ("(gen f * gen f) . (id(1) * del)", [0]),
+    # the first f feeds only the second, whose output is deleted
+    ("(gen f * id(1)) . (gen f * id(1)) . (del * gen f)", [2]),
+    ("gen f . gen f", [0, 1]),
+    # a letter with no outputs is dead, and so is what feeds it
+    ("gen k", []),
+    ("gen f . gen k", []),
+    ("gen k * gen f", [1]),
+    # mu reads two live copies of f(x_0), written once
+    ("dup . (gen f * gen f) . gen mu", [0, 2]),
+])
+def test_live_letters(text, live):
+    # the live order is the keys of the letters listed in `live`
+    w = parse_word(text, FKMU)
+    keys = read_word(w, {})[1]
+    assert live_order(w, keys) == tuple(keys[i] for i in live)
+
+
+@pytest.mark.parametrize("text, order_len", [
+    # two copies of f on x_0 side by side are written once
+    ("dup . (gen f * gen f)", 1),
+    ("fm[3->2: 1,1,2] . (gen f * gen f * gen f)", 2),
+    # f on x_0, then on x_1, then on x_0 again: no run to merge
+    ("fm[3->2: 1,2,1] . (gen f * gen f * gen f)", 3),
+    # a dead letter between two copies leaves them adjacent
+    ("fm[3->2: 1,2,1] . (gen f * gen k * gen f)", 1),
+])
+def test_live_order_writes_runs_of_equal_keys_once(text, order_len):
+    w = parse_word(text, FKMU)
+    assert len(live_order(w, read_word(w, {})[1])) == order_len
+
+
+# ---------------------------------------------------------------------------
 # What each rule family keeps
 
 CONTEXTS = {
-    "free": (RuleContext(), GENS),
+    # letters with no inputs, no outputs and two outputs, and wider ones
+    "free": (RuleContext(), GENS + (K, Generator("s", 2, 2))),
     "@group": (builtin_group().context(), GROUP_ALPHABET.generators),
     "@group-Z": (builtin_group_Z().context(), GROUP_ALPHABET.generators),
 }
 
 
+def typed_word(rng, **kwargs):
+    """random_word, drawn again until it types: a letter with no outputs
+    and no pads leaves no strand for the next letter's inputs."""
+    while True:
+        try:
+            return random_word(rng, **kwargs)
+        except ArityError:
+            pass
+
+
 @pytest.mark.parametrize("name", CONTEXTS)
 def test_every_move_keeps_what_its_family_keeps(name):
     # every step of M1-M4 keeps the free terms, M1 the multiset of the
-    # letters' generators with their argument terms, and M2/M3 the letters
-    # in order, each with its passing strands too; a relation step keeps
-    # none of these, and changes the terms often
+    # letters' generators with their argument terms, M2/M3 the letters in
+    # order, each with its passing strands too, and M2-M4 the order of the
+    # live letters; a relation step keeps none of these, and changes the
+    # terms often
     ctx, gens = CONTEXTS[name]
     bounds = RuleBounds(a_max=2, pad_max=2, seam_cap=4, max_len=5,
                         max_width=6)
     rng = random.Random(0)
     steps, broken, rel_changed = {}, [], 0
     for _ in range(150):
-        w = random_word(rng, max_len=3, gens=gens)
+        w = typed_word(rng, max_len=4, gens=gens)
         for step, succ in moves(w, ctx, bounds):
             family = "REL" if step.rule.startswith("REL:") else step.rule
             steps[family] = steps.get(family, 0) + 1
@@ -106,6 +163,14 @@ def test_lane_filter_reads_the_families():
     assert not _may_connect(("M1",), free, {"sequence", "multiset"})
     assert _may_connect(("M4",), free, {"sequence", "multiset"})
     assert not _may_connect(("M4",), free, {"terms"})
+    # only M1 (and REL, with relations) changes the order of live letters
+    assert not _may_connect(("M4",), free, {"order"})
+    assert not _may_connect(("M4",), group, {"order"})
+    assert not _may_connect(("M2", "M3"), free, {"order"})
+    assert _may_connect(("M1",), free, {"sequence", "order"})
+    assert _may_connect(None, free, {"sequence", "multiset", "order"})
+    assert not _may_connect(("REL", "M1"), free, {"multiset", "order"})
+    assert _may_connect(("REL", "M1"), group, {"multiset", "order"})
     # REL keeps nothing when there are relations, and everything without
     assert not _may_connect(None, free, {"terms"})
     assert _may_connect(None, group, {"terms"})
@@ -134,6 +199,33 @@ def test_braid_lane_reads_widths_and_arguments(lhs, rhs, alphabet):
     differ = _differences(parse_word(lhs, alphabet), parse_word(rhs, alphabet))
     assert not _may_connect(("M2", "M3"), RuleContext(), differ)
     assert _may_connect(("M1",), RuleContext(), differ)
+
+
+def test_interchange_of_live_letters_skips_the_m4_lane(built_lanes):
+    # two live letters swapped: only M1 can reorder them, so the M2/M3 and
+    # M4 lanes are skipped and the M1 and final lanes run
+    for v2 in (gen_word(MU), gen_word(F)):
+        lhs, rhs = build_m1(gen_word(MU), v2)
+        assert _differences(lhs, rhs) == {"sequence", "order"}
+    lhs, rhs = build_m1(gen_word(MU), gen_word(MU))
+    outcome = equivalent(lhs, rhs, budget=SearchBudget(max_steps=50))
+    assert built_lanes == [(("M1",), 2, 2), (None, 64, 2)]
+    assert outcome == Unknown(4)
+
+
+def test_interchange_past_a_dead_letter_builds_the_m4_lane(built_lanes):
+    # k has no outputs, and f's output is deleted: either way the swapped
+    # letter is dead, both words have the one live letter mu, and the M4
+    # lane, which may delete the dead letter, runs before the M1 lane
+    # proves the pair
+    dead = (gen_word(K), parse_word("gen f . del", FKMU))
+    for v2 in dead:
+        lhs, rhs = build_m1(gen_word(MU), v2)
+        assert _differences(lhs, rhs) == {"sequence"}
+    lhs, rhs = build_m1(gen_word(MU), dead[0])
+    outcome = equivalent(lhs, rhs, budget=SearchBudget(max_steps=200))
+    assert built_lanes == [(("M4",), 2, 64), (("M1",), 2, 6)]
+    assert [step.rule for step in outcome.certificate.steps] == ["M1"]
 
 
 def test_different_free_terms_run_no_lane():
