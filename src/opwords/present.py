@@ -279,22 +279,18 @@ def reindex_relations(cert, index_map: dict[int, int]):
 
 
 def known_certificates(pres: Presentation):
-    """Built-in certificates that are valid verbatim under this presentation."""
+    """Built-in certificates that replay under this presentation: those of
+    every lemma whose relations all appear among the presentation's, each
+    REL step renumbered to its relation's place there."""
     from .fixtures import lemma_fixtures
 
-    y_rels = group_relations()
-    z_rels = (y_rels[0], y_rels[1], y_rels[3])
-    z_to_y = {0: 0, 1: 1, 2: 3}
     table = {}
     for fixture in lemma_fixtures():
-        cert = fixture.certificate
-        if fixture.context.relations == pres.relations:
-            pass
-        elif (fixture.context.relations == z_rels
-              and pres.relations == y_rels):
-            cert = reindex_relations(cert, z_to_y)
-        else:
+        rels = fixture.context.relations
+        if not all(rel in pres.relations for rel in rels):
             continue
+        cert = reindex_relations(fixture.certificate, {
+            i: pres.relations.index(rel) for i, rel in enumerate(rels)})
         table.setdefault((cert.start, cert.end), cert)
         table.setdefault((cert.end, cert.start), cert.reversed())
     return table

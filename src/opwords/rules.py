@@ -22,9 +22,11 @@ many letters each has.
 
 Every move rewrites a factor in context: the matched span's outer boundary
 maps split into a pattern part and a context part. Matching enumerates
-candidate instances, rebuilds both schema sides from the candidate
-parameters, and verifies the pattern against the word before yielding, so a
-slip in parameter inference cannot produce an unsound step.
+candidate instances, builds both schema sides from the candidate
+parameters with the family's own builder, and verifies the pattern against
+the word before yielding, so a slip in parameter inference cannot produce
+an unsound step. Replay rebuilds the sides from a step's fields alone
+(step_sides), so a certificate is checked without move generation.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ from .record import Record
 from .words import Word, compose_words, op_word, tensor_power, whisker
 
 M_RULES = ("M1", "M2", "M3", "M4")
-_new = object.__new__
 
 
 class RuleBounds(Record):
@@ -62,23 +63,13 @@ class RewriteStep(Record):
     rule: str
     direction: str
     split: int
-    a: int
-    q: int
-    p: int
-    v: Word | None
-    v2: Word | None
-    seam_left: FinMap | None
-    seam_right: FinMap | None
-
-    # every emit builds one, and a signature binds the defaults faster
-    # than the generic __init__
-    def __init__(self, rule: str, direction: str, split: int, a: int = 0,
-                 q: int = 0, p: int = 0, v: Word | None = None,
-                 v2: Word | None = None, seam_left: FinMap | None = None,
-                 seam_right: FinMap | None = None):
-        vars(self).update(rule=rule, direction=direction, split=split, a=a,
-                          q=q, p=p, v=v, v2=v2, seam_left=seam_left,
-                          seam_right=seam_right)
+    a: int = 0
+    q: int = 0
+    p: int = 0
+    v: Word | None = None
+    v2: Word | None = None
+    seam_left: FinMap | None = None
+    seam_right: FinMap | None = None
 
     def inverted(self) -> "RewriteStep":
         return self.replace(
@@ -293,13 +284,15 @@ def _letter_factor(c0: FinMap, letter, c1: FinMap) -> Word:
 # identity-first under a deterministic cap.
 
 
-def _emit(w, s, rule, direction, ctx, bounds, cut, *, v, v2=None, a=0,
+def _emit(w, s, rule, direction, sides, bounds, cut, *, v, v2=None, a=0,
           q=0, p=0):
-    step = RewriteStep(rule, direction, s, a, q, p, v, v2)
-    try:
-        pat, repl = step_sides(step, ctx)
-    except (ArityError, ReplayError):
-        return
+    """The (step, successor) pairs of one schema instance at letter s.
+
+    The family passes the instance's sides (lhs, rhs), made by the builder
+    that step_sides picks when the step is replayed, and direction orients
+    them.
+    """
+    pat, repl = sides if direction == "fwd" else sides[::-1]
     # the seams solve the pattern's equations, so an unchanged factor
     # would give back w at every seam
     if pat == repl:
@@ -312,14 +305,8 @@ def _emit(w, s, rule, direction, ctx, bounds, cut, *, v, v2=None, a=0,
     seams = _seams(w, s, pat, bounds.seam_cap)
     for g_u, g_v, succ in _substitutions(w, s, k, repl, seams):
         if succ != w:
-            yield _with_seams(step, g_u, g_v), succ
-
-
-def _with_seams(step: RewriteStep, g_u: FinMap, g_v: FinMap) -> RewriteStep:
-    """A copy of step with its seams set, without calling __init__."""
-    out = _new(RewriteStep)
-    vars(out).update(vars(step), seam_left=g_u, seam_right=g_v)
-    return out
+            yield (RewriteStep(rule, direction, s, a, q, p, v, v2, g_u, g_v),
+                   succ)
 
 
 def _seams(w, s, pat, cap):
@@ -484,18 +471,18 @@ def _seam_adjacent(observed: FinMap | None, width: int, q: int,
     return (ident,) if cand is None or cand == ident else (ident, cand)
 
 
-def _m1_moves(w: Word, ctx, bounds, cut):
+def _m1_moves(w: Word, bounds, cut):
     n = len(w)
     # the halves of a 2-letter word are its two letters
     halves = _pad_minima(w) if n >= 3 else None
     for m in range(1, n):
         (l1, _, r1), (l2, _, r2) = w.letters[m - 1], w.letters[m]
-        yield from _m1_swap(w, m - 1, m, m + 1, (l1, r1, l2, r2), ctx,
-                            bounds, cut)
+        yield from _m1_swap(w, m - 1, m, m + 1, (l1, r1, l2, r2), bounds,
+                            cut)
         if halves is not None:
-            yield from _m1_swap(w, 0, m, n, halves[m], ctx, bounds, cut)
+            yield from _m1_swap(w, 0, m, n, halves[m], bounds, cut)
     for s in range(n):
-        yield from _m1_slide(w, s, ctx, bounds, cut)
+        yield from _m1_slide(w, s, bounds, cut)
 
 
 def _pad_minima(w: Word):
@@ -531,7 +518,7 @@ def _unpadded(block, pads, left: bool):
     return out
 
 
-def _m1_swap(w, s, m, e, pads, ctx, bounds, cut):
+def _m1_swap(w, s, m, e, pads, bounds, cut):
     """Interchange of the blocks of letters s..m-1 and m..e-1, each one
     parameter word; pads holds the least left and right pads of the
     letters in the first block, then in the second.
@@ -566,8 +553,8 @@ def _m1_swap(w, s, m, e, pads, ctx, bounds, cut):
             v = Word((c0, *inner_v, c1), v_letters)
             for c21 in _seam_adjacent(last, last.tgt - vt, vt, 0):
                 v2 = Word((c20, *inner_v2, c21), v2_letters)
-                yield from _emit(w, s, "M1", "fwd", ctx, bounds, cut,
-                                 v=v, v2=v2)
+                yield from _emit(w, s, "M1", "fwd", build_m1(v, v2), bounds,
+                                 cut, v=v, v2=v2)
     # backward: pattern (v.src <| v2) . (v |> v2.tgt)
     splits = [(vs, v2t, split)
               for vs in range(min(min_l_before, pm) + 1)
@@ -584,11 +571,11 @@ def _m1_swap(w, s, m, e, pads, ctx, bounds, cut):
             v2 = Word((c20, *inner_v2, c21), v2_letters)
             for c1 in _seam_adjacent(last, last.tgt - v2t, 0, v2t):
                 v = Word((c0, *inner_v, c1), v_letters)
-                yield from _emit(w, s, "M1", "bwd", ctx, bounds, cut,
-                                 v=v, v2=v2)
+                yield from _emit(w, s, "M1", "bwd", build_m1(v, v2), bounds,
+                                 cut, v=v, v2=v2)
 
 
-def _m1_slide(w, s, ctx, bounds, cut):
+def _m1_slide(w, s, bounds, cut):
     """Degenerate interchange: slide a boundary map block past a letter.
 
     One parameter word is the letter, the other the length-0 word of a map f
@@ -626,13 +613,13 @@ def _m1_slide(w, s, ctx, bounds, cut):
                     letter = _letter_factor(c0, (l, x, r), c1)
                     v, v2 = ((letter, op_word(f)) if after
                              else (op_word(f), letter))
-                    yield from _emit(w, s, "M1", direction, ctx, bounds, cut,
-                                     v=v, v2=v2)
+                    yield from _emit(w, s, "M1", direction, build_m1(v, v2),
+                                     bounds, cut, v=v, v2=v2)
 
 
-def _braid_moves(w: Word, ctx, bounds, cut, mirror: bool):
+def _braid_moves(w: Word, bounds, cut, mirror: bool):
     """M2 (mirror False) and M3 (mirror True), both directions."""
-    rule = "M3" if mirror else "M2"
+    rule, build = ("M3", build_m3) if mirror else ("M2", build_m2)
     pm, am = bounds.pad_max, bounds.a_max
     for s, (lam, x, rho) in enumerate(w.letters):
         seams = {}  # (q, p) -> both seam maps of letter s, q and p unpadded
@@ -651,13 +638,13 @@ def _braid_moves(w: Word, ctx, bounds, cut, mirror: bool):
                             mids = seams[q, p] = (
                                 unpad(w.boundaries[s], q, p),
                                 unpad(w.boundaries[s + 1], q, p))
-                        yield from _braid_case(w, s, rule, direction, ctx,
+                        yield from _braid_case(w, s, rule, build, direction,
                                                bounds, cut,
                                                (lo - q, x, hi - p),
                                                a, q, p, after, *mids)
 
 
-def _braid_case(w, s, rule, direction, ctx, bounds, cut, letter, a, q,
+def _braid_case(w, s, rule, build, direction, bounds, cut, letter, a, q,
                 p, after, mid, midr):
     """One M2/M3 pattern letter with a strands after it (or before it).
 
@@ -678,22 +665,21 @@ def _braid_case(w, s, rule, direction, ctx, bounds, cut, letter, a, q,
     for c0 in _seam_adjacent(mid, l + x.src + r, *pads):
         for c1 in c1s:
             v = _letter_factor(c0, letter, c1)
-            yield from _emit(w, s, rule, direction, ctx, bounds, cut,
-                             v=v, a=a, q=q, p=p)
+            yield from _emit(w, s, rule, direction, build(v, a, q, p),
+                             bounds, cut, v=v, a=a, q=q, p=p)
 
 
-def _m4_moves(w: Word, ctx, bounds, cut):
-    yield from _m4_fwd(w, ctx, bounds, cut)
-    yield from _m4_bwd(w, ctx, bounds, cut)
+def _m4_moves(w: Word, bounds, cut):
+    yield from _m4_fwd(w, bounds, cut)
+    yield from _m4_bwd(w, bounds, cut)
 
 
-def _m4_fwd(w, ctx, bounds, cut):
+def _m4_fwd(w, bounds, cut):
     """Merge a consecutive letters produced by a fold into one.
 
-    The middle seam fixes the merged letter; a merge whose pattern has no
-    seam at either end yields nothing, so it is left out before _emit.
+    The middle seam fixes the merged letter.
     """
-    n, pm, cap = len(w), bounds.pad_max, bounds.seam_cap
+    n, pm = len(w), bounds.pad_max
     for a in range(2, bounds.a_max + 1):
         for s in range(n - a + 1):
             span = w.letters[s:s + a]
@@ -721,14 +707,11 @@ def _m4_fwd(w, ctx, bounds, cut):
                     if c0 is None or c1 is None:
                         continue
                     v = _letter_factor(c0, (l, x, r), c1)
-                    pat, _ = build_m4(v, a, q, p)
-                    if _seam_count(w, s, pat, cap) == 0:
-                        continue
-                    yield from _emit(w, s, "M4", "fwd", ctx, bounds, cut,
-                                     v=v, a=a, q=q, p=p)
+                    yield from _emit(w, s, "M4", "fwd", build_m4(v, a, q, p),
+                                     bounds, cut, v=v, a=a, q=q, p=p)
 
 
-def _m4_bwd(w, ctx, bounds, cut):
+def _m4_bwd(w, bounds, cut):
     """Duplicate a letter across a fold (a >= 2), or delete one (a = 0)."""
     pm = bounds.pad_max
     a_values = [0] + list(range(2, bounds.a_max + 1))
@@ -766,28 +749,25 @@ def _m4_bwd(w, ctx, bounds, cut):
                                 cut.count_duplication(s, v, a, q, p,
                                                       bounds.seam_cap)
                                 continue
-                            yield from _emit(w, s, "M4", "bwd", ctx, bounds,
+                            yield from _emit(w, s, "M4", "bwd",
+                                             build_m4(v, a, q, p), bounds,
                                              cut, v=v, a=a, q=q, p=p)
 
 
 def _rel_moves(w: Word, ctx: RuleContext, bounds, cut):
-    for idx, (rl, rr) in enumerate(ctx.relations):
+    for idx, rel in enumerate(ctx.relations):
         rule = f"REL:{idx}"
-        for direction, pat_side in (("fwd", rl), ("bwd", rr)):
-            if len(pat_side) == 0:
-                yield from _rel_insertions(w, rule, direction, pat_side,
-                                           ctx, bounds, cut)
-            else:
-                yield from _rel_spans(w, rule, direction, pat_side,
-                                      ctx, bounds, cut)
+        for direction, pat_side in zip(("fwd", "bwd"), rel):
+            gen = _rel_spans if len(pat_side) else _rel_insertions
+            yield from gen(w, rule, direction, rel, pat_side, bounds, cut)
 
 
-def _rel_spans(w, rule, direction, pat_side, ctx, bounds, cut):
+def _rel_spans(w, rule, direction, rel, pat_side, bounds, cut):
     """Emit the side at each span of w that matches it letter for letter.
 
     The side's first letter fixes the pads q and p, and each later letter
     of w must be the side's letter whiskered by q and p. _emit checks the
-    same, but only after it has built the whiskered sides.
+    same, but only on whiskered sides built for it.
     """
     k = len(pat_side)
     (pl0, px0, pr0), *rest = pat_side.letters
@@ -801,27 +781,27 @@ def _rel_spans(w, rule, direction, pat_side, ctx, bounds, cut):
         if any(w.letters[s + i] != (l + q, g, r + p)
                for i, (l, g, r) in enumerate(rest, start=1)):
             continue
-        yield from _emit(w, s, rule, direction, ctx, bounds, cut,
-                         v=None, q=q, p=p)
+        yield from _emit(w, s, rule, direction, build_rel(*rel, q, p),
+                         bounds, cut, v=None, q=q, p=p)
 
 
-def _rel_insertions(w, rule, direction, pat_side, ctx, bounds, cut):
+def _rel_insertions(w, rule, direction, rel, pat_side, bounds, cut):
     ws, wt = pat_side.src, pat_side.tgt
     for bi in range(len(w) + 1):
         obs = w.boundaries[bi]
         for q in range(min(obs.tgt - ws, bounds.pad_max) + 1):
             p = obs.tgt - ws - q
             if 0 <= p <= bounds.pad_max:
-                yield from _emit(w, bi, rule, direction, ctx, bounds, cut,
-                                 v=None, q=q, p=p)
+                yield from _emit(w, bi, rule, direction, build_rel(*rel, q, p),
+                                 bounds, cut, v=None, q=q, p=p)
         for q in range(min(obs.src - wt, bounds.pad_max) + 1):
             p = obs.src - wt - q
             if 0 <= p <= bounds.pad_max and q + ws + p != obs.tgt:
-                yield from _emit(w, bi, rule, direction, ctx, bounds, cut,
-                                 v=None, q=q, p=p)
+                yield from _emit(w, bi, rule, direction, build_rel(*rel, q, p),
+                                 bounds, cut, v=None, q=q, p=p)
 
 
-def _card_moves(w: Word, ctx, bounds, cut):
+def _card_moves(w: Word, bounds, cut):
     """M4 deletions (a = 0) of whole-boundary factors of type (0,0) or (1,0).
 
     Named for the cardinality rule it replaces: perfbench's tracer wraps it.
@@ -836,8 +816,8 @@ def _card_moves(w: Word, ctx, bounds, cut):
             if w.boundaries[j].src != 0:
                 continue
             sub = Word(w.boundaries[i:j + 1], w.letters[i:j])
-            yield from _emit(w, i, "M4", "bwd", ctx, bounds, cut,
-                             v=sub)
+            yield from _emit(w, i, "M4", "bwd", build_m4(sub, 0, 0, 0),
+                             bounds, cut, v=sub)
 
 
 def moves(w: Word, ctx: RuleContext, bounds: RuleBounds,
@@ -854,19 +834,19 @@ def moves(w: Word, ctx: RuleContext, bounds: RuleBounds,
            else _Cut(w, bounds, tally))
     fams = bounds.families
     if fams is None or "M1" in fams:
-        yield from _m1_moves(w, ctx, bounds, cut)
+        yield from _m1_moves(w, bounds, cut)
     if fams is None or "M2" in fams:
-        yield from _braid_moves(w, ctx, bounds, cut, mirror=False)
+        yield from _braid_moves(w, bounds, cut, mirror=False)
     if fams is None or "M3" in fams:
-        yield from _braid_moves(w, ctx, bounds, cut, mirror=True)
+        yield from _braid_moves(w, bounds, cut, mirror=True)
     if fams is None or "M4" in fams:
-        yield from _m4_moves(w, ctx, bounds, cut)
+        yield from _m4_moves(w, bounds, cut)
     if ctx.relations and (fams is None or "REL" in fams):
         yield from _rel_moves(w, ctx, bounds, cut)
     # the collapses come last: moving them would reorder the stream, and
     # with it the certificates the search returns
     if fams is None or "M4" in fams:
-        yield from _card_moves(w, ctx, bounds, cut)
+        yield from _card_moves(w, bounds, cut)
 
 
 def rule_instances_matching(w: Word, bounds: RuleBounds | None = None):

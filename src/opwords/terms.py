@@ -51,11 +51,6 @@ def read_word(w: Word, table: dict) -> tuple[tuple[int, ...], list]:
     return tuple(terms), letters
 
 
-def word_terms(w: Word, table: dict) -> tuple[int, ...]:
-    """The ids of w's output terms in table (read_word)."""
-    return read_word(w, table)[0]
-
-
 def live_order(w: Word, keys: list) -> tuple:
     """The keys of w's live letters in order, each run of equal adjacent
     keys written once; keys are w's letters' keys (read_word).

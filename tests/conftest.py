@@ -43,7 +43,19 @@ def random_map(rng, src, tgt):
 
 
 def random_word(rng, max_len=2, max_pad=1, max_ar=3, gens=GENS):
-    """A random well-typed word: letters first, then compatible boundaries."""
+    """A random well-typed word: letters first, then compatible boundaries.
+
+    A letter with no outputs and no pads leaves no strand for the next
+    letter's inputs; such a draw is dropped and drawn again from rng.
+    """
+    while True:
+        try:
+            return _draw_word(rng, max_len, max_pad, max_ar, gens)
+        except ArityError:
+            pass
+
+
+def _draw_word(rng, max_len, max_pad, max_ar, gens):
     k = rng.randint(0, max_len)
     letters = []
     for _ in range(k):

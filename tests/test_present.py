@@ -319,6 +319,19 @@ class TestEquivalentMod:
         with pytest.raises(ReplayError):
             equivalent_mod(w, w2, builtin_group())
 
+    def test_builtin_lemmas_answer_under_reordered_relations(self):
+        # a shipped lemma answers under every presentation that lists all
+        # of its relations, in any order, with its REL steps renumbered
+        from opwords.fixtures import lemma_fixtures
+        z = builtin_group_Z()
+        pres = Presentation(z.alphabet, z.relations[::-1])
+        claim1 = next(f for f in lemma_fixtures() if f.name == "ZG-claim1")
+        start, end = claim1.certificate.start, claim1.certificate.end
+        for w, w2 in ((start, end), (end, start)):
+            res = equivalent_mod(w, w2, pres)
+            assert isinstance(res, Proved)
+            assert res.certificate.replay(pres.context()) == w2
+
     def test_omega_not_identity(self):
         pres = builtin_group()
         res = equivalent_mod(gen_word(OMEGA), identity_word(1), pres)

@@ -213,20 +213,33 @@ def test_single_letter_moves_stream_digest():
     assert _stream_digests()[2] == SINGLE_LETTER_STREAM
 
 
+def test_generation_agrees_with_replay():
+    """Each family hands _emit the sides it builds itself; replay rebuilds
+    them from the step's fields (step_sides). Every move of the stream
+    corpus at seam cap 2, in each family and direction, REL under @group
+    included, replays to the successor it was yielded with."""
+    seen, bounds = set(), RuleBounds(seam_cap=2)
+    for corpus, ctx in _stream_corpus():
+        for w in corpus:
+            for step, succ in moves(w, ctx, bounds):
+                assert apply_step(w, step, ctx) == succ
+                seen.add((step.rule.split(":")[0], step.direction))
+    assert seen == set(itertools.product(("M1", "M2", "M3", "M4", "REL"),
+                                         ("fwd", "bwd")))
+
+
 def test_rel_span_emits_match_every_letter(monkeypatch):
     """A relation side's first letter fixes the pads q and p; _rel_spans
     compares its later letters, whiskered by q and p, before it emits, so
     every REL span that reaches _emit passes _emit's letter check."""
     emit, checked = rules_module._emit, []
 
-    def spy(w, s, rule, direction, ctx, bounds, cut, **params):
+    def spy(w, s, rule, direction, sides, bounds, cut, **params):
         if rule.startswith("REL:"):
-            step = RewriteStep(rule, direction, s, q=params["q"],
-                               p=params["p"])
-            pat, _ = step_sides(step, ctx)
+            pat = sides[0] if direction == "fwd" else sides[1]
             if len(pat):
                 checked.append(w.letters[s:s + len(pat)] == pat.letters)
-        return emit(w, s, rule, direction, ctx, bounds, cut, **params)
+        return emit(w, s, rule, direction, sides, bounds, cut, **params)
 
     monkeypatch.setattr(rules_module, "_emit", spy)
     for x, _, ctx in _lemma_steps():

@@ -6,14 +6,13 @@ import pytest
 
 from opwords.alphabet import Alphabet, Generator
 from opwords.dsl import parse_word
-from opwords.errors import ArityError
 from opwords.present import GROUP_ALPHABET, builtin_group, builtin_group_Z
 from opwords.rules import RuleBounds, RuleContext, build_m1, moves
 from opwords.search import (_KEEPS, SearchBudget, Unknown,
                             _certificate_search, _differences, _may_connect,
                             equivalent, find_refutation, probe_assignments,
                             word_generators)
-from opwords.terms import live_order, read_word, word_terms
+from opwords.terms import live_order, read_word
 from opwords.words import gen_word
 
 from conftest import GENS, random_word
@@ -42,19 +41,19 @@ def group_word(text):
 ])
 def test_same_terms(lhs, rhs, same):
     table = {}
-    assert (word_terms(group_word(lhs), table)
-            == word_terms(group_word(rhs), table)) is same
+    assert (read_word(group_word(lhs), table)[0]
+            == read_word(group_word(rhs), table)[0]) is same
 
 
 def test_terms_are_hash_consed_in_one_table():
     table = {}
     w = group_word("dup . (gen omega * gen omega) . gen mu")
-    assert word_terms(w, table) == (2,)
+    assert read_word(w, table)[0] == (2,)
     # x_0, then omega#0(x_0) once for both copies, then mu#0 of it twice
     assert table == {0: 0,
                      (GROUP_ALPHABET.lookup("omega"), 0, (0,)): 1,
                      (GROUP_ALPHABET.lookup("mu"), 0, (1, 1)): 2}
-    assert word_terms(group_word("gen omega . dup . gen mu"), table) == (2,)
+    assert read_word(group_word("gen omega . dup . gen mu"), table)[0] == (2,)
     assert len(table) == 3
 
 
@@ -65,8 +64,8 @@ def test_terms_key_the_generator_not_its_name():
                     Alphabet((Generator("g", 1, 2),)))
     w3 = parse_word("gen g", Alphabet((Generator("g", 1, 1),)))
     table = {}
-    assert word_terms(w, table) != word_terms(w2, table)
-    assert word_terms(w, table) == word_terms(w3, table)
+    assert read_word(w, table)[0] != read_word(w2, table)[0]
+    assert read_word(w, table)[0] == read_word(w3, table)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -119,16 +118,6 @@ CONTEXTS = {
 }
 
 
-def typed_word(rng, **kwargs):
-    """random_word, drawn again until it types: a letter with no outputs
-    and no pads leaves no strand for the next letter's inputs."""
-    while True:
-        try:
-            return random_word(rng, **kwargs)
-        except ArityError:
-            pass
-
-
 @pytest.mark.parametrize("name", CONTEXTS)
 def test_every_move_keeps_what_its_family_keeps(name):
     # every step of M1-M4 keeps the free terms, M1 the multiset of the
@@ -142,7 +131,7 @@ def test_every_move_keeps_what_its_family_keeps(name):
     rng = random.Random(0)
     steps, broken, rel_changed = {}, [], 0
     for _ in range(150):
-        w = typed_word(rng, max_len=4, gens=gens)
+        w = random_word(rng, max_len=4, gens=gens)
         for step, succ in moves(w, ctx, bounds):
             family = "REL" if step.rule.startswith("REL:") else step.rule
             steps[family] = steps.get(family, 0) + 1
@@ -268,7 +257,7 @@ def test_equal_terms_are_never_refuted():
         probes = probe_assignments(word_generators(w, w2), SearchBudget())
         refuted = find_refutation(w, w2, probes) is not None
         table = {}
-        tally = counts[word_terms(w, table) == word_terms(w2, table)]
+        tally = counts[read_word(w, table)[0] == read_word(w2, table)[0]]
         tally[0] += 1
         tally[1] += refuted
     pairs, refuted = counts[True]

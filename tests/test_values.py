@@ -19,7 +19,7 @@ from opwords.finmap import FinMap, identity
 from opwords.fixtures import LemmaFixture
 from opwords.present import (AlgebraReport, GroupTables, Presentation,
                              RelationCheck)
-from opwords.rules import RewriteStep, RuleBounds, RuleContext, _with_seams
+from opwords.rules import RewriteStep, RuleBounds, RuleContext
 from opwords.search import Disproved, Proved, SearchBudget, Unknown, Witness
 from opwords.words import gen_word, identity_word
 
@@ -259,9 +259,6 @@ def test_replace_changes_the_named_fields_only():
     flipped = step.replace(direction="bwd")
     assert flipped == _step(direction="bwd") and step == _step()
     assert step.inverted() == flipped and flipped.inverted() == step
-    seamed = _with_seams(step, identity(1), identity(2))
-    assert seamed == step.replace(seam_left=identity(1),
-                                  seam_right=identity(2))
     assert step.seam_right is None
     assert RuleBounds().replace(max_len=4) == RuleBounds(max_len=4)
     assert dsl.EPad(1, dsl.EDup(), 0).replace(p=2) == dsl.EPad(1, dsl.EDup(), 2)
