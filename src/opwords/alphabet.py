@@ -1,40 +1,25 @@
-"""Generator alphabets: named symbols with source and target arities."""
+"""Generator alphabets: named symbols with source and target arities.
+
+Generators are hash-consed (`record.Interned`), so equal generators are one
+object, and a word's hash calls no Python method per letter.
+"""
 
 from __future__ import annotations
 
 from .errors import ArityError, UnknownGeneratorError
-from .record import Record
+from .record import Interned
 
 
-# Sets the slots past the frozen __setattr__.
-_setattr = object.__setattr__
-
-
-class Generator(Record):
-    # _hash is cached: every hash of a word hashes each of its letters'
-    # generators
-    __slots__ = ("name", "src", "tgt", "_hash")
+class Generator(Interned):
+    __slots__ = ("name", "src", "tgt")
     name: str
     src: int
     tgt: int
 
-    def __init__(self, name: str, src: int, tgt: int):
+    def __new__(cls, name: str, src: int, tgt: int):
         if src < 0 or tgt < 0:
             raise ArityError(f"generator {name} has negative arity")
-        _setattr(self, "name", name)
-        _setattr(self, "src", src)
-        _setattr(self, "tgt", tgt)
-        _setattr(self, "_hash", hash((name, src, tgt)))
-
-    # written out: matching compares the generators of letters
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.name, self.src, self.tgt)
-                == (other.name, other.src, other.tgt))
-
-    def __hash__(self):
-        return self._hash
+        return cls._raw(name, src, tgt)
 
     def __repr__(self):
         return f"{self.name}:{self.src}->{self.tgt}"

@@ -16,7 +16,7 @@ from typing import Callable, Iterator, Sequence
 from .alphabet import Generator
 from .errors import ArityError, EvaluationSizeError
 from .finmap import FinMap, braid, branch
-from .record import Record
+from .record import Interned, Record
 from .words import compose_words, gen_word, op_word, tensor_power, tensor_words
 
 
@@ -77,24 +77,14 @@ def coordinates(n: int, m: int) -> tuple[tuple[int, ...], ...]:
     return _coordinates(n, m)
 
 
-class Carrier(Record):
+class Carrier(Interned):
     __slots__ = ("size",)
     size: int
 
-    def __init__(self, size: int):
+    def __new__(cls, size: int):
         if size < 0:
             raise ArityError("carrier size must be >= 0")
-        _set_size(self, size)
-
-    # == and hash are written out, here and in FinFunction: every probe
-    # assignment and axiom check compares carriers and tables
-    def __eq__(self, other):
-        if other.__class__ is not Carrier:
-            return NotImplemented
-        return self.size == other.size
-
-    def __hash__(self):
-        return hash((self.size,))
+        return cls._raw(size)
 
     def tuples(self, m: int):
         return itertools.product(range(self.size), repeat=m)
@@ -128,15 +118,6 @@ class FinFunction(Record):
                     raise ArityError(f"output value {v} outside carrier")
         _init(self, carrier, src, tgt,
               tuple(zip(*table)) if table else ((),) * tgt)
-
-    def __eq__(self, other):
-        if other.__class__ is not FinFunction:
-            return NotImplemented
-        return ((self.carrier, self.src, self.tgt, self.columns)
-                == (other.carrier, other.src, other.tgt, other.columns))
-
-    def __hash__(self):
-        return hash((self.carrier, self.src, self.tgt, self.columns))
 
     @classmethod
     def from_columns(cls, carrier: Carrier, src: int, tgt: int,
@@ -209,7 +190,6 @@ class FinFunction(Record):
 
 # The slots' member descriptors set fields past the frozen __setattr__.
 _new = object.__new__
-_set_size = Carrier.__dict__["size"].__set__
 _setters = tuple(FinFunction.__dict__[name].__set__
                  for name in FinFunction._fields)
 

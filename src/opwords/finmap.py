@@ -3,25 +3,25 @@
 Values are immutable dense tables, 1-based. Composition is diagrammatic:
 ``compose(f, g)`` applies f first. The opposite-direction reading used by the
 word layer is a calling convention, not a separate type. Maps are
-hash-consed: there is one object per distinct live map, held in a weak table,
-so equality and hashing are identity (Filliâtre & Conchon, 2006).
+hash-consed (`record.Interned`): there is one object per distinct live map,
+so equality and hashing are identity. ``FinMap._raw`` is the unvalidated
+constructor for tables that are valid by construction.
 """
 
 from __future__ import annotations
 
 import itertools
-import weakref
 from functools import lru_cache
 from typing import Iterator
 
 from .errors import ArityError
-from .record import Record
+from .record import Interned
 
 
-class FinMap(Record):
+class FinMap(Interned):
     """A total map [1,src] -> [1,tgt]; table[i-1] is the image of i."""
 
-    __slots__ = ("src", "tgt", "table", "__weakref__")
+    __slots__ = ("src", "tgt", "table")
     src: int
     tgt: int
     table: tuple[int, ...]
@@ -37,27 +37,7 @@ class FinMap(Record):
         for v in table:
             if not 1 <= v <= tgt:
                 raise ArityError(f"entry {v} outside [1,{tgt}]")
-        return FinMap._raw(src, tgt, table)
-
-    # object's own: __new__ sets the fields, and equal maps are one object
-    __init__ = object.__init__
-    __eq__ = object.__eq__
-    __hash__ = object.__hash__
-
-    @staticmethod
-    def _raw(src: int, tgt: int, table: tuple[int, ...]) -> "FinMap":
-        """Unvalidated constructor for outputs that are valid by construction."""
-        f = _interned.get((tgt, table))
-        if f is None:
-            f = _interned[tgt, table] = _new(FinMap)
-            _set_src(f, src)
-            _set_tgt(f, tgt)
-            _set_table(f, table)
-        return f
-
-    def __reduce__(self):
-        """Copies and unpickled maps come back through the intern table."""
-        return FinMap, (self.src, self.tgt, self.table)
+        return cls._raw(src, tgt, table)
 
     def __call__(self, i: int) -> int:
         return self.table[i - 1]
@@ -69,14 +49,6 @@ class FinMap(Record):
     @property
     def is_identity(self) -> bool:
         return self is identity(self.src)
-
-
-# The slots' member descriptors set fields past the frozen __setattr__.
-_new = object.__new__
-_set_src, _set_tgt, _set_table = (
-    FinMap.__dict__[name].__set__ for name in ("src", "tgt", "table"))
-# (tgt, table) -> the one live map with that target and table
-_interned: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
 # every width's identity stays live, and is found without building its table

@@ -5,14 +5,17 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
+from types import MappingProxyType
 
 from .alphabet import Alphabet, Generator
+from .certificate import Certificate
+from .dsl import check_generator_name, read_int, read_lines, read_word
 from .endo import Carrier, tabulate
 from .errors import ArityError, AssignmentError, OpwordsError, ParseError
 from .evaluate import GeneratorAssignment
-from .finmap import f0, f2
+from .finmap import f0, f2, identity
 from .record import Record
-from .rules import RuleContext
+from .rules import RewriteStep, RuleContext
 from .search import (Disproved, Proved, SearchBudget, equivalent,
                      find_refutation, probe_assignments, probe_fields,
                      word_generators)
@@ -244,10 +247,6 @@ def _battery(pres: Presentation, gens: tuple[Generator, ...],
 
 def _relation_instance(w: Word, w2: Word, pres: Presentation):
     """A one-step certificate when (w, w2) is literally a relation pair."""
-    from .certificate import Certificate
-    from .finmap import identity
-    from .rules import RewriteStep
-
     for i, (lhs, rhs) in enumerate(pres.relations):
         if (w, w2) == (lhs, rhs):
             direction = "fwd"
@@ -267,7 +266,6 @@ def _relation_instance(w: Word, w2: Word, pres: Presentation):
 def reindex_relations(cert, index_map: dict[int, int]):
     """Renumber REL steps, e.g. to lift a certificate into a superset
     presentation whose relation list orders the shared relations differently."""
-    from .certificate import Certificate
     steps = []
     for step in cert.steps:
         if step.rule.startswith("REL:"):
@@ -278,11 +276,15 @@ def reindex_relations(cert, index_map: dict[int, int]):
     return Certificate(cert.start, tuple(steps), cert.end)
 
 
-def known_certificates(pres: Presentation):
+# The table depends on the presentation alone, so it is built once per
+# presentation, like the probe battery, and shared read-only.
+@lru_cache(maxsize=16)
+def known_certificates(pres: Presentation) -> MappingProxyType:
     """Built-in certificates that replay under this presentation: those of
     every lemma whose relations all appear among the presentation's, each
-    REL step renumbered to its relation's place there."""
-    from .fixtures import lemma_fixtures
+    REL step renumbered to its relation's place there, keyed by their
+    (start, end) words."""
+    from .fixtures import lemma_fixtures  # fixtures imports this module
 
     table = {}
     for fixture in lemma_fixtures():
@@ -293,7 +295,7 @@ def known_certificates(pres: Presentation):
             i: pres.relations.index(rel) for i, rel in enumerate(rels)})
         table.setdefault((cert.start, cert.end), cert)
         table.setdefault((cert.end, cert.start), cert.reversed())
-    return table
+    return MappingProxyType(table)
 
 
 def equivalent_mod(w: Word, w2: Word, pres: Presentation,
@@ -326,8 +328,6 @@ def equivalent_mod(w: Word, w2: Word, pres: Presentation,
 
 
 def parse_presentation(text: str) -> Presentation:
-    from .dsl import check_generator_name, read_int, read_lines, read_word
-
     gens: list[Generator] = []
     relation_lines: list[tuple[str, str, str]] = []
     for keyword, rest, line in read_lines(text, "presentation",

@@ -12,10 +12,17 @@ a class costs no more to make than its class statement.
 The inherited ``__init__`` stores the fields in the instance ``__dict__``.
 A subclass that lists its fields in ``__slots__`` instead writes its own
 ``__init__``, which sets them through the slots' member descriptors.
+
+`Interned` is the hash-consed kind of `Record` (Filliâtre & Conchon, 2006):
+one live object per distinct field values, held in a weak table per class,
+so ``==`` and hashing are object identity. Its subclasses list their fields
+in ``__slots__``, check their arguments in ``__new__`` and end it with
+``cls._raw(*fields)``, the unvalidated constructor that every class gets.
 """
 
 from __future__ import annotations
 
+import weakref
 from operator import attrgetter
 
 
@@ -104,3 +111,41 @@ class Record:
         (which refuses a name that is not a field)."""
         values = dict(zip(self._fields, self._values(self)))
         return type(self)(**{**values, **changes})
+
+
+class Interned(Record):
+    """A Record with one live object per distinct field values.
+
+    `_raw(*fields)` returns the live object with those fields, making it
+    when there is none; `_live` maps each fields tuple to its object and
+    drops it when nobody else holds it. Copies, unpickled values and
+    `replace` come back through the constructor, so to the live object.
+    """
+
+    __slots__ = ("__weakref__",)
+
+    # object's own: __new__ sets the fields, and equal values are one object
+    __init__ = object.__init__
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        live = cls._live = weakref.WeakValueDictionary()
+        get, new = live.get, object.__new__
+        # the slots' member descriptors set fields past the frozen __setattr__
+        setters = tuple(getattr(cls, name).__set__ for name in cls._fields)
+
+        # a closure over the bound get: a classmethod's lookups cost more
+        def _raw(*fields):
+            obj = get(fields)
+            if obj is None:
+                obj = live[fields] = new(cls)
+                for set_field, value in zip(setters, fields):
+                    set_field(obj, value)
+            return obj
+
+        cls._raw = staticmethod(_raw)
+
+    def __reduce__(self):
+        return type(self), self._values(self)

@@ -6,7 +6,6 @@ import pickle
 import pytest
 from hypothesis import given, strategies as st
 
-from opwords import finmap
 from opwords.errors import ArityError
 from opwords.finmap import (FinMap, all_maps, braid, branch, compose, f0,
                             f2, factorizations_from, factorizations_through,
@@ -60,8 +59,8 @@ class TestConstructors:
 
 
 class TestInterning:
-    """One live object per (tgt, table): every constructor returns it, so
-    equality and hashing are identity."""
+    """One live object per (src, tgt, table): every constructor returns it,
+    so equality and hashing are identity."""
 
     def test_every_constructor_returns_the_live_map(self):
         f = FinMap(3, 2, (2, 1, 2))
@@ -94,17 +93,17 @@ class TestInterning:
             with pytest.raises(ArityError):
                 FinMap(src, tgt, table)
             assert all((f.src, f.tgt, f.table) != (src, tgt, table)
-                       for f in finmap._interned.values())
+                       for f in FinMap._live.values())
 
     def test_a_map_nobody_holds_leaves_the_table(self):
         # the caches of move generation may hold maps of every word the
         # suite has searched, this one among them
         clear_rules_caches()
         f = FinMap(4, 40, (40, 4, 3, 5))
-        assert finmap._interned[40, (40, 4, 3, 5)] is f
+        assert FinMap._live[4, 40, (40, 4, 3, 5)] is f
         del f
         gc.collect()
-        assert (40, (40, 4, 3, 5)) not in finmap._interned
+        assert (4, 40, (40, 4, 3, 5)) not in FinMap._live
 
 
 class TestComposeTensor:

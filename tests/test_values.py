@@ -1,7 +1,10 @@
 """Value semantics of the package's immutable classes: equality and hash by
 value, the repr text, defaults and keywords, and no assignment to a field."""
 
+import copy
+import gc
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -19,6 +22,7 @@ from opwords.finmap import FinMap, identity
 from opwords.fixtures import LemmaFixture
 from opwords.present import (AlgebraReport, GroupTables, Presentation,
                              RelationCheck)
+from opwords.record import Interned
 from opwords.rules import RewriteStep, RuleBounds, RuleContext
 from opwords.search import Disproved, Proved, SearchBudget, Unknown, Witness
 from opwords.words import gen_word, identity_word
@@ -44,7 +48,8 @@ def _cert():
 
 # name -> (build a value, build a different value of the same class); each
 # call builds a fresh object, so equal values are never the same object,
-# except maps, which are hash-consed (one object per distinct map)
+# except those of the hash-consed classes (one object per distinct value)
+INTERNED = {"FinMap", "Generator", "Carrier"}
 VALUES = {
     "FinMap": (lambda: FinMap(2, 1, (1, 1)), lambda: FinMap(2, 2, (1, 1))),
     "Word": (_word, lambda: gen_word(Generator("mu", 2, 2))),
@@ -97,7 +102,7 @@ VALUES = {
 def test_equal_and_hash_equal_by_value(name):
     make, other = VALUES[name]
     a, b = make(), make()
-    assert (a is b) if name == "FinMap" else (a is not b)
+    assert (a is b) if name in INTERNED else (a is not b)
     assert a == b and not a != b
     assert hash(a) == hash(b)
     assert a != other() and not a == other()
@@ -286,3 +291,61 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     if loaded(probe) != "[]":
         pytest.skip("a bare interpreter here already loads them")
     assert loaded("import opwords.cli; " + probe) == "[]"
+
+
+# class -> (arguments of a value, a changed field and the value it gives,
+# invalid argument tuples); FinMap's own cases are in tests/test_finmap.py
+LEAVES = {
+    Generator: (("g", 2, 1), ("tgt", 3, Generator("g", 2, 3)),
+                (("g", -1, 1), ("g", 1, -2))),
+    Carrier: ((4,), ("size", 5, Carrier(5)), ((-1,), (-7,))),
+}
+
+
+@pytest.mark.parametrize("cls", LEAVES, ids=lambda cls: cls.__name__)
+class TestInternedLeaves:
+    """Generators and carriers are hash-consed the way maps are: one live
+    object per distinct field values."""
+
+    def test_every_constructor_returns_the_live_value(self, cls):
+        args, (field, value, changed), _ = LEAVES[cls]
+        x = cls(*args)
+        assert issubclass(cls, Interned)
+        assert cls(*args) is x
+        assert cls._raw(*args) is x
+        assert cls(**dict(zip(cls._fields, args))) is x
+        assert cls._live[args] is x
+        assert x.replace(**{field: getattr(x, field)}) is x
+        assert x.replace(**{field: value}) is changed
+        assert copy.copy(x) is x and copy.deepcopy(x) is x
+        assert pickle.loads(pickle.dumps(x)) is x
+
+    def test_equality_is_identity(self, cls):
+        assert cls.__init__ is object.__init__
+        assert cls.__eq__ is object.__eq__
+        assert cls.__hash__ is object.__hash__
+        x = cls(*LEAVES[cls][0])
+        assert hash(x) == object.__hash__(x)
+        assert {x: 1}[cls._raw(*LEAVES[cls][0])] == 1
+
+    def test_invalid_arguments_are_refused_and_not_interned(self, cls):
+        for args in LEAVES[cls][2]:
+            with pytest.raises(ArityError):
+                cls(*args)
+            assert args not in cls._live
+            assert all(x._values(x) != args for x in cls._live.values())
+
+    def test_a_value_nobody_holds_leaves_the_table(self, cls):
+        # a value no module, cache or other test builds
+        args = ("held-by-none", 11, 13) if cls is Generator else (9973,)
+        x = cls(*args)
+        assert cls._live[args] is x
+        del x
+        gc.collect()
+        assert args not in cls._live
+
+
+def test_each_interned_class_has_its_own_table():
+    tables = [FinMap._live, Generator._live, Carrier._live]
+    assert len({id(table) for table in tables}) == 3
+    assert not hasattr(Interned, "_live")
