@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from types import MappingProxyType
 
 from .alphabet import Alphabet, Generator
 from .certificate import Certificate
@@ -276,14 +275,10 @@ def reindex_relations(cert, index_map: dict[int, int]):
     return Certificate(cert.start, tuple(steps), cert.end)
 
 
-# The table depends on the presentation alone, so it is built once per
-# presentation, like the probe battery, and shared read-only.
-@lru_cache(maxsize=16)
-def known_certificates(pres: Presentation) -> MappingProxyType:
+def known_certificates(pres: Presentation):
     """Built-in certificates that replay under this presentation: those of
     every lemma whose relations all appear among the presentation's, each
-    REL step renumbered to its relation's place there, keyed by their
-    (start, end) words."""
+    REL step renumbered to its relation's place there."""
     from .fixtures import lemma_fixtures  # fixtures imports this module
 
     table = {}
@@ -295,7 +290,7 @@ def known_certificates(pres: Presentation) -> MappingProxyType:
             i: pres.relations.index(rel) for i, rel in enumerate(rels)})
         table.setdefault((cert.start, cert.end), cert)
         table.setdefault((cert.end, cert.start), cert.reversed())
-    return MappingProxyType(table)
+    return table
 
 
 def equivalent_mod(w: Word, w2: Word, pres: Presentation,

@@ -10,14 +10,16 @@ cannot be assigned or deleted after construction. No code is generated, so
 a class costs no more to make than its class statement.
 
 The inherited ``__init__`` stores the fields in the instance ``__dict__``.
-A subclass that lists its fields in ``__slots__`` instead writes its own
-``__init__``, which sets them through the slots' member descriptors.
+A plain `Record` subclass that lists its fields in ``__slots__`` instead
+writes its own ``__init__``, which sets them through the slots' member
+descriptors.
 
 `Interned` is the hash-consed kind of `Record` (Filliâtre & Conchon, 2006):
 one live object per distinct field values, held in a weak table per class,
 so ``==`` and hashing are object identity. Its subclasses list their fields
-in ``__slots__``, check their arguments in ``__new__`` and end it with
-``cls._raw(*fields)``, the unvalidated constructor that every class gets.
+in ``__slots__`` and keep ``object.__init__``: they check their arguments
+in ``__new__`` and end it with ``cls._raw(*fields)``, the unvalidated
+constructor that every such class gets.
 """
 
 from __future__ import annotations
@@ -107,8 +109,8 @@ class Record:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def replace(self, **changes):
-        """A copy with the named fields changed, built through __init__
-        (which refuses a name that is not a field)."""
+        """A copy with the named fields changed, built through the class's
+        constructor (which refuses a name that is not a field)."""
         values = dict(zip(self._fields, self._values(self)))
         return type(self)(**{**values, **changes})
 
@@ -132,17 +134,23 @@ class Interned(Record):
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         live = cls._live = weakref.WeakValueDictionary()
-        get, new = live.get, object.__new__
+        # a hit reads the table's dict of weak references straight, past
+        # WeakValueDictionary.get's Python frame; a dead reference found
+        # there is replaced like a missing one
+        get, new = live.data.get, object.__new__
         # the slots' member descriptors set fields past the frozen __setattr__
         setters = tuple(getattr(cls, name).__set__ for name in cls._fields)
 
         # a closure over the bound get: a classmethod's lookups cost more
         def _raw(*fields):
-            obj = get(fields)
-            if obj is None:
-                obj = live[fields] = new(cls)
-                for set_field, value in zip(setters, fields):
-                    set_field(obj, value)
+            ref = get(fields)
+            if ref is not None:
+                obj = ref()
+                if obj is not None:
+                    return obj
+            obj = live[fields] = new(cls)
+            for set_field, value in zip(setters, fields):
+                set_field(obj, value)
             return obj
 
         cls._raw = staticmethod(_raw)

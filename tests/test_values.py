@@ -344,6 +344,19 @@ class TestInternedLeaves:
         gc.collect()
         assert args not in cls._live
 
+    def test_a_value_that_dies_while_the_table_is_read_comes_back(self, cls):
+        # while the table is iterated, a dead value's weak reference stays
+        # in it; building the value again must not return that reference
+        args = ("held-by-none", 17, 19) if cls is Generator else (9967,)
+        x = cls(*args)
+        for _ in cls._live.items():
+            del x
+            gc.collect()
+            y = cls(*args)
+            break
+        assert y._values(y) == args and cls._raw(*args) is y
+        assert cls._live[args] is y
+
 
 def test_each_interned_class_has_its_own_table():
     tables = [FinMap._live, Generator._live, Carrier._live]
