@@ -15,8 +15,7 @@ from .present import (AlgebraReport, GroupTables, Presentation,
                       algebra_from_group, builtin_group, builtin_group_Z,
                       check_algebra, cyclic_group, equivalent_mod,
                       group_from_algebra, load_presentation, symmetric_group_3)
-from .rules import (RewriteStep, RuleBounds, RuleContext, apply_step,
-                    rule_instances_matching)
+from .rules import RewriteStep, RuleBounds, RuleContext, apply_step
 from .search import (Disproved, Proved, SearchBudget, Unknown, Witness,
                      equivalent)
 from .words import (Word, compose_words, gen_word, identity_word, letter_word,

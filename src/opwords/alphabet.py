@@ -7,7 +7,7 @@ object, and a word's hash calls no Python method per letter.
 from __future__ import annotations
 
 from .errors import ArityError, UnknownGeneratorError
-from .record import Interned
+from .record import Interned, Record
 
 
 class Generator(Interned):
@@ -25,8 +25,10 @@ class Generator(Interned):
         return f"{self.name}:{self.src}->{self.tgt}"
 
 
-class Alphabet:
+class Alphabet(Record):
     """An ordered collection of generators with pairwise distinct names."""
+
+    generators: tuple[Generator, ...]
 
     def __init__(self, generators):
         gens = tuple(generators)
@@ -35,8 +37,7 @@ class Alphabet:
             if g.name in by_name:
                 raise ArityError(f"duplicate generator name {g.name!r}")
             by_name[g.name] = g
-        self.generators = gens
-        self._by_name = by_name
+        vars(self).update(generators=gens, _by_name=by_name)
 
     def lookup(self, name: str) -> Generator:
         try:

@@ -4,8 +4,10 @@ A certificate file is read by ``dsl.read_lines``: a ``start:`` and an
 ``end:`` header, once each, and one ``step N:`` line per rewrite, numbered
 1..n in order. A step line holds only ``key=value`` fields, each at most
 once, named in ``STEP_FIELDS``; integer fields are ``dsl.read_int``
-integers. Structured values (exprs and map literals) are double-quoted so
-the lines round-trip bit-exactly through the expression grammar.
+integers, and ``a``, ``q`` and ``p`` are non-negative and small enough
+that the step's sides fit in ``dsl.MAX_STRANDS`` strands. Structured
+values (exprs and map literals) are double-quoted so the lines round-trip
+bit-exactly through the expression grammar.
 """
 
 from __future__ import annotations
@@ -13,13 +15,13 @@ from __future__ import annotations
 import re
 
 from .alphabet import Alphabet
-from .dsl import (map_expr, print_expr, print_word, read_int, read_lines,
-                  read_word)
+from .dsl import (MAX_STRANDS, map_expr, print_expr, print_word, read_int,
+                  read_lines, read_word)
 from .errors import ParseError, ReplayError
 from .finmap import FinMap
 from .record import Record
 from .rules import RewriteStep, RuleContext, apply_step
-from .words import Word
+from .words import Word, word_width
 
 
 class Certificate(Record):
@@ -114,13 +116,31 @@ def _parse_step(body: str, line: str, alphabet: Alphabet,
         return w.boundaries[0]
 
     try:
-        return RewriteStep(
+        step = RewriteStep(
             fields["rule"], fields["dir"],
             *(read_int(fields[key], line) for key in ("split", "a", "q", "p")),
             word_field("v"), word_field("v2"),
             map_field("seamL"), map_field("seamR"))
     except KeyError as exc:
         raise ParseError(f"step line missing field {exc}: {line!r}") from None
+    _check_size(step, line)
+    return step
+
+
+def _check_size(step: RewriteStep, line: str) -> None:
+    """Refuse, before replay builds a side, a negative a, q or p and a step
+    whose sides pass MAX_STRANDS strands: M2 and M3 pad v and a strands by
+    q and p, M4 max(a, 1) copies of v, a relation step a side; M1 reads
+    none of the three."""
+    a, q, p = step.a, step.q, step.p
+    if min(a, q, p) < 0:
+        raise ParseError(f"negative a, q or p in step line: {line!r}")
+    width = 0 if step.v is None else word_width(step.v)
+    n = q + p + {"M2": a + width, "M3": a + width,
+                 "M4": max(a, 1) * width}.get(step.rule, 0)
+    if n > MAX_STRANDS and step.rule != "M1":
+        raise ParseError(f"step exceeds the size limit ({n} > {MAX_STRANDS} "
+                         f"strands): {line!r}")
 
 
 def decode(text: str, alphabet: Alphabet) -> Certificate:

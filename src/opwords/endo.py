@@ -121,9 +121,9 @@ class FinFunction(Record):
 
     @classmethod
     def from_columns(cls, carrier: Carrier, src: int, tgt: int,
-                     cols: Sequence[Sequence[int]],
+                     columns: Sequence[Sequence[int]],
                      checked: Sequence[Sequence[int]] = ()) -> "FinFunction":
-        """The function with output columns `cols`, checked column by column.
+        """The function with these output columns, checked column by column.
 
         The checks are the row constructor's, with its messages: `tgt`
         columns, each carrier^src long, every value in the carrier. Each
@@ -134,9 +134,9 @@ class FinFunction(Record):
         where a row table could not show it.
         """
         n, rows = carrier.size, carrier.size ** src
-        if len(cols) != tgt:
+        if len(columns) != tgt:
             raise ArityError("output tuple length mismatch")
-        distinct = {id(col): col for col in cols}
+        distinct = {id(col): col for col in columns}
         for col in checked:
             distinct.pop(id(col), None)
         wrong = set(map(len, distinct.values())) - {rows}
@@ -145,10 +145,13 @@ class FinFunction(Record):
         values = set(itertools.chain.from_iterable(distinct.values()))
         if values and not (0 <= min(values) and max(values) < n):
             # the row constructor names the first value outside, in row order
-            return cls(carrier, src, tgt, tuple(zip(*cols)))
+            return cls(carrier, src, tgt, tuple(zip(*columns)))
         f = _new(cls)
-        _init(f, carrier, src, tgt, tuple(map(tuple, cols)))
+        _init(f, carrier, src, tgt, tuple(map(tuple, columns)))
         return f
+
+    # the constructor takes rows: replace, copies and pickles use columns
+    _make = from_columns
 
     @property
     def table(self) -> tuple[tuple[int, ...], ...]:

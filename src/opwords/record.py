@@ -6,8 +6,10 @@ made, it gets a field-wise ``__init__`` (positional or keyword arguments;
 a class attribute of the same name is the field's default), ``==`` between
 instances of the same class with equal fields, a hash of the field values,
 the repr ``Name(field=value, ...)`` and ``replace(**changes)``. A field
-cannot be assigned or deleted after construction. No code is generated, so
-a class costs no more to make than its class statement.
+cannot be assigned or deleted after construction, so ``replace``, copies
+and pickles build a new value from the field values with ``_make``: the
+class itself, unless the class names another constructor. No code is
+generated, so a class costs no more to make than its class statement.
 
 The inherited ``__init__`` stores the fields in the instance ``__dict__``.
 A plain `Record` subclass that lists its fields in ``__slots__`` instead
@@ -54,6 +56,7 @@ class Record:
             name: vars(cls)[name] for name in own
             if name in vars(cls) and name not in slots}}
         cls._values = staticmethod(_getter(cls._fields))
+        cls._make = vars(cls).get("_make", cls)
 
     def __init__(self, *args, **kwargs):
         fields = self._fields
@@ -109,10 +112,14 @@ class Record:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def replace(self, **changes):
-        """A copy with the named fields changed, built through the class's
-        constructor (which refuses a name that is not a field)."""
+        """A copy with the named fields changed, built through _make (which
+        refuses a name that is not a field)."""
         values = dict(zip(self._fields, self._values(self)))
-        return type(self)(**{**values, **changes})
+        return self._make(**{**values, **changes})
+
+    def __reduce__(self):
+        # not copy's default, which sets the state past __setattr__
+        return self._make, self._values(self)
 
 
 class Interned(Record):
@@ -154,6 +161,3 @@ class Interned(Record):
             return obj
 
         cls._raw = staticmethod(_raw)
-
-    def __reduce__(self):
-        return type(self), self._values(self)

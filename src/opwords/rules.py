@@ -188,13 +188,6 @@ def pattern_matches(w: Word, s: int, pat: Word, g_u: FinMap, g_v: FinMap) -> boo
         return False
 
 
-def substitute(w: Word, s: int, span: int, repl: Word,
-               g_u: FinMap, g_v: FinMap) -> Word:
-    """w with the span's factor replaced by repl between the two seams."""
-    _, _, succ = next(_substitutions(w, s, span, repl, [(g_u, g_v)]))
-    return Word(succ.boundaries, succ.letters)
-
-
 def _substitutions(w, s, span, repl, seams):
     """(g_u, g_v, substituted word) per seam pair, unvalidated.
 
@@ -223,8 +216,10 @@ def apply_step(w: Word, step: RewriteStep, ctx: RuleContext) -> Word:
     if not pattern_matches(w, step.split, pat, step.seam_left, step.seam_right):
         raise ReplayError(
             f"{step.rule} {step.direction} does not match at letter {step.split}")
-    return substitute(w, step.split, len(pat), repl,
-                      step.seam_left, step.seam_right)
+    # the successor move generation would build, validated
+    _, _, succ = next(_substitutions(w, step.split, len(pat), repl,
+                                     [(step.seam_left, step.seam_right)]))
+    return Word(succ.boundaries, succ.letters)
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +295,7 @@ def _emit(w, s, rule, direction, sides, bounds, cut, *, v, v2=None, a=0,
     k = len(pat)
     if w.letters[s:s + k] != pat.letters:
         return
-    if cut is not None and cut.prunes(s, pat, repl, bounds.seam_cap):
+    if cut.prunes(s, pat, repl, bounds.seam_cap):
         return
     seams = _seams(w, s, pat, bounds.seam_cap)
     for g_u, g_v, succ in _substitutions(w, s, k, repl, seams):
@@ -381,6 +376,9 @@ class Tally:
 class _Cut:
     """The length and width bounds of one moves() call, decided per emit.
 
+    Every moves() call makes one; a bound of None is infinity, so a call
+    without bounds prunes nothing.
+
     A successor has w's type, and a word's width is the largest of its
     source, its target and its letters' widths, since each boundary map
     sits between two letters or at an end. So an emit's successors all
@@ -391,7 +389,7 @@ class _Cut:
 
     __slots__ = ("w", "max_len", "max_width", "before", "after", "tally")
 
-    def __init__(self, w: Word, bounds: RuleBounds, tally: Tally | None):
+    def __init__(self, w: Word, bounds: RuleBounds, tally: Tally):
         self.w, self.tally = w, tally
         self.max_len = math.inf if bounds.max_len is None else bounds.max_len
         self.max_width = (math.inf if bounds.max_width is None
@@ -422,8 +420,8 @@ class _Cut:
         if length <= self.max_len and width <= self.max_width:
             return False
         if length != n or width != self.before[-1]:
-            self.count(s, pat, cap)
-        elif self.tally is not None:
+            self.tally.pruned += _seam_count(w, s, pat, cap)
+        else:
             seams = _seams(w, s, pat, cap)
             self.tally.pruned += sum(
                 succ != w for *_, succ in
@@ -438,19 +436,13 @@ class _Cut:
         width = lam + rho + max(x.src, x.tgt) + (a - 1) * max(v.src, v.tgt)
         return max(self.before[s], self.after[s + 1], width)
 
-    def count(self, s: int, pat: Word, cap: int) -> None:
-        """Count the successors of pattern pat at letter s as pruned; all
-        of them differ from w, since their length or width does."""
-        if self.tally is not None:
-            self.tally.pruned += _seam_count(self.w, s, pat, cap)
-
     def count_duplication(self, s: int, v: Word, a: int, q: int, p: int,
                           cap: int) -> None:
-        """count() for the one-letter side _m4_rhs(v, a, q, p) at letter
-        s, from its two outer maps alone."""
-        if self.tally is not None:
-            self.tally.pruned += _outer_seam_count(
-                self.w, s, 1, *_m4_rhs_ends(v, a, q, p), cap)
+        """Count the successors of the one-letter side _m4_rhs(v, a, q, p)
+        at letter s as pruned, from its two outer maps alone; all of them
+        differ from w, since their length or width does."""
+        self.tally.pruned += _outer_seam_count(
+            self.w, s, 1, *_m4_rhs_ends(v, a, q, p), cap)
 
 
 def _reads(f: FinMap, lo: int, hi: int) -> bool:
@@ -523,56 +515,42 @@ def _m1_swap(w, s, m, e, pads, bounds, cut):
     parameter word; pads holds the least left and right pads of the
     letters in the first block, then in the second.
 
-    Going forward the first block makes v, padded on the right by v2's
-    source, and the second makes v2, padded on the left by v's target;
-    going backward the first block makes v2, padded on the left by v's
-    source, and the second makes v, padded on the right by v2's target.
-    Boundary m splits into the two blocks' seam maps, each block's interior
-    boundaries are w's with its pad stripped, and the end seams at
-    boundaries s and e are the identity / block-split candidate pair.
+    One loop nest runs both directions. Forward, the pattern is
+    (v |> v2.src) . (v.tgt <| v2): the first block makes v, stripped of k1
+    strands of pad on its right, and the second makes v2, stripped of k2
+    on its left. Backward, the pattern is (v.src <| v2) . (v |> v2.tgt):
+    the first block makes v2, stripped on its left, and the second makes
+    v, stripped on its right. Boundary m splits into the two blocks' seam
+    maps, and the end seams at boundaries s and e are the identity /
+    block-split candidate pair.
     """
-    pm = bounds.pad_max
-    bs = w.boundaries
+    pm, bs = bounds.pad_max, w.boundaries
     first, mid, last = bs[s], bs[m], bs[e]
-    before = (bs[s + 1:m], w.letters[s:m])
-    after = (bs[m + 1:e], w.letters[m:e])
-    min_l_before, min_r_before, min_l_after, min_r_after = pads
-    # forward: pattern (v |> v2.src) . (v.tgt <| v2)
-    splits = [(v2s, vt, split)
-              for v2s in range(min(min_r_before, pm) + 1)
-              for vt in range(min(min_l_after, pm) + 1)
-              if (split := untensor(mid, vt, mid.tgt - v2s)) is not None]
-    v_blocks = _unpadded(before, {k for k, _, _ in splits}, False)
-    v2_blocks = _unpadded(after, {k for _, k, _ in splits}, True)
-    for v2s, vt, (c1, c20) in splits:
-        v_block, v2_block = v_blocks[v2s], v2_blocks[vt]
-        if v_block is None or v2_block is None:
-            continue
-        (inner_v, v_letters), (inner_v2, v2_letters) = v_block, v2_block
-        for c0 in _seam_adjacent(first, first.src - v2s, 0, v2s):
-            v = Word((c0, *inner_v, c1), v_letters)
-            for c21 in _seam_adjacent(last, last.tgt - vt, vt, 0):
-                v2 = Word((c20, *inner_v2, c21), v2_letters)
-                yield from _emit(w, s, "M1", "fwd", build_m1(v, v2), bounds,
-                                 cut, v=v, v2=v2)
-    # backward: pattern (v.src <| v2) . (v |> v2.tgt)
-    splits = [(vs, v2t, split)
-              for vs in range(min(min_l_before, pm) + 1)
-              for v2t in range(min(min_r_after, pm) + 1)
-              if (split := untensor(mid, mid.src - v2t, vs)) is not None]
-    v2_blocks = _unpadded(before, {k for k, _, _ in splits}, True)
-    v_blocks = _unpadded(after, {k for _, k, _ in splits}, False)
-    for vs, v2t, (c0, c21) in splits:
-        v2_block, v_block = v2_blocks[vs], v_blocks[v2t]
-        if v_block is None or v2_block is None:
-            continue
-        (inner_v2, v2_letters), (inner_v, v_letters) = v2_block, v_block
-        for c20 in _seam_adjacent(first, first.src - vs, vs, 0):
-            v2 = Word((c20, *inner_v2, c21), v2_letters)
-            for c1 in _seam_adjacent(last, last.tgt - v2t, 0, v2t):
-                v = Word((c0, *inner_v, c1), v_letters)
-                yield from _emit(w, s, "M1", "bwd", build_m1(v, v2), bounds,
-                                 cut, v=v, v2=v2)
+    blocks = (bs[s + 1:m], w.letters[s:m]), (bs[m + 1:e], w.letters[m:e])
+    l1, r1, l2, r2 = pads
+    for direction, k1_max, k2_max in (("fwd", r1, l2), ("bwd", l1, r2)):
+        fwd = direction == "fwd"
+        # each split as (the first block's last map, the second's first)
+        splits = [(k1, k2, split if fwd else split[::-1])
+                  for k1 in range(min(k1_max, pm) + 1)
+                  for k2 in range(min(k2_max, pm) + 1)
+                  if (split := untensor(mid, k2, mid.tgt - k1) if fwd
+                      else untensor(mid, mid.src - k2, k1)) is not None]
+        firsts = _unpadded(blocks[0], {k for k, _, _ in splits}, not fwd)
+        seconds = _unpadded(blocks[1], {k for _, k, _ in splits}, fwd)
+        for k1, k2, (end1, start2) in splits:
+            if firsts[k1] is None or seconds[k2] is None:
+                continue
+            (inner1, letters1), (inner2, letters2) = firsts[k1], seconds[k2]
+            for c0 in _seam_adjacent(first, first.src - k1,
+                                     *((0, k1) if fwd else (k1, 0))):
+                word1 = Word((c0, *inner1, end1), letters1)
+                for c1 in _seam_adjacent(last, last.tgt - k2,
+                                         *((k2, 0) if fwd else (0, k2))):
+                    word2 = Word((start2, *inner2, c1), letters2)
+                    v, v2 = (word1, word2) if fwd else (word2, word1)
+                    yield from _emit(w, s, "M1", direction, build_m1(v, v2),
+                                     bounds, cut, v=v, v2=v2)
 
 
 def _m1_slide(w, s, bounds, cut):
@@ -739,12 +717,11 @@ def _m4_bwd(w, bounds, cut):
                     # a duplication past the length or width bound has its
                     # successors counted from the one-letter pattern's outer
                     # maps, before either side is built
-                    bounded = a >= 2 and cut is not None
-                    longer = bounded and len(w) - 1 + a > cut.max_len
+                    longer = a >= 2 and len(w) - 1 + a > cut.max_len
                     for c0 in c0s:
                         for c1 in c1s:
                             v = _letter_factor(c0, (l, x, r), c1)
-                            if bounded and (longer or cut.duplication_width(
+                            if a >= 2 and (longer or cut.duplication_width(
                                     s, v, a) > cut.max_width):
                                 cut.count_duplication(s, v, a, q, p,
                                                       bounds.seam_cap)
@@ -786,19 +763,17 @@ def _rel_spans(w, rule, direction, rel, pat_side, bounds, cut):
 
 
 def _rel_insertions(w, rule, direction, rel, pat_side, bounds, cut):
-    ws, wt = pat_side.src, pat_side.tgt
-    for bi in range(len(w) + 1):
-        obs = w.boundaries[bi]
-        for q in range(min(obs.tgt - ws, bounds.pad_max) + 1):
-            p = obs.tgt - ws - q
-            if 0 <= p <= bounds.pad_max:
-                yield from _emit(w, bi, rule, direction, build_rel(*rel, q, p),
-                                 bounds, cut, v=None, q=q, p=p)
-        for q in range(min(obs.src - wt, bounds.pad_max) + 1):
-            p = obs.src - wt - q
-            if 0 <= p <= bounds.pad_max and q + ws + p != obs.tgt:
-                yield from _emit(w, bi, rule, direction, build_rel(*rel, q, p),
-                                 bounds, cut, v=None, q=q, p=p)
+    """Match the side, a map, at each boundary of w, padded by q + p =
+    total strands to the boundary's target, then, when that takes another
+    total, to its source."""
+    pm = bounds.pad_max
+    for bi, obs in enumerate(w.boundaries):
+        for total in dict.fromkeys((obs.tgt - pat_side.src,
+                                    obs.src - pat_side.tgt)):
+            for q in range(max(total - pm, 0), min(total, pm) + 1):
+                yield from _emit(w, bi, rule, direction,
+                                 build_rel(*rel, q, total - q), bounds, cut,
+                                 v=None, q=q, p=total - q)
 
 
 def _card_moves(w: Word, bounds, cut):
@@ -824,14 +799,15 @@ def moves(w: Word, ctx: RuleContext, bounds: RuleBounds,
           tally: Tally | None = None):
     """All generated one-step successors of w under the context's rules.
 
-    Successors longer than bounds.max_len or wider than bounds.max_width
-    are left out without solving their seams or building them; each one
-    that would have been yielded adds 1 to tally.pruned. The boundary-map
-    algebra comes from the module's caches (_CACHE_SIZE), which every call
-    shares, so the stream does not depend on what earlier calls solved.
+    Every call goes through one _Cut, with its own Tally when the caller
+    passes none. Successors longer than bounds.max_len or wider than
+    bounds.max_width (None is no bound) are left out without solving their
+    seams or building them; each one that would have been yielded adds 1
+    to tally.pruned. The boundary-map algebra comes from the module's
+    caches (_CACHE_SIZE), which every call shares, so the stream does not
+    depend on what earlier calls solved.
     """
-    cut = (None if bounds.max_len is None and bounds.max_width is None
-           else _Cut(w, bounds, tally))
+    cut = _Cut(w, bounds, tally or Tally())
     fams = bounds.families
     if fams is None or "M1" in fams:
         yield from _m1_moves(w, bounds, cut)
@@ -848,8 +824,3 @@ def moves(w: Word, ctx: RuleContext, bounds: RuleBounds,
     if fams is None or "M4" in fams:
         yield from _card_moves(w, bounds, cut)
 
-
-def rule_instances_matching(w: Word, bounds: RuleBounds | None = None):
-    """All (step, successor) pairs one schema move away from w."""
-    bounds = bounds or RuleBounds()
-    return list(moves(w, RuleContext(), bounds))

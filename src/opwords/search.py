@@ -23,7 +23,7 @@ from .evaluate import GeneratorAssignment, eval_word
 from .record import Record
 from .rules import RewriteStep, RuleBounds, RuleContext, Tally, moves
 from .terms import live_order, read_word
-from .words import Word
+from .words import Word, word_width
 
 
 class SearchBudget(Record):
@@ -41,10 +41,6 @@ class SearchBudget(Record):
     probe_carriers: tuple[int, ...] = (2, 3)
     probe_assignments: int = 5
     seed: int = 0
-
-
-def word_width(w: Word) -> int:
-    return max(max(b.src, b.tgt) for b in w.boundaries)
 
 
 class Witness(Record):

@@ -88,6 +88,11 @@ _set_boundaries, _set_letters, _set_hash = (
     Word.__dict__[name].__set__ for name in ("boundaries", "letters", "_hash"))
 
 
+def word_width(w: Word) -> int:
+    """The most strands of any boundary map, so of any letter or end."""
+    return max(max(b.src, b.tgt) for b in w.boundaries)
+
+
 def op_word(f: FinMap) -> Word:
     """The length-0 word of a map read in the opposite direction."""
     return Word._raw((f,), ())

@@ -14,7 +14,7 @@ import pytest
 import opwords
 from opwords.alphabet import Alphabet
 from opwords.cli import load_assignment, main
-from opwords.dsl import MAX_NESTING, parse_word
+from opwords.dsl import MAX_NESTING, MAX_STRANDS, parse_word
 from opwords.evaluate import eval_word
 
 XOR_ASSIGN = textwrap.dedent("""
@@ -553,6 +553,61 @@ def test_malformed_file_is_a_parse_error(tmp_path, capsys, suffix, text, argv,
     code, out = run([a.format(path=path) for a in argv])
     assert (code, out) == (3, "")
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def _step_edit(n, old, new):
+    """The shipped certificate with old replaced by new in step n."""
+    line = OMEGA_CERT.splitlines()[n + 1]
+    return OMEGA_CERT.replace(line, line.replace(old, new, 1), 1)
+
+
+def _one_step(fields):
+    return ("start: gen omega\nend: gen omega\n"
+            f'step 1: {fields} v="gen omega" seamL="id(1)" seamR="id(1)"\n')
+
+
+# steps 12 and 13 of the shipped certificate are a relation step and an M4
+# deletion; each edit would make replay build a side past MAX_STRANDS, or
+# a negative power
+OVERSIZED_STEPS = [
+    ("rel-q-past-int64", 12, _step_edit(12, "q=0", "q=99999999999999999999")),
+    ("rel-q-plus-p", 12, _step_edit(12, "q=0 p=1", "q=200 p=100")),
+    ("m4-q-3e6", 13, _step_edit(13, "q=0", "q=3000000")),
+    ("m4-q-1e8", 13, _step_edit(13, "q=0", "q=100000000")),
+    ("m4-a-5000", 13, _step_edit(13, "a=0", "a=5000")),
+    ("m4-a-negative", 13, _step_edit(13, "a=0", "a=-1")),
+    ("rel-p-negative", 12, _step_edit(12, "p=1", "p=-1")),
+    ("m1-q-negative", 2, _step_edit(2, "q=0", "q=-3")),
+    ("m2-a-300", 1, _one_step("rule=M2 dir=fwd split=0 a=300 q=0 p=0")),
+    ("m3-q-p", 1, _one_step("rule=M3 dir=bwd split=0 a=1 q=128 p=128")),
+]
+
+
+@pytest.mark.parametrize("n,text", [case[1:] for case in OVERSIZED_STEPS],
+                         ids=[case[0] for case in OVERSIZED_STEPS])
+def test_oversized_or_negative_step_field_is_a_parse_error(tmp_path, capsys,
+                                                           n, text):
+    """A step's a, q and p are refused before any side is built, naming
+    the line, and not after allocating a side they make too wide."""
+    assert text != OMEGA_CERT
+    path = tmp_path / "big.cert"
+    path.write_text(text)
+    t0 = time.monotonic()
+    code, out = run([a.format(path=path) for a in CERT_ARGV])
+    assert (code, out) == (3, "")
+    assert time.monotonic() - t0 < 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"'step {n}: " in err
+
+
+def test_step_at_the_size_limit_reaches_replay(tmp_path, capsys):
+    # a + q + width(v) + p = MAX_STRANDS: parsed, then refused by replay
+    path = tmp_path / "limit.cert"
+    path.write_text(_one_step(
+        f"rule=M2 dir=fwd split=0 a=1 q={MAX_STRANDS - 3} p=1"))
+    code, out = run([a.format(path=path) for a in CERT_ARGV])
+    assert code == 1 and out.startswith("certificate invalid: step 1: ")
 
 
 UNKNOWN_V = _first_step('seamR="id(1)"', 'seamR="id(1)" v="gen nu"')

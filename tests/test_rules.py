@@ -17,8 +17,7 @@ from opwords.present import builtin_group
 from opwords.rules import (RewriteStep, RuleBounds, RuleContext, Tally,
                            _Cut, _m4_rhs, _m4_rhs_ends, _reads, _seam_adjacent,
                            _seam_count, _seams, apply_step, build_m1,
-                           build_m2, build_m3, build_m4, moves,
-                           rule_instances_matching, step_sides)
+                           build_m2, build_m3, build_m4, moves, step_sides)
 from opwords.search import (Proved, _lane_bounds, equivalent,
                             probe_assignments, SearchBudget, word_generators,
                             word_width)
@@ -66,17 +65,20 @@ class TestMatching:
     def test_interchange_instance_found(self):
         w = tensor_words(gen_word(MU), gen_word(OMEGA))
         _, swapped = build_m1(gen_word(MU), gen_word(OMEGA))
-        successors = {succ for _, succ in rule_instances_matching(w)}
+        successors = {succ for _, succ in
+                      list(moves(w, RuleContext(), RuleBounds()))}
         assert swapped in successors
 
     def test_identity_word_has_no_two_letter_instances(self):
-        for step, _ in rule_instances_matching(identity_word(1)):
+        for step, _ in list(moves(identity_word(1), RuleContext(),
+                                  RuleBounds())):
             assert step.rule != "M1" or len(step_pattern_letters(step)) < 2
 
     def test_braid_instance_found(self):
         v = gen_word(OMEGA)
         lhs, rhs = build_m2(v, 1, 0, 0)
-        successors = {succ for _, succ in rule_instances_matching(lhs)}
+        successors = {succ for _, succ in
+                      list(moves(lhs, RuleContext(), RuleBounds()))}
         assert rhs in successors
 
     def test_moves_sound_and_replayable(self, rng):
@@ -97,7 +99,7 @@ class TestMatching:
         # moves() builds successors without validation; replay must not
         w = tensor_words(gen_word(MU), gen_word(OMEGA))
         ctx = RuleContext()
-        for step, _ in rule_instances_matching(w):
+        for step, _ in list(moves(w, RuleContext(), RuleBounds())):
             g = getattr(step, seam)
             wide = identity(max(g.src, g.tgt) + 1)
             with pytest.raises((ReplayError, ArityError)):
@@ -105,7 +107,7 @@ class TestMatching:
 
     def test_bad_replay_raises(self):
         w = tensor_words(gen_word(MU), gen_word(OMEGA))
-        step, succ = rule_instances_matching(w)[0]
+        step, succ = list(moves(w, RuleContext(), RuleBounds()))[0]
         bogus = RewriteStep(step.rule, step.direction, split=len(w),
                             a=step.a, q=step.q, p=step.p, v=step.v,
                             v2=step.v2, seam_left=step.seam_left,
@@ -211,6 +213,22 @@ def _is_whole_word_step(step):
 
 def test_single_letter_moves_stream_digest():
     assert _stream_digests()[2] == SINGLE_LETTER_STREAM
+
+
+def test_unbounded_moves_are_the_far_bounded_moves():
+    """moves() takes one path, bounded or not: without bounds its cut
+    prunes nothing, and the stream is the one under bounds that no word of
+    the corpus comes near."""
+    far = 10 ** 9
+    for cap in (2, 64):
+        bounds = RuleBounds(seam_cap=cap)
+        for corpus, ctx in _stream_corpus():
+            for w in corpus:
+                tally = Tally()
+                stream = list(moves(w, ctx, bounds, tally))
+                assert tally.pruned == 0
+                assert stream == list(moves(
+                    w, ctx, bounds.replace(max_len=far, max_width=far)))
 
 
 def test_generation_agrees_with_replay():
@@ -348,7 +366,7 @@ def test_m4_duplication_width_is_the_built_width():
     outer maps it is counted from are those of the built one-letter side."""
     checked = 0
     for w, ctx, bounds in _m4_cases():
-        cut = _Cut(w, bounds, None)
+        cut = _Cut(w, bounds, Tally())
         for step, succ in moves(w, ctx, bounds.replace(families=("M4",))):
             if step.direction == "bwd" and step.a >= 2:
                 assert word_width(succ) == cut.duplication_width(

@@ -55,6 +55,7 @@ VALUES = {
     "Word": (_word, lambda: gen_word(Generator("mu", 2, 2))),
     "Generator": (lambda: Generator("mu", 2, 1),
                   lambda: Generator("mu", 1, 1)),
+    "Alphabet": (lambda: Alphabet((MU,)), lambda: Alphabet(())),
     "Carrier": (lambda: Carrier(2), lambda: Carrier(3)),
     "FinFunction": (lambda: FinFunction(Carrier(2), 1, 1, ((1,), (0,))),
                     lambda: FinFunction(Carrier(2), 1, 1, ((0,), (1,)))),
@@ -107,6 +108,23 @@ def test_equal_and_hash_equal_by_value(name):
     assert hash(a) == hash(b)
     assert a != other() and not a == other()
     assert a != object() and a != None  # noqa: E711
+
+
+def _pickled(value):
+    return pickle.loads(pickle.dumps(value))
+
+
+@pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy, _pickled],
+                         ids=["copy", "deepcopy", "pickle"])
+@pytest.mark.parametrize("name", sorted(VALUES))
+def test_copies_and_pickles_are_equal_values(name, clone):
+    """Copies and pickles are rebuilt through the constructor: an equal
+    value, and for a hash-consed class the live object itself."""
+    value = VALUES[name][0]()
+    twin = clone(value)
+    assert twin == value and type(twin) is type(value)
+    assert hash(twin) == hash(value)
+    assert (twin is value) == (name in INTERNED)
 
 
 def test_assignment_compares_by_value_and_has_no_hash():
@@ -179,6 +197,7 @@ def test_repr_text(value, text):
 FIELD = {
     "FinMap": "table", "Word": "letters", "Generator": "name",
     "Carrier": "size", "FinFunction": "columns", "RewriteStep": "seam_left",
+    "Alphabet": "generators",
     "RuleBounds": "max_len", "RuleContext": "relations",
     "SearchBudget": "seed", "Witness": "kind", "Proved": "certificate",
     "Disproved": "witness", "Unknown": "visited", "Presentation": "relations",
@@ -273,6 +292,17 @@ def test_replace_changes_the_named_fields_only():
     with pytest.raises(ArityError, match="relation 0"):
         Presentation(ALPHABET, ()).replace(
             relations=((_word(), identity_word(1)),))
+
+
+def test_function_replace_builds_from_columns():
+    # the constructor takes rows, the field is columns
+    f = FinFunction(Carrier(2), 1, 1, ((1,), (0,)))
+    assert f.replace(src=1) == f
+    assert f.replace(columns=((0, 1),)) == VALUES["FinFunction"][1]()
+    with pytest.raises(ArityError, match=r"table has 2 rows, expected 4"):
+        f.replace(src=2)
+    with pytest.raises(TypeError):
+        f.replace(rows=())
 
 
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
