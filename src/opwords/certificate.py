@@ -15,10 +15,9 @@ from __future__ import annotations
 import re
 
 from .alphabet import Alphabet
-from .dsl import (MAX_STRANDS, map_expr, print_expr, print_word, read_int,
-                  read_lines, read_word)
+from .dsl import (MAX_STRANDS, map_text, print_word, read_int, read_lines,
+                  read_word)
 from .errors import ParseError, ReplayError
-from .finmap import FinMap
 from .record import Record
 from .rules import RewriteStep, RuleContext, apply_step
 from .words import Word, word_width
@@ -53,10 +52,6 @@ class Certificate(Record):
         return Certificate(self.start, self.steps + other.steps, other.end)
 
 
-def _fm_text(f: FinMap) -> str:
-    return print_expr(map_expr(f)) if f.is_identity else repr(f)
-
-
 def encode_step(step: RewriteStep, n: int) -> str:
     fields = [f"rule={step.rule}", f"dir={step.direction}",
               f"split={step.split}", f"a={step.a}", f"q={step.q}",
@@ -65,8 +60,8 @@ def encode_step(step: RewriteStep, n: int) -> str:
         fields.append(f'v="{print_word(step.v)}"')
     if step.v2 is not None:
         fields.append(f'v2="{print_word(step.v2)}"')
-    fields.append(f'seamL="{_fm_text(step.seam_left)}"')
-    fields.append(f'seamR="{_fm_text(step.seam_right)}"')
+    fields.append(f'seamL="{map_text(step.seam_left)}"')
+    fields.append(f'seamR="{map_text(step.seam_right)}"')
     return f"step {n}: " + " ".join(fields)
 
 

@@ -11,12 +11,20 @@ Grammar (``.`` binds loosest, then ``*``, then ``^``):
              | 'fm' '[' INT '->' INT ':' [INT (',' INT)*] ']'
              | 'pad' '(' INT ',' expr ',' INT ')' | '(' expr ')'
 
-Map atoms denote length-0 words read in the opposite direction, so ``dup``
-is a word 1 -> 2 and ``del`` a word 1 -> 0. Unicode operators are accepted
-on input and never printed. No construct may build a word wider than
-``MAX_STRANDS`` strands; the limit is checked before anything is allocated.
-Parentheses, ``pad`` and ``^`` may nest at most ``MAX_NESTING`` levels deep,
-so parsing, elaboration and printing stay within Python's recursion limit.
+The parser builds the word of each rule as it reads it; nothing else is
+kept. Map atoms denote length-0 words read in the opposite direction, so
+``dup`` is a word 1 -> 2 and ``del`` a word 1 -> 0. Unicode operators are
+accepted on input and never printed. ``print_word`` writes a word as its
+decomposition: the boundary maps and padded letters joined by ``.``, an
+identity map between two letters left out.
+
+Limits, each a ParseError raised before anything is allocated:
+no construct may build a word wider than ``MAX_STRANDS`` strands, and the
+error quotes the construct as written; parentheses and ``pad`` nest at
+most ``MAX_NESTING`` levels deep, so parsing stays within Python's
+recursion limit, and one power chain has at most ``MAX_NESTING`` ``^``,
+since each ``^`` builds its word anew; an integer has at most as many
+digits as ``int()`` reads (4,300 by default).
 """
 
 from __future__ import annotations
@@ -26,7 +34,6 @@ import re
 from .alphabet import Alphabet
 from .errors import ArityError, OpwordsError, ParseError
 from .finmap import FinMap, braid, branch, f0, f2
-from .record import Record
 from .words import (Word, compose_many, gen_word, identity_word, op_word,
                     tensor_power, tensor_words, whisker)
 
@@ -44,62 +51,6 @@ MAX_STRANDS = 256
 # levels stay well inside Python's default recursion limit of 1000. Words in
 # the tests and lemmas nest a few levels.
 MAX_NESTING = 100
-
-
-class Expr(Record):
-    """A node of a parsed expression."""
-
-
-class EGen(Expr):
-    name: str
-
-
-class EId(Expr):
-    n: int
-
-
-class EMap(Expr):
-    src: int
-    tgt: int
-    table: tuple[int, ...]
-
-
-class EBraid(Expr):
-    m: int
-    m2: int
-
-
-class EBranch(Expr):
-    a: int
-    m: int
-
-
-class EDup(Expr):
-    pass
-
-
-class EDel(Expr):
-    pass
-
-
-class ECompose(Expr):
-    parts: tuple[Expr, ...]
-
-
-class ETensor(Expr):
-    parts: tuple[Expr, ...]
-
-
-class EPower(Expr):
-    base: Expr
-    k: int
-
-
-class EPad(Expr):
-    q: int
-    body: Expr
-    p: int
-
 
 _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
@@ -125,11 +76,25 @@ def check_generator_name(name: str, line: str) -> None:
 _INT = re.compile(r"-?[0-9]+")
 
 
+def _integer(text: str, position: int | None = None) -> int:
+    """int(text) for an optional minus and ASCII digits: the one integer
+    reader of expressions and file lines. int() refuses more digits than
+    the interpreter's limit (4,300 by default) with a ValueError."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError(f"integer of {len(text)} digits is too long",
+                         position) from None
+
+
 def read_int(text: str, line: str) -> int:
     """An integer field of a file line: an optional minus and ASCII digits."""
     if _INT.fullmatch(text) is None:
         raise ParseError(f"expected an integer, found {text!r} in {line!r}")
-    return int(text)
+    try:
+        return _integer(text)
+    except ParseError as exc:
+        raise ParseError(f"{exc} in {line!r}") from None
 
 
 def read_word(text: str, alphabet: Alphabet, line: str) -> Word:
@@ -176,7 +141,11 @@ def _tokenize(text: str):
 
 
 class _Parser:
-    def __init__(self, text: str):
+    """Recursive descent over the tokens; each rule returns its word."""
+
+    def __init__(self, text: str, alphabet: Alphabet):
+        self.text = text
+        self.alphabet = alphabet
         self.toks = _tokenize(text)
         self.i = 0
         self.depth = 0
@@ -194,59 +163,90 @@ class _Parser:
         if text != value:
             raise ParseError(f"expected {value!r}, found {text or 'end'!r}", pos)
 
-    def enclosed(self, pos: int, closing: str) -> Expr:
+    def written(self, start: int) -> str:
+        """The text from position start to the end of the last token read."""
+        kind, text, pos = self.toks[self.i - 1]
+        return self.text[start:pos + len(text)]
+
+    def check_strands(self, n: int, start: int) -> None:
+        """Refuse a construct, begun at start and read up to here, whose
+        word would be n > MAX_STRANDS strands wide."""
+        if n > MAX_STRANDS:
+            raise ParseError(f"{self.written(start)!r} exceeds the size limit "
+                             f"({n} > {MAX_STRANDS} strands)")
+
+    def enclosed(self, pos: int, closing: str) -> Word:
         """An expression in parentheses or pad, one nesting level down."""
         if self.depth == MAX_NESTING:
             raise ParseError(_TOO_DEEP, pos)
         self.depth += 1
-        e = self.expr()
+        w = self.expr()
         self.depth -= 1
         self.expect(closing)
-        return e
+        return w
 
     def integer(self) -> int:
         kind, text, pos = self.next()
         if kind != "int":
             raise ParseError(f"expected an integer, found {text!r}", pos)
-        return int(text)
+        return _integer(text, pos)
 
-    def expr(self) -> Expr:
-        parts = [self.tens()]
+    def expr(self) -> Word:
+        words = [self.tens()]
         while self.peek()[1] == ".":
             self.next()
-            parts.append(self.tens())
-        return parts[0] if len(parts) == 1 else ECompose(tuple(parts))
+            start = self.peek()[2]
+            w = self.tens()
+            if words[-1].tgt != w.src:
+                raise ArityError(
+                    f"cannot compose onto {self.written(start)!r}: "
+                    f"{words[-1].tgt} strands meet {w.src}")
+            words.append(w)
+        return compose_many(*words)
 
-    def tens(self) -> Expr:
-        parts = [self.power()]
+    def tens(self) -> Word:
+        start = self.peek()[2]
+        w = self.power()
         while self.peek()[1] in ("*", "⊠"):
             self.next()
-            parts.append(self.power())
-        return parts[0] if len(parts) == 1 else ETensor(tuple(parts))
+            w2 = self.power()
+            self.check_strands(max(w.src + w2.src, w.tgt + w2.tgt), start)
+            w = tensor_words(w, w2)
+        return w
 
-    def power(self) -> Expr:
-        e = self.whisk()
+    def power(self) -> Word:
+        start = self.peek()[2]
+        w = self.whisk()
+        chain = 0
         while self.peek()[1] == "^":
-            self.next()
-            e = EPower(e, self.integer())
-        return e
+            pos = self.next()[2]
+            if chain == MAX_NESTING:
+                raise ParseError(_TOO_DEEP, pos)
+            chain += 1
+            k = self.integer()
+            self.check_strands(k * max(w.src, w.tgt, 1), start)
+            w = tensor_power(w, k)
+        return w
 
-    def whisk(self) -> Expr:
+    def padded(self, q: int, w: Word, p: int, start: int) -> Word:
+        self.check_strands(q + max(w.src, w.tgt) + p, start)
+        return whisker(q, w, p)
+
+    def whisk(self) -> Word:
+        start = self.peek()[2]
         q = 0
         while (self.peek()[0] == "int"
                and self.toks[self.i + 1][1] == "◁"):
             q += self.integer()
             self.next()
-        e = self.primary()
+        w = self.primary()
         p = 0
         while self.peek()[1] == "▷":
             self.next()
             p += self.integer()
-        if q or p:
-            return EPad(q, e, p)
-        return e
+        return self.padded(q, w, p, start) if q or p else w
 
-    def primary(self) -> Expr:
+    def primary(self) -> Word:
         kind, text, pos = self.next()
         if text == "(":
             return self.enclosed(pos, ")")
@@ -254,31 +254,38 @@ class _Parser:
             kind2, name, pos2 = self.next()
             if kind2 != "name" or name in _KEYWORDS:
                 raise ParseError("expected a generator name after 'gen'", pos2)
-            return EGen(name)
+            g = self.alphabet.lookup(name)
+            self.check_strands(max(g.src, g.tgt), pos)
+            return gen_word(g)
         if text == "id":
             self.expect("(")
             n = self.integer()
             self.expect(")")
-            return EId(n)
+            self.check_strands(n, pos)
+            return identity_word(n)
         if text == "dup":
-            return EDup()
+            return op_word(f2())
         if text == "del":
-            return EDel()
+            return op_word(f0())
         if text in ("braid", "branch"):
             self.expect("(")
             a = self.integer()
             self.expect(",")
             b = self.integer()
             self.expect(")")
-            return EBraid(a, b) if text == "braid" else EBranch(a, b)
+            if text == "braid":
+                self.check_strands(a + b, pos)
+                return op_word(braid(a, b))
+            self.check_strands(max(a * b, b), pos)
+            return op_word(branch(a, b))
         if text == "pad":
             self.expect("(")
             q = self.integer()
             self.expect(",")
-            e = self.enclosed(pos, ",")
+            w = self.enclosed(pos, ",")
             p = self.integer()
             self.expect(")")
-            return EPad(q, e, p)
+            return self.padded(q, w, p, pos)
         if text == "fm":
             self.expect("[")
             src = self.integer()
@@ -292,159 +299,34 @@ class _Parser:
                     self.next()
                     table.append(self.integer())
             self.expect("]")
-            return EMap(src, tgt, tuple(table))
+            self.check_strands(max(src, tgt), pos)
+            return op_word(FinMap(src, tgt, tuple(table)))
         raise ParseError(f"unexpected token {text or 'end'!r}", pos)
 
 
-def _height(e: Expr) -> int:
-    """Levels of the expression tree, counted without recursion."""
-    height, stack = 0, [(e, 1)]
-    while stack:
-        e, level = stack.pop()
-        height = max(height, level)
-        if isinstance(e, (ECompose, ETensor)):
-            stack.extend((part, level + 1) for part in e.parts)
-        elif isinstance(e, EPower):
-            stack.append((e.base, level + 1))
-        elif isinstance(e, EPad):
-            stack.append((e.body, level + 1))
-    return height
-
-
-def parse(text: str) -> Expr:
-    p = _Parser(text)
-    e = p.expr()
+def parse_word(text: str, alphabet: Alphabet) -> Word:
+    p = _Parser(text, alphabet)
+    w = p.expr()
     kind, tok, pos = p.peek()
     if kind != "eof":
         raise ParseError(f"trailing input {tok!r}", pos)
-    # a chain x^a^b^... nests without parentheses
-    if _height(e) > MAX_NESTING:
-        raise ParseError(_TOO_DEEP)
-    return e
+    return w
 
 
-_PREC_COMPOSE, _PREC_TENSOR, _PREC_POWER, _PREC_ATOM = 0, 1, 2, 3
-
-
-def _prec(e: Expr) -> int:
-    if isinstance(e, ECompose):
-        return _PREC_COMPOSE
-    if isinstance(e, ETensor):
-        return _PREC_TENSOR
-    if isinstance(e, EPower):
-        return _PREC_POWER
-    return _PREC_ATOM
-
-
-def print_expr(e: Expr) -> str:
-    if isinstance(e, EGen):
-        return f"gen {e.name}"
-    if isinstance(e, EId):
-        return f"id({e.n})"
-    if isinstance(e, EDup):
-        return "dup"
-    if isinstance(e, EDel):
-        return "del"
-    if isinstance(e, EBraid):
-        return f"braid({e.m},{e.m2})"
-    if isinstance(e, EBranch):
-        return f"branch({e.a},{e.m})"
-    if isinstance(e, EMap):
-        return f"fm[{e.src}->{e.tgt}: {','.join(map(str, e.table))}]"
-    if isinstance(e, EPad):
-        return f"pad({e.q}, {print_expr(e.body)}, {e.p})"
-    if isinstance(e, ECompose):
-        return " . ".join(_child(part, _PREC_TENSOR) for part in e.parts)
-    if isinstance(e, ETensor):
-        return " * ".join(_child(part, _PREC_POWER) for part in e.parts)
-    if isinstance(e, EPower):
-        return f"{_child(e.base, _PREC_POWER)}^{e.k}"
-    raise TypeError(f"not an expression: {e!r}")
-
-
-def _child(e: Expr, need: int) -> str:
-    text = print_expr(e)
-    return f"({text})" if _prec(e) < need else text
-
-
-def _check_strands(n: int, e: Expr) -> None:
-    if n > MAX_STRANDS:
-        raise ParseError(f"{print_expr(e)!r} exceeds the size limit "
-                         f"({n} > {MAX_STRANDS} strands)")
-
-
-def elaborate(e: Expr, alphabet: Alphabet) -> Word:
-    if isinstance(e, EGen):
-        g = alphabet.lookup(e.name)
-        _check_strands(max(g.src, g.tgt), e)
-        return gen_word(g)
-    if isinstance(e, EId):
-        _check_strands(e.n, e)
-        return identity_word(e.n)
-    if isinstance(e, EDup):
-        return op_word(f2())
-    if isinstance(e, EDel):
-        return op_word(f0())
-    if isinstance(e, EBraid):
-        _check_strands(e.m + e.m2, e)
-        return op_word(braid(e.m, e.m2))
-    if isinstance(e, EBranch):
-        _check_strands(max(e.a * e.m, e.m), e)
-        return op_word(branch(e.a, e.m))
-    if isinstance(e, EMap):
-        _check_strands(max(e.src, e.tgt), e)
-        return op_word(FinMap(e.src, e.tgt, e.table))
-    if isinstance(e, EPad):
-        body = elaborate(e.body, alphabet)
-        _check_strands(e.q + max(body.src, body.tgt) + e.p, e)
-        return whisker(e.q, body, e.p)
-    if isinstance(e, EPower):
-        base = elaborate(e.base, alphabet)
-        _check_strands(e.k * max(base.src, base.tgt, 1), e)
-        return tensor_power(base, e.k)
-    if isinstance(e, ETensor):
-        out = elaborate(e.parts[0], alphabet)
-        for part in e.parts[1:]:
-            nxt = elaborate(part, alphabet)
-            _check_strands(max(out.src + nxt.src, out.tgt + nxt.tgt), e)
-            out = tensor_words(out, nxt)
-        return out
-    if isinstance(e, ECompose):
-        words = [elaborate(e.parts[0], alphabet)]
-        for part in e.parts[1:]:
-            nxt = elaborate(part, alphabet)
-            if words[-1].tgt != nxt.src:
-                raise ArityError(
-                    f"cannot compose onto {print_expr(part)!r}: "
-                    f"{words[-1].tgt} strands meet {nxt.src}")
-            words.append(nxt)
-        return compose_many(*words)
-    raise TypeError(f"not an expression: {e!r}")
-
-
-def parse_word(text: str, alphabet: Alphabet) -> Word:
-    return elaborate(parse(text), alphabet)
-
-
-def map_expr(f: FinMap) -> Expr:
-    if f.is_identity:
-        return EId(f.src)
-    return EMap(f.src, f.tgt, f.table)
-
-
-def word_expr(w: Word) -> Expr:
-    """A canonical expression that elaborates back to w (its decomposition)."""
-    parts: list[Expr] = []
-    if len(w) == 0 or not w.boundaries[0].is_identity:
-        parts.append(map_expr(w.boundaries[0]))
-    for (l, g, r), b in zip(w.letters, w.boundaries[1:]):
-        parts.append(EPad(l, EGen(g.name), r) if l or r else EGen(g.name))
-        if not b.is_identity:
-            parts.append(map_expr(b))
-    if len(parts) == 1:
-        return parts[0]
-    return ECompose(tuple(parts))
+def map_text(f: FinMap) -> str:
+    """A map atom's text: ``id(n)`` for an identity, else the literal."""
+    return f"id({f.src})" if f.is_identity else repr(f)
 
 
 def print_word(w: Word) -> str:
-    return print_expr(word_expr(w))
+    """The decomposition of w, which parses back to w: its boundary maps and
+    padded letters joined by ``.``, an identity map between two letters
+    (or before the first, or after the last) left out."""
+    first, *rest = w.boundaries
+    parts = [] if w.letters and first.is_identity else [map_text(first)]
+    for (l, g, r), b in zip(w.letters, rest):
+        parts.append(f"pad({l}, gen {g.name}, {r})" if l or r
+                     else f"gen {g.name}")
+        if not b.is_identity:
+            parts.append(map_text(b))
+    return " . ".join(parts)

@@ -228,6 +228,33 @@ def test_non_integer_field_is_a_parse_error(tmp_path, capsys, suffix, text,
     assert capsys.readouterr().err.startswith("error: ")
 
 
+
+# more digits than int() reads by default (4,300)
+LONG = "9" * 5000
+LONG_INTEGERS = [
+    ("expression", "", ["equiv", f"id({LONG})", "id(1)"]),
+    ("pres", f"generator f {LONG} 1\n",
+     ["equiv", "--pres", "{path}", "id(1)", "id(1)"]),
+    ("cert", "start: gen omega\nend: gen omega\n"
+             f'step 1: rule=M2 dir=fwd split={LONG} a=0 q=0 p=0 '
+             'v="gen omega" seamL="id(1)" seamR="id(1)"\n',
+     ["verify-cert", "--pres", "@group", "{path}"]),
+    ("assign", f"carrier {LONG}\n", ["eval", "--assign", "{path}", "id(1)"]),
+]
+
+
+@pytest.mark.parametrize("suffix,text,argv", LONG_INTEGERS,
+                         ids=[case[0] for case in LONG_INTEGERS])
+def test_integer_past_the_digit_limit_is_a_parse_error(tmp_path, capsys,
+                                                       suffix, text, argv):
+    path = tmp_path / f"long.{suffix}"
+    path.write_text(text)
+    code, out = run([a.format(path=path) for a in argv])
+    assert (code, out) == (3, "")
+    err = capsys.readouterr().err
+    assert err.startswith("error: integer of 5000 digits is too long")
+    assert err.count("\n") == 1
+
 NOT_UTF8 = [
     ("assign", b"carrier 2\ngen f\n\xff\n",
      ["eval", "--assign", "{path}", "gen f"]),

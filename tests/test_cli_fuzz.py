@@ -48,11 +48,11 @@ EXPRS = (
 
 # pieces of every input format, a few past its limits
 TOKENS = st.sampled_from((
-    "0", "1", "2", "7", "-1", "20", "300", "99999999999999999999", " ",
-    "\n", "(", ")", ",", ".", "*", "^", "->", "==", "gen ", "id(", "pad(",
-    "fm[", "]", ":", "=", '"', "mu", "eta", "omega", "omega2", "step 1:",
-    "rule=M2", "rule=REL:9", "dir=bwd", "split=", "carrier ", "generator ",
-    "relation ", "\x00", "é"))
+    "0", "1", "2", "7", "-1", "20", "300", "99999999999999999999",
+    "9" * 5000, " ", "\n", "(", ")", ",", ".", "*", "^", "->", "==", "gen ",
+    "id(", "pad(", "fm[", "]", ":", "=", '"', "mu", "eta", "omega", "omega2",
+    "step 1:", "rule=M2", "rule=REL:9", "dir=bwd", "split=", "carrier ",
+    "generator ", "relation ", "\x00", "é"))
 
 # a line that names what an exit 1 refuted or failed
 FAIL_LINE = re.compile(r"^(disproved: |certificate invalid: |"

@@ -12,7 +12,6 @@ from pathlib import Path
 import pytest
 
 import opwords
-from opwords import dsl
 from opwords.alphabet import Alphabet, Generator
 from opwords.certificate import Certificate
 from opwords.endo import Carrier, FinFunction
@@ -81,21 +80,6 @@ VALUES = {
     "Certificate": (_cert, lambda: Certificate(_word(), (), _word())),
     "LemmaFixture": (lambda: LemmaFixture("x", _cert(), RuleContext(), "s"),
                      lambda: LemmaFixture("y", _cert(), RuleContext(), "s")),
-    "EGen": (lambda: dsl.EGen("mu"), lambda: dsl.EGen("eta")),
-    "EId": (lambda: dsl.EId(2), lambda: dsl.EId(3)),
-    "EMap": (lambda: dsl.EMap(1, 1, (1,)), lambda: dsl.EMap(0, 1, ())),
-    "EBraid": (lambda: dsl.EBraid(1, 2), lambda: dsl.EBraid(2, 1)),
-    "EBranch": (lambda: dsl.EBranch(2, 1), lambda: dsl.EBranch(1, 2)),
-    "EDup": (lambda: dsl.EDup(), lambda: dsl.EDel()),
-    "EDel": (lambda: dsl.EDel(), lambda: dsl.EDup()),
-    "ECompose": (lambda: dsl.ECompose((dsl.EDup(), dsl.EDel())),
-                 lambda: dsl.ECompose((dsl.EDel(), dsl.EDup()))),
-    "ETensor": (lambda: dsl.ETensor((dsl.EId(1),)),
-                lambda: dsl.ETensor((dsl.EId(2),))),
-    "EPower": (lambda: dsl.EPower(dsl.EDup(), 2),
-               lambda: dsl.EPower(dsl.EDup(), 3)),
-    "EPad": (lambda: dsl.EPad(1, dsl.EDup(), 0),
-             lambda: dsl.EPad(0, dsl.EDup(), 1)),
 }
 
 
@@ -176,18 +160,6 @@ def test_assignment_compares_by_value_and_has_no_hash():
      "statement='s')"),
     (Presentation(ALPHABET, ()),
      "Presentation(alphabet=Alphabet(mu:2->1), relations=())"),
-    (dsl.EGen("mu"), "EGen(name='mu')"),
-    (dsl.EId(2), "EId(n=2)"),
-    (dsl.EMap(1, 1, (1,)), "EMap(src=1, tgt=1, table=(1,))"),
-    (dsl.EBraid(1, 2), "EBraid(m=1, m2=2)"),
-    (dsl.EBranch(2, 1), "EBranch(a=2, m=1)"),
-    (dsl.EDup(), "EDup()"),
-    (dsl.EDel(), "EDel()"),
-    (dsl.ECompose((dsl.EDup(), dsl.EDel())),
-     "ECompose(parts=(EDup(), EDel()))"),
-    (dsl.ETensor((dsl.EId(1),)), "ETensor(parts=(EId(n=1),))"),
-    (dsl.EPower(dsl.EDup(), 2), "EPower(base=EDup(), k=2)"),
-    (dsl.EPad(1, dsl.EDup(), 0), "EPad(q=1, body=EDup(), p=0)"),
 ])
 def test_repr_text(value, text):
     assert repr(value) == text
@@ -202,9 +174,7 @@ FIELD = {
     "SearchBudget": "seed", "Witness": "kind", "Proved": "certificate",
     "Disproved": "witness", "Unknown": "visited", "Presentation": "relations",
     "RelationCheck": "passed", "AlgebraReport": "checks", "GroupTables": "unit",
-    "Certificate": "steps", "LemmaFixture": "name", "EGen": "name", "EId": "n",
-    "EMap": "table", "EBraid": "m2", "EBranch": "a", "ECompose": "parts",
-    "ETensor": "parts", "EPower": "k", "EPad": "body",
+    "Certificate": "steps", "LemmaFixture": "name",
 }
 
 
@@ -235,7 +205,6 @@ def test_defaults_and_keywords():
     assert (step.a, step.q, step.p, step.v, step.v2, step.seam_left,
             step.seam_right) == (0, 0, 0, None, None, None, None)
     assert step == RewriteStep(rule="M1", direction="fwd", split=2)
-    assert dsl.EPad(q=1, body=dsl.EDup(), p=0) == dsl.EPad(1, dsl.EDup(), 0)
     assert Carrier(size=2) == Carrier(2)
 
 
@@ -248,15 +217,9 @@ def test_constructor_argument_errors():
         SearchBudget(steps=1)
     with pytest.raises(TypeError):
         RuleBounds(3, a_max=3)
-    with pytest.raises(TypeError):
-        dsl.EGen()
 
 
 def test_nodes_of_different_types_never_compare_equal():
-    assert dsl.EDup() != dsl.EDel()
-    assert dsl.EBraid(1, 1) != dsl.EBranch(1, 1)
-    assert dsl.ECompose((dsl.EDup(),)) != dsl.ETensor((dsl.EDup(),))
-    assert dsl.EGen("x") != Witness("x")
     assert Proved(_cert()) != Disproved(_cert())
 
 
@@ -285,7 +248,6 @@ def test_replace_changes_the_named_fields_only():
     assert step.inverted() == flipped and flipped.inverted() == step
     assert step.seam_right is None
     assert RuleBounds().replace(max_len=4) == RuleBounds(max_len=4)
-    assert dsl.EPad(1, dsl.EDup(), 0).replace(p=2) == dsl.EPad(1, dsl.EDup(), 2)
     with pytest.raises(TypeError):
         RuleBounds().replace(max_length=4)
     # replace builds through __init__, so the constructor's checks run
