@@ -228,7 +228,6 @@ def test_non_integer_field_is_a_parse_error(tmp_path, capsys, suffix, text,
     assert capsys.readouterr().err.startswith("error: ")
 
 
-
 # more digits than int() reads by default (4,300)
 LONG = "9" * 5000
 LONG_INTEGERS = [
@@ -254,6 +253,7 @@ def test_integer_past_the_digit_limit_is_a_parse_error(tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith("error: integer of 5000 digits is too long")
     assert err.count("\n") == 1
+
 
 NOT_UTF8 = [
     ("assign", b"carrier 2\ngen f\n\xff\n",
