@@ -14,6 +14,7 @@ import pytest
 import opwords
 from opwords.alphabet import Alphabet, Generator
 from opwords.certificate import Certificate
+from opwords.dsl import parse_word
 from opwords.endo import Carrier, FinFunction
 from opwords.errors import ArityError, AssignmentError
 from opwords.evaluate import GeneratorAssignment
@@ -81,6 +82,28 @@ VALUES = {
     "LemmaFixture": (lambda: LemmaFixture("x", _cert(), RuleContext(), "s"),
                      lambda: LemmaFixture("y", _cert(), RuleContext(), "s")),
 }
+
+# The words the expression constructs parse to, one entry per construct, so
+# that words built by the parser's composition, tensor, power and pad rules
+# are values like any other: each parse builds a fresh word.
+PARSE_ALPHABET = Alphabet((MU, Generator("eta", 0, 1)))
+CONSTRUCTS = {
+    "EGen": ("gen mu", "gen eta"),
+    "EId": ("id(2)", "id(3)"),
+    "EMap": ("fm[1->1: 1]", "fm[0->1: ]"),
+    "EBraid": ("braid(1,2)", "braid(2,1)"),
+    "EBranch": ("branch(2,1)", "branch(1,2)"),
+    "EDup": ("dup", "del"),
+    "EDel": ("del", "dup"),
+    "ECompose": ("gen mu . dup", "dup . gen mu"),
+    "ETensor": ("id(1) * gen mu", "gen mu * id(1)"),
+    "EPower": ("gen mu^2", "gen mu^3"),
+    "EPad": ("pad(1, gen mu, 0)", "pad(0, gen mu, 1)"),
+}
+VALUES.update(
+    (name, tuple(lambda text=text: parse_word(text, PARSE_ALPHABET)
+                 for text in texts))
+    for name, texts in CONSTRUCTS.items())
 
 
 @pytest.mark.parametrize("name", sorted(VALUES))
