@@ -214,16 +214,31 @@ def cmd_lemmas(args) -> int:
     return EXIT_OK if failures == 0 else EXIT_FAIL
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises its errors, for main to print on one ``error:`` line, where
+    argparse would print its usage first. A message can quote an argument
+    as given, newlines included, so they are escaped."""
+
+    def error(self, message):
+        raise OpwordsError(message.replace("\n", "\\n"))
+
+
+def _int_option(name: str):
+    """An integer option's reader: read_int, naming the option as a file's
+    reader names the line."""
+    return lambda text: read_int(text, name)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="opwords",
         description="word calculus for finitely presented operads")
-    parser.add_argument("--seed", type=int, default=0,
+    parser.add_argument("--seed", type=_int_option("--seed"), default=0,
                         help="seed for randomized search probes")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("eval", help="evaluate an expression on a carrier")
-    p.add_argument("--carrier", type=int, default=None)
+    p.add_argument("--carrier", type=_int_option("--carrier"), default=None)
     p.add_argument("--assign", required=True)
     p.add_argument("expr")
     p.set_defaults(fn=cmd_eval)
@@ -231,7 +246,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("equiv", help="decide equivalence of two expressions")
     p.add_argument("--pres", default=None,
                    help="presentation file, @group, or @group-Z")
-    p.add_argument("--max-steps", type=int, default=None, dest="max_steps",
+    p.add_argument("--max-steps", type=_int_option("--max-steps"),
+                   default=None, dest="max_steps",
                    help="visited-word budget for the search")
     p.add_argument("expr")
     p.add_argument("expr2")
@@ -240,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check-algebra", help="check an assignment against a presentation")
     p.add_argument("--pres", required=True)
     p.add_argument("--assign", required=True)
-    p.add_argument("--carrier", type=int, default=None)
+    p.add_argument("--carrier", type=_int_option("--carrier"), default=None)
     p.set_defaults(fn=cmd_check_algebra)
 
     p = sub.add_parser("verify-cert", help="replay a certificate file")
@@ -256,17 +272,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else 0
-    try:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit:
+            # only -h exits, having printed the help: _Parser raises its
+            # errors
+            return EXIT_OK
         return args.fn(args)
-    except OpwordsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
+    except (OpwordsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

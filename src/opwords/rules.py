@@ -6,10 +6,10 @@ Four schema families act on words: interchange of two independent layers
 pairs, whiskered on both sides.
 
 All finite-set maps belong to the free structure, so a fold of no copies
-(M4 with a = 0) is the naturality of deletion: it rewrites any factor of
-type (1,0) to the deletion map and any factor of type (0,0) to the empty
-word. Besides deleting single letters, M4 collapses whole factors of those
-two types, which may span several letters.
+(M4 with a = 0) is the naturality of deletion: a letter whose outputs are
+all discarded is deleted, leaving the discard of its inputs. Every such
+step deletes one letter; a factor of several letters whose outputs are all
+discarded goes one letter at a time, last letter first.
 
 M1 instances come from three generators: the single swap of two adjacent
 letters, one per parameter word; the slide of a boundary map block past
@@ -600,7 +600,6 @@ def _braid_moves(w: Word, bounds, cut, mirror: bool):
     rule, build = ("M3", build_m3) if mirror else ("M2", build_m2)
     pm, am = bounds.pad_max, bounds.a_max
     for s, (lam, x, rho) in enumerate(w.letters):
-        seams = {}  # (q, p) -> both seam maps of letter s, q and p unpadded
         for a in range(1, am + 1):
             for direction in ("fwd", "bwd"):
                 # pattern letter (q+l, x, r+a+p) when the a strands come
@@ -611,19 +610,14 @@ def _braid_moves(w: Word, bounds, cut, mirror: bool):
                     continue
                 for q in range(min(lo, pm) + 1):
                     for p in range(min(hi, pm) + 1):
-                        mids = seams.get((q, p))
-                        if mids is None:
-                            mids = seams[q, p] = (
-                                unpad(w.boundaries[s], q, p),
-                                unpad(w.boundaries[s + 1], q, p))
                         yield from _braid_case(w, s, rule, build, direction,
                                                bounds, cut,
                                                (lo - q, x, hi - p),
-                                               a, q, p, after, *mids)
+                                               a, q, p, after)
 
 
 def _braid_case(w, s, rule, build, direction, bounds, cut, letter, a, q,
-                p, after, mid, midr):
+                p, after):
     """One M2/M3 pattern letter with a strands after it (or before it).
 
     mid and midr are the seam maps on either side of letter s with the pads
@@ -632,6 +626,7 @@ def _braid_case(w, s, rule, build, direction, bounds, cut, letter, a, q,
     undone there before the seam maps are split.
     """
     l, x, r = letter
+    mid, midr = unpad(w.boundaries[s], q, p), unpad(w.boundaries[s + 1], q, p)
     if direction == "fwd" and mid is not None and mid.tgt >= a:
         b = mid.tgt - a
         mid = compose(mid, braid(a, b) if after else braid(b, a))
@@ -777,22 +772,9 @@ def _rel_insertions(w, rule, direction, rel, pat_side, bounds, cut):
 
 
 def _card_moves(w: Word, bounds, cut):
-    """M4 deletions (a = 0) of whole-boundary factors of type (0,0) or (1,0).
-
-    Named for the cardinality rule it replaces: perfbench's tracer wraps it.
-    """
-    n = len(w)
-    # a factor's source is its first boundary map's target, and its
-    # target is its last map's source
-    for i in range(n):
-        if w.boundaries[i].tgt > 1:
-            continue
-        for j in range(i + 1, n + 1):
-            if w.boundaries[j].src != 0:
-                continue
-            sub = Word(w.boundaries[i:j + 1], w.letters[i:j])
-            yield from _emit(w, i, "M4", "bwd", build_m4(sub, 0, 0, 0),
-                             bounds, cut, v=sub)
+    """Empty and uncalled: its multi-letter M4 deletions were chains of
+    _m4_bwd's one-letter ones. perfbench's tracer wraps it by name."""
+    yield from ()
 
 
 def moves(w: Word, ctx: RuleContext, bounds: RuleBounds,
@@ -819,8 +801,4 @@ def moves(w: Word, ctx: RuleContext, bounds: RuleBounds,
         yield from _m4_moves(w, bounds, cut)
     if ctx.relations and (fams is None or "REL" in fams):
         yield from _rel_moves(w, ctx, bounds, cut)
-    # the collapses come last: moving them would reorder the stream, and
-    # with it the certificates the search returns
-    if fams is None or "M4" in fams:
-        yield from _card_moves(w, bounds, cut)
 

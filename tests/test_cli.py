@@ -1,3 +1,4 @@
+import errno
 import io
 import os
 import re
@@ -666,3 +667,88 @@ def test_expression_error_on_the_command_line_names_no_line(capsys):
     code, out = run(["equiv", "--pres", "@group", "gen nu", "gen omega"])
     assert (code, out) == (3, "")
     assert capsys.readouterr().err == "error: unknown generator 'nu'\n"
+
+
+ARGUMENT_ERRORS = [
+    ("max-steps-not-an-integer",
+     ["equiv", "--max-steps", "abc", "id(1)", "id(1)"],
+     "expected an integer, found 'abc' in '--max-steps'"),
+    ("unknown-option", ["equiv", "--bogus", "id(1)", "id(1)"],
+     "unrecognized arguments: --bogus"),
+    ("extra-argument-with-a-newline", ["equiv", "id(1)", "id(1)", "a\nb"],
+     "unrecognized arguments: a\\nb"),
+    ("long-seed", ["--seed", LONG, "equiv", "id(1)", "id(1)"],
+     "integer of 5000 digits is too long in '--seed'"),
+    ("long-max-steps", ["equiv", "--max-steps", LONG, "id(1)", "id(1)"],
+     "integer of 5000 digits is too long in '--max-steps'"),
+    ("long-carrier", ["eval", "--carrier", LONG, "--assign", "x", "id(1)"],
+     "integer of 5000 digits is too long in '--carrier'"),
+    ("no-command", [], "the following arguments are required: command"),
+    ("missing-expression", ["equiv", "id(1)"],
+     "the following arguments are required: expr2"),
+]
+
+
+@pytest.mark.parametrize("argv,message", [case[1:] for case in ARGUMENT_ERRORS],
+                         ids=[case[0] for case in ARGUMENT_ERRORS])
+def test_argument_error_is_one_line(capsys, argv, message):
+    """argparse's errors are main's one error: line, with no usage line
+    before it; an integer option is read as a file's integer field is, so
+    a long one is named by its digit count."""
+    code, out = run(argv)
+    assert (code, out) == (3, "")
+    err = capsys.readouterr().err
+    assert err == f"error: {message}\n"
+    assert len(err.encode()) < 200
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["equiv", "-h"]])
+def test_help_exits_0(capsys, argv):
+    code, out = run(argv)
+    assert code == 0 and out.startswith("usage: opwords")
+    assert capsys.readouterr().err == ""
+
+
+def _missing(path):
+    return str(FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT),
+                                 str(path)))
+
+
+SEAM_NOT_A_MAP = _first_step('seamL="id(1)"', 'seamL="gen omega"')
+# error exits that no other test reaches: (id, file text or None for no
+# file, argv, error message)
+UNREACHED_ERRORS = [
+    ("no-pres-file", None, ["equiv", "--pres", "{path}", "id(1)", "id(1)"],
+     _missing),
+    ("no-cert-file", None, ["verify-cert", "{path}"], _missing),
+    ("no-carrier", "gen mu\n0 0 -> 0\n0 1 -> 1\n1 0 -> 1\n1 1 -> 0\n",
+     ["eval", "--assign", "{path}", "gen mu"],
+     "carrier size not given and not inferable"),
+    ("generator-without-target", "generator f 1\n",
+     ["equiv", "--pres", "{path}", "id(1)", "id(1)"],
+     "bad generator line: 'generator f 1'"),
+    ("relation-without-equals", "generator mu 2 1\nrelation gen mu\n",
+     ["equiv", "--pres", "{path}", "id(1)", "id(1)"],
+     "relation line needs '==': 'relation gen mu'"),
+    ("no-headers", STEP_1 + "\n", CERT_ARGV,
+     "certificate needs start: and end: headers"),
+    ("seam-not-a-map", SEAM_NOT_A_MAP[0], CERT_ARGV,
+     f"seamL must be a map literal: {SEAM_NOT_A_MAP[1]!r}"),
+    ("missing-row", "carrier 2\ngen mu\n0 0 -> 0\n0 1 -> 1\n1 1 -> 0\n",
+     ["eval", "--assign", "{path}", "gen mu"],
+     "assignment table missing row for (1, 0)"),
+]
+
+
+@pytest.mark.parametrize("text,argv,message",
+                         [case[1:] for case in UNREACHED_ERRORS],
+                         ids=[case[0] for case in UNREACHED_ERRORS])
+def test_error_exit_is_one_line(tmp_path, capsys, text, argv, message):
+    path = tmp_path / "input"
+    if text is not None:
+        path.write_text(text)
+    code, out = run([a.format(path=path) for a in argv])
+    assert (code, out) == (3, "")
+    if callable(message):
+        message = message(path)
+    assert capsys.readouterr().err == f"error: {message}\n"

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 import opwords.rules as rules_module
 from opwords.alphabet import Generator
 from opwords.certificate import step_key
+from opwords.cli import main as cli_main
 from opwords.errors import ArityError, ReplayError
 from opwords.evaluate import eval_word
 from opwords.finmap import FinMap, identity
@@ -136,7 +137,7 @@ def test_eta_drop_collapses_by_an_m4_deletion():
 # Any change to which moves are generated, their parameters or their order
 # changes it; a refactor of rules.py must keep it.
 MOVES_STREAM = (
-    "188f41d0f412d4d25461ed817844d1e92b5db62a5c26212c3ec7629e09ec5878", 70658)
+    "4b43f2b99d016f91801da89dc40806e328659e883bdf54d64e570cc6878d954d", 70646)
 
 
 def _stream_corpus():
@@ -204,7 +205,7 @@ def test_moves_stream_digest():
 # above without the M1 steps whose two parameter words have 3 or more
 # letters between them.
 SINGLE_LETTER_STREAM = (
-    "b7161f9beaf1f392640684b201731856351d3f97c2f690037be24b8d412873c7", 70472)
+    "8ad5e6cc9a199f468baf747ac91877091103c27c0144ee927709effe2ca59b27", 70460)
 
 
 def _is_whole_word_step(step):
@@ -378,6 +379,87 @@ def test_m4_duplication_width_is_the_built_width():
     assert checked > 0
 
 
+def _collapses(w, bounds):
+    """(letters deleted, successor) per step of the multi-letter M4
+    deletions moves() made before it deleted one letter at a time: the
+    deletion (a = 0) of each factor [i, j) of w of type (0,0) or (1,0)."""
+    cut = _Cut(w, bounds, Tally())
+    for i in range(len(w)):
+        if w.boundaries[i].tgt > 1:
+            continue
+        for j in range(i + 1, len(w) + 1):
+            if w.boundaries[j].src != 0:
+                continue
+            sub = Word(w.boundaries[i:j + 1], w.letters[i:j])
+            for _, succ in rules_module._emit(
+                    w, i, "M4", "bwd", build_m4(sub, 0, 0, 0), bounds, cut,
+                    v=sub):
+                yield j - i, succ
+
+
+def _one_letter_deletions(w, ctx, bounds):
+    deleted = set()
+    for step, succ in moves(w, ctx, bounds):
+        assert step.rule == "M4" and len(step.v) == 1
+        if step.direction == "bwd" and step.a == 0:
+            deleted.add(succ)
+    return deleted
+
+
+def test_multi_letter_deletions_are_chains_of_one_letter_deletions():
+    """Each deletion of a factor of k letters whose outputs are all
+    discarded is reached by at most k of the one-letter M4 deletions that
+    moves() yields, over the stream corpus, the lemma chains' words and
+    random words closed by discarding every output. So deleting one letter
+    at a time loses no pair the search could join, only a shortcut."""
+    rng = random.Random(22)
+    closed = []
+    for _ in range(200):
+        w = random_word(rng, max_len=3)
+        closed.append(compose_words(w, op_word(FinMap(0, w.tgt, ()))))
+    cases = [(w, ctx) for corpus, ctx in _stream_corpus() for w in corpus]
+    cases += list(dict.fromkeys((w, ctx) for x, y, ctx in _lemma_steps()
+                                for w in (x, y)))
+    cases += [(w, RuleContext()) for w in closed]
+    checked, multi = 0, 0
+    for cap in (2, 64):
+        bounds = RuleBounds(seam_cap=cap, families=("M4",))
+        for w, ctx in cases:
+            # reached[k]: the words k one-letter deletions make from w
+            reached = [{w}]
+            for k, succ in _collapses(w, bounds):
+                while len(reached) <= k:
+                    reached.append(set().union(*(
+                        _one_letter_deletions(u, ctx, bounds)
+                        for u in reached[-1])))
+                assert any(succ in words for words in reached[:k + 1])
+                checked += 1
+                multi += k > 1
+    assert multi > 20 and checked > multi
+
+
+def test_a_multi_letter_deletion_still_replays(tmp_path, capsys):
+    """A certificate whose one step deletes two letters, as moves() once
+    proved gen e . gen k == id(0), still verifies; a search now proves the
+    pair by two one-letter deletions, k first."""
+    pres = tmp_path / "ek.pres"
+    pres.write_text("generator e 0 1\ngenerator k 1 0\n")
+    cert = tmp_path / "ek.cert"
+    cert.write_text(
+        "start: gen e . gen k\nend: id(0)\n"
+        'step 1: rule=M4 dir=bwd split=0 a=0 q=0 p=0 v="gen e . gen k" '
+        'seamL="id(0)" seamR="id(0)"\n')
+    assert cli_main(["verify-cert", "--alphabet", str(pres), str(cert)]) == 0
+    assert capsys.readouterr().out == "certificate valid: 1 steps\n"
+    assert cli_main(["equiv", "--pres", str(pres), "gen e . gen k",
+                     "id(0)"]) == 0
+    assert capsys.readouterr().out.splitlines()[2:] == [
+        'step 1: rule=M4 dir=bwd split=1 a=0 q=0 p=0 v="gen k" '
+        'seamL="id(1)" seamR="id(0)"',
+        'step 2: rule=M4 dir=bwd split=0 a=0 q=0 p=0 v="gen e" '
+        'seamL="id(0)" seamR="id(0)"']
+
+
 def _walk_tallies(w, ctx, bounds, expand):
     """(successors yielded, successors pruned) of each moves() call of a
     breadth-first walk from w that expands `expand` words."""
@@ -399,8 +481,8 @@ def _walk_tallies(w, ctx, bounds, expand):
 # as work, so its pause points, and with them which certificate comes back
 # and an Unknown's visited count, move if either does.
 PRUNED_TALLIES = (
-    "8c0fbcc9cfebe4ea5e8f68c0c78e57621eb3d80a0b733646c9fe677d34bbd896",
-    707, 36864, 189734)
+    "0f7821587c0c589bc3bb899fd89636606bd97540d950d72ea503506bd7ba3c6c",
+    707, 36852, 189734)
 
 
 def test_pruned_tally_digest():
